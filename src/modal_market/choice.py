@@ -138,6 +138,14 @@ class CompiledScenario:
     a_H: np.ndarray        # (n_nodes,) sign-out exponent
     dQ: np.ndarray         # (n_nodes,) sign-in rates
     column_pairs: tuple[tuple[int, int], ...]  # (2m,) driver pair per column
+    # Flat positions of the traveler logit sensitivities in the Jacobian
+    # blocks, for values ordered (ride,ride), (ride,multi), (multi,ride),
+    # (multi,multi), each in od order: rho_lam_flat indexes a (2m, n_nodes)
+    # array (rho_direct_i with lambda_s, rho_hub_i with lambda_h);
+    # lam_lam_flat indexes an (n_nodes, n_nodes) array and starts with the
+    # n_nodes diagonal positions.
+    rho_lam_flat: np.ndarray   # (4m,)
+    lam_lam_flat: np.ndarray   # (n_nodes + 4m,)
 
     @property
     def dim(self) -> int:
@@ -180,15 +188,41 @@ def _compile(sc: Scenario) -> CompiledScenario:
     column_pairs = tuple(
         [(od.r, od.s) for od in sc.ods] + [(od.r, od.hub) for od in sc.ods]
     )
-    A = np.empty((n_nodes, 2 * m))
-    for c, (r, _s_prime) in enumerate(column_pairs):
-        for i, n in enumerate(node_ids):
-            t_nr = 0.0 if n == r else sc.relocation_time(n, r)
-            A[i, c] = dp.beta0_at(r) - dp.beta1 * t_nr
+    # every column's driver pair starts at its od's origin, so relocation
+    # times are needed only towards the distinct origins
+    origin_index = {r: k for k, r in enumerate(sc.origins)}
+    T = np.array(
+        [
+            [0.0 if n == r else sc.relocation_time(n, r) for r in sc.origins]
+            for n in node_ids
+        ]
+    ).reshape(n_nodes, len(sc.origins))
+    beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
+    cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
+    A = beta0[cols] - dp.beta1 * T[:, cols]
     a_H = np.array(
         [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in node_ids]
     )
     dQ = np.array([sc.signin_at(n) for n in node_ids], dtype=float)
+
+    ride_row, multi_row = np.arange(m), m + np.arange(m)
+    rho_lam_flat = np.concatenate(
+        [
+            ride_row * n_nodes + s_idx,
+            ride_row * n_nodes + h_idx,
+            multi_row * n_nodes + s_idx,
+            multi_row * n_nodes + h_idx,
+        ]
+    )
+    lam_lam_flat = np.concatenate(
+        [
+            np.arange(n_nodes) * (n_nodes + 1),
+            s_idx * n_nodes + s_idx,
+            s_idx * n_nodes + h_idx,
+            h_idx * n_nodes + s_idx,
+            h_idx * n_nodes + h_idx,
+        ]
+    )
 
     return CompiledScenario(
         sc=sc,
@@ -208,6 +242,8 @@ def _compile(sc: Scenario) -> CompiledScenario:
         a_H=a_H,
         dQ=dQ,
         column_pairs=column_pairs,
+        rho_lam_flat=rho_lam_flat,
+        lam_lam_flat=lam_lam_flat,
     )
 
 

@@ -7,9 +7,17 @@ root-finding problem on the clearing residual over the dual vector
     y = (rho_direct per OD, rho_hub per OD, lambda per node).
 
 The residual is the gradient of a smooth strictly concave dual, hence its
-Jacobian is symmetric positive definite and a damped Newton iteration with a
-plain norm-decrease line search converges from any start. Prices follow from
-the duals by the additive decomposition eta = rho + lambda(drop-off).
+Jacobian is symmetric positive definite; `solve` runs damped Newton on it
+with a norm-decrease line search. The Jacobian is never formed: each OD's
+logit couples only its own two rho coordinates and two lambdas, and each
+driver flow one rho and one lambda, so the rho-rho block is block diagonal
+with one 2x2 block per OD. A Newton step eliminates those blocks in closed
+form and solves an n_nodes x n_nodes Schur complement for lambda (block
+elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4): O(m n^2 +
+n^3) work per step for m ODs and n nodes, against O((2m + n)^3) for a dense
+LU. The dense analytic and finite-difference Jacobians remain as references
+for tests. Prices follow from the duals by the additive decomposition
+eta = rho + lambda(drop-off).
 """
 from __future__ import annotations
 
@@ -103,6 +111,12 @@ def _flows_at(cs: CompiledScenario, y: np.ndarray):
 
 def _residual_vector(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
     q, _, E, _, Q = _flows_at(cs, y)
+    return _residual_of_flows(cs, q, E, Q)
+
+
+def _residual_of_flows(
+    cs: CompiledScenario, q: np.ndarray, E: np.ndarray, Q: np.ndarray
+) -> np.ndarray:
     m = cs.m
     arrivals = np.zeros(cs.n_nodes)
     np.add.at(arrivals, cs.s_idx, q[:, 1])
@@ -117,7 +131,9 @@ def _residual_vector(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_analytic(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
-    """Closed-form Jacobian of the residual map; symmetric positive definite."""
+    """Closed-form dense Jacobian of the residual map; symmetric positive
+    definite. `solve` builds it only for its least-squares rescue; tests
+    check the structured Newton step against it."""
     q, P, E, _, Q = _flows_at(cs, y)
     m, dim = cs.m, cs.dim
     b2, b3 = cs.beta2, cs.beta3
@@ -145,6 +161,56 @@ def _jacobian_analytic(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
             for yy, jy in coords:
                 J[x, yy] += b2 * M[ix, jy]
     return J
+
+
+def _newton_step(
+    cs: CompiledScenario, P: np.ndarray, E: np.ndarray, Q: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Newton step -J^{-1} r by block elimination of the rho coordinates.
+
+    P, E, Q are the traveler probabilities, driver flows and stocks at the
+    iterate and r the residual there. J_rho_rho is block diagonal, one 2x2
+    block per OD over (rho_direct_i, rho_hub_i): beta3 times the two driver
+    column sums on the diagonal plus beta2*d_i*(diag(p) - p p^T) over
+    (ride, multi). Those blocks are inverted in closed form, the lambda part
+    of the step solves the n x n Schur complement
+    S = J_lam_lam - J_rho_lam^T J_rho_rho^{-1} J_rho_lam, and the rho part
+    follows by back-substitution: O(m n^2 + n^3) per step instead of the
+    O((2m + n)^3) of a dense LU. A vanishing or overflowing pivot shows as
+    a non-finite step, and a singular S raises LinAlgError.
+    """
+    m, n = cs.m, cs.n_nodes
+    b3 = cs.beta3
+    bd = cs.beta2 * cs.d
+    p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
+    # traveler sensitivities over (ride, multi); p0 + p2 = 1 - p1 without
+    # the cancellation when p1 is close to 1
+    a = bd * p1 * (p0 + p2)
+    c = -bd * p1 * p2
+    e = bd * p2 * (p0 + p1)
+    sens = np.concatenate([a, c, c, e])
+    C = b3 * E.T + np.bincount(cs.rho_lam_flat, sens, minlength=2 * m * n).reshape(2 * m, n)
+    L = np.bincount(
+        cs.lam_lam_flat, np.concatenate([b3 * Q, sens]), minlength=n * n
+    ).reshape(n, n)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # each 2x2 block [[b11, c], [c, b22]] is factored on the b11 pivot;
+        # its Schur value b22 - c^2/b11 is summed from positive terms, since
+        # b11*b22 - c^2 = D_d*D_h + D_d*e + a*D_h + bd^2*p0*p1*p2
+        D = b3 * E.sum(axis=0)
+        D_d, D_h = D[:m], D[m:]
+        b11 = D_d + a
+        piv = D_h + e * (D_d / b11) + bd * bd * p0 * p1 * p2 / b11
+        X = np.column_stack([C, r[: 2 * m]])
+        X_d, X_h = X[:m], X[m:]
+        W_h = (X_h - (c / b11)[:, None] * X_d) / piv[:, None]
+        W_d = (X_d - c[:, None] * W_h) / b11[:, None]
+        W = np.concatenate([W_d, W_h])  # J_rho_rho^{-1} [J_rho_lam, r_rho]
+        S = L - C.T @ W[:, :n]
+        dlam = np.linalg.solve(S, C.T @ W[:, n] - r[2 * m :])
+        drho = -W[:, n] - W[:, :n] @ dlam
+    return np.concatenate([drho, dlam])
 
 
 def _jacobian_fd(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
@@ -189,13 +255,24 @@ def extract_prices(y: np.ndarray, sc: Scenario) -> PriceSystem:
     return PriceSystem.build(sc, rho_direct, rho_hub, lam)
 
 
-def _norms(cs: CompiledScenario, y: np.ndarray) -> tuple[float, float, np.ndarray | None]:
-    """(inf_norm, two_norm, r); infinities when the iterate overflows."""
+def _norms(
+    cs: CompiledScenario, y: np.ndarray
+) -> tuple[float, float, np.ndarray | None, tuple[np.ndarray, ...] | None]:
+    """(inf_norm, two_norm, r, (P, E, Q)) at y.
+
+    Norms are infinite, and r and the flows None, when the driver flows
+    overflow. The 2-norm alone overflows to inf once some |r_i| exceeds
+    about 1e154; that is not an error: an infinite 2-norm never decreases,
+    so the line search rejects such a trial.
+    """
     try:
-        r = _residual_vector(cs, y)
+        q, P, E, _, Q = _flows_at(cs, y)
     except OverflowGuard:
-        return np.inf, np.inf, None
-    return float(np.abs(r).max()), float(np.linalg.norm(r)), r
+        return np.inf, np.inf, None, None
+    r = _residual_of_flows(cs, q, E, Q)
+    with np.errstate(over="ignore"):
+        two_norm = float(np.linalg.norm(r))
+    return float(np.abs(r).max()), two_norm, r, (P, E, Q)
 
 
 def solve(
@@ -203,12 +280,16 @@ def solve(
     tol: float = 1e-10,
     max_iter: int = 200,
     y0: np.ndarray | None = None,
-    jacobian: Literal["analytic", "fd"] = "analytic",
 ) -> EquilibriumSolution:
     """Damped Newton on the clearing residual.
 
-    A step is accepted only if it reduces the residual norm, halving the step
-    up to 30 times; if a whole Newton step fails, a scaled fixed-point
+    Each Newton step is the block elimination of `_newton_step`, from the
+    flows of the last accepted trial point, at O(m n^2 + n^3) per step.
+    Only when it fails (singular Schur complement or non-finite step) is
+    the dense Jacobian built, and the step is its least-squares solution.
+
+    A step is accepted only if it reduces the residual 2-norm, halving the
+    step up to 30 times; if a whole Newton step fails, a scaled fixed-point
     correction y <- y - 0.1*r is tried before the next Newton attempt.
     Raises NotConverged with the best iterate and the residual history if the
     inf-norm never reaches `tol` within `max_iter` iterations.
@@ -217,14 +298,13 @@ def solve(
     if violations:
         raise ValidationFailed(violations)
     cs = compile_scenario(sc)
-    jac = _jacobian_analytic if jacobian == "analytic" else _jacobian_fd
 
     started = time.perf_counter()
     y = np.zeros(cs.dim) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y.shape != (cs.dim,):
         raise ValueError(f"y0 must have shape ({cs.dim},), got {y.shape}")
 
-    inf_norm, two_norm, r = _norms(cs, y)
+    inf_norm, two_norm, r, flows = _norms(cs, y)
     if r is None:
         raise OverflowGuard("initial dual vector overflows the driver flows")
     history = [inf_norm]
@@ -241,19 +321,21 @@ def solve(
             )
         iterations += 1
 
-        J = jac(cs, y)
         try:
-            step = np.linalg.solve(J, -r)
+            step = _newton_step(cs, *flows, r)
         except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.isfinite(step).all():
+            J = _jacobian_analytic(cs, y)
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
 
         accepted = False
         t = 1.0
         for _ in range(31):
             y_try = y + t * step
-            inf_try, two_try, r_try = _norms(cs, y_try)
+            inf_try, two_try, r_try, flows_try = _norms(cs, y_try)
             if two_try < two_norm:
-                y, inf_norm, two_norm, r = y_try, inf_try, two_try, r_try
+                y, inf_norm, two_norm, r, flows = y_try, inf_try, two_try, r_try, flows_try
                 accepted = True
                 break
             t *= 0.5
@@ -262,9 +344,9 @@ def solve(
             alpha = 0.1
             for _ in range(31):
                 y_try = y - alpha * r
-                inf_try, two_try, r_try = _norms(cs, y_try)
+                inf_try, two_try, r_try, flows_try = _norms(cs, y_try)
                 if two_try < two_norm:
-                    y, inf_norm, two_norm, r = y_try, inf_try, two_try, r_try
+                    y, inf_norm, two_norm, r, flows = y_try, inf_try, two_try, r_try, flows_try
                     accepted = True
                     break
                 alpha *= 0.5

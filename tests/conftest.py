@@ -1,6 +1,7 @@
 import pytest
 
 from modal_market import builtin_5node, builtin_sioux, solve
+from modal_market.oracle import grid_solve_micro, micro_instances
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,15 @@ def sioux_scenarios():
 @pytest.fixture(scope="session")
 def sioux_solutions(sioux_scenarios):
     return {k: solve(sc) for k, sc in sioux_scenarios.items()}
+
+
+@pytest.fixture(scope="session")
+def micros():
+    return micro_instances()
+
+
+@pytest.fixture(scope="session")
+def grid_duals(micros):
+    """Grid-oracle duals per micro instance; the grid search takes seconds,
+    so it runs once per session."""
+    return {sc.name: grid_solve_micro(sc) for sc in micros}

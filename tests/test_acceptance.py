@@ -14,9 +14,7 @@ from modal_market.choice import driver_flows_logit, traveler_flows
 from modal_market.equilibrium import solve, uniqueness_probe
 from modal_market.netgraph import parse_tntp, serialize_tntp
 from modal_market.oracle import (
-    grid_solve_micro,
     kkt_check,
-    micro_instances,
     perturbation_probe,
     random_scenario,
 )
@@ -118,12 +116,11 @@ def test_criterion_3_kkt_stationarity(corpus, corpus_solutions):
     )
 
 
-def test_criterion_4_grid_oracle_duals():
-    micros = micro_instances()
+def test_criterion_4_grid_oracle_duals(micros, grid_duals):
     assert len(micros) >= 3
     worst = 0.0
     for sc in micros:
-        gap = float(np.abs(grid_solve_micro(sc) - solve(sc).y).max())
+        gap = float(np.abs(grid_duals[sc.name] - solve(sc).y).max())
         worst = max(worst, gap)
         assert gap <= ORACLE_DUAL_TOL, sc.name
     print(

@@ -12,6 +12,7 @@ from modal_market.choice import (
     PriceSystem,
     UnknownChoice,
     UnknownOD,
+    compile_scenario,
     driver_flows_dual,
     driver_flows_logit,
     driver_utilities,
@@ -28,6 +29,7 @@ from modal_market.scenario import (
     TravelerParams,
     builtin_5node,
 )
+from modal_market.oracle import random_scenario
 
 EPS = np.finfo(float).eps
 
@@ -168,6 +170,16 @@ class TestDriverUtilities:
         u = driver_utilities(five_node, 5, (1, 2), prices)
         assert u == pytest.approx(0.0 - 0.3 * 15.0 + 1.0 * 12.0, abs=1e-12)
         assert u == pytest.approx(7.5, abs=1e-12)
+
+    def test_compiled_exponents_match_driver_utilities(self, sioux_scenarios):
+        # the compiled exponent matrix is built from per-origin arrays; each
+        # entry must still be the option's utility at zero prices, bit for bit
+        for sc in (sioux_scenarios[3], random_scenario(0), random_scenario(7)):
+            cs = compile_scenario(sc)
+            zero = PriceSystem.zero(sc)
+            for i, n in enumerate(cs.node_ids):
+                for c, pair in enumerate(cs.column_pairs):
+                    assert cs.A[i, c] == driver_utilities(sc, n, pair, zero), (sc.name, n, pair)
 
     def test_unknown_choice(self, five_node):
         with pytest.raises(UnknownChoice):

@@ -14,21 +14,10 @@ from modal_market.oracle import (
     DimensionTooLarge,
     grid_solve_micro,
     kkt_check,
-    micro_instances,
     perturbation_probe,
     random_scenario,
 )
 from modal_market.scenario import validate
-
-
-@pytest.fixture(scope="module")
-def micros():
-    return micro_instances()
-
-
-@pytest.fixture(scope="module")
-def grid_duals(micros):
-    return {sc.name: grid_solve_micro(sc) for sc in micros}
 
 
 class TestKktCheck:
