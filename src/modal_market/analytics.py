@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
+from .choice import compile_scenario
 from .equilibrium import EquilibriumError, EquilibriumSolution, solve
 from .scenario import MODES, Scenario, builtin_sioux, with_param
 
@@ -27,49 +30,41 @@ class MetricsReport:
     stocks: Mapping[int, float]
     signout: Mapping[int, float]
     total_relocation_time: float
-    empty_vmt_proxy: float
     subsidy: Mapping[tuple[int, int], bool]
 
 
 def total_relocation_time(sc: Scenario, solution: EquilibriumSolution) -> float:
-    """Flow-weighted relocation minutes; staying put (n == r) costs zero."""
-    total = 0.0
-    for n, row in solution.driver.q.items():
-        for (r, _s_prime), flow in row.items():
-            if n != r:
-                total += flow * sc.relocation_time(n, r)
-    return total
+    """Flow-weighted relocation minutes; staying put (n == r) costs zero.
+
+    Summed sequentially in row-major (node, driver column) order, so the
+    total is reproducible to the bit rather than subject to numpy's pairwise
+    summation order."""
+    return float(np.cumsum(solution.driver.E * compile_scenario(sc).reloc)[-1])
 
 
 def metrics(sc: Scenario, solution: EquilibriumSolution) -> MetricsReport:
-    shares = {}
-    subsidy = {}
+    cs = compile_scenario(sc)
     p = solution.prices
-    for od in sc.ods:
-        rs = (od.r, od.s)
-        shares[rs] = {
-            mode: solution.traveler.q[rs][mode] / od.demand for mode in MODES
-        }
-        subsidy[rs] = (
-            p.eta_direct[rs] < 0
-            or p.eta_hub[rs] < 0
-            or p.rho_direct[rs] < 0
-            or p.rho_hub[rs] < 0
-        )
-    reloc = total_relocation_time(sc, solution)
+    rho_d, rho_h, _ = cs.split(p.y)
+    eta_d, eta_h = cs.eta(p.y)
+    subsidy = (eta_d < 0) | (eta_h < 0) | (rho_d < 0) | (rho_h < 0)
     return MetricsReport(
-        mode_share=shares,
-        eta_direct=dict(p.eta_direct),
-        eta_hub=dict(p.eta_hub),
-        rho_direct=dict(p.rho_direct),
-        rho_hub=dict(p.rho_hub),
-        lam=dict(p.lam),
-        stocks=dict(solution.driver.Q),
-        signout=dict(solution.driver.q_H),
-        total_relocation_time=reloc,
-        empty_vmt_proxy=reloc,
-        subsidy=subsidy,
+        mode_share=cs.mode_view(solution.traveler.matrix / cs.d[:, None]),
+        eta_direct=p.eta_direct,
+        eta_hub=p.eta_hub,
+        rho_direct=p.rho_direct,
+        rho_hub=p.rho_hub,
+        lam=p.lam,
+        stocks=solution.driver.Q,
+        signout=solution.driver.q_H,
+        total_relocation_time=total_relocation_time(sc, solution),
+        subsidy=cs.od_view(subsidy),
     )
+
+
+def _mode_totals(sol: EquilibriumSolution) -> dict[str, float]:
+    """Traveler flow per mode, summed sequentially over ODs in od order."""
+    return dict(zip(MODES, np.cumsum(sol.traveler.matrix, axis=0)[-1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -95,9 +90,10 @@ _NAN = float("nan")
 
 
 def _cell_from_solution(value: float, sc: Scenario, sol: EquilibriumSolution) -> SweepCell:
-    totals = {
-        mode: sum(q[mode] for q in sol.traveler.q.values()) for mode in MODES
-    }
+    cs = compile_scenario(sc)
+    totals = _mode_totals(sol)
+    rho_d, rho_h, _ = cs.split(sol.y)
+    eta_d, eta_h = cs.eta(sol.y)
     return SweepCell(
         value=value,
         converged=sol.converged,
@@ -108,10 +104,10 @@ def _cell_from_solution(value: float, sc: Scenario, sol: EquilibriumSolution) ->
         total_ride=totals["ride"],
         total_multi=totals["multi"],
         winner=max(totals, key=lambda mode: totals[mode]),
-        min_rho_direct=min(sol.prices.rho_direct.values()),
-        min_rho_hub=min(sol.prices.rho_hub.values()),
-        min_eta_direct=min(sol.prices.eta_direct.values()),
-        min_eta_hub=min(sol.prices.eta_hub.values()),
+        min_rho_direct=float(rho_d.min()),
+        min_rho_hub=float(rho_h.min()),
+        min_eta_direct=float(eta_d.min()),
+        min_eta_hub=float(eta_h.min()),
     )
 
 
@@ -178,27 +174,25 @@ def hub_study(**solve_opts: Any) -> HubStudy:
     for k in (1, 2, 3):
         sc = builtin_sioux(k)
         sol = solve(sc, **solve_opts)
-        for od in sc.ods:
-            rs = (od.r, od.s)
-            q = sol.traveler.q[rs]
+        cs = compile_scenario(sc)
+        eta_hub = cs.eta(sol.y)[1].tolist()
+        rho_hub = cs.split(sol.y)[1].tolist()
+        for i, rs in enumerate(sc.rs_pairs):
+            drive, ride, multi = sol.traveler.matrix[i].tolist()
             rows.append(
                 HubStudyRow(
-                    scenario=k,
-                    od=rs,
-                    drive=q["drive"],
-                    ride=q["ride"],
-                    multi=q["multi"],
-                    eta_hub=sol.prices.eta_hub[rs],
-                    rho_hub=sol.prices.rho_hub[rs],
+                    scenario=k, od=rs, drive=drive, ride=ride, multi=multi,
+                    eta_hub=eta_hub[i], rho_hub=rho_hub[i],
                 )
             )
+        mode_totals = _mode_totals(sol)
         totals.append(
             HubStudyTotals(
                 scenario=k,
                 n_hubs=len(sc.hubs),
-                total_drive=sum(q["drive"] for q in sol.traveler.q.values()),
-                total_ride=sum(q["ride"] for q in sol.traveler.q.values()),
-                total_multi=sum(q["multi"] for q in sol.traveler.q.values()),
+                total_drive=mode_totals["drive"],
+                total_ride=mode_totals["ride"],
+                total_multi=mode_totals["multi"],
                 total_relocation_time=total_relocation_time(sc, sol),
             )
         )

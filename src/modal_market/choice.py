@@ -1,4 +1,4 @@
-"""Closed-form traveler and driver choice models.
+"""Closed-form traveler and driver choice models, and the result containers.
 
 Travelers split each OD's demand over drive / ride / multimodal by a
 multinomial logit on deterministic utilities; drivers at every node split
@@ -12,13 +12,21 @@ evaluations exist on purpose:
   the driver price sensitivity), whose per-choice shares coincide with the
   logit. The equilibrium solver iterates on this form.
 
+Results are stored once, as arrays in compiled order: `PriceSystem` holds
+the dual vector y, `TravelerFlows` the (m, 3) flow matrix, `DriverFlows`
+the (n, 2m) service flows, the sign-out flows and the stocks. Their
+mapping attributes (`eta_direct[(r, s)]`, `q[(r, s)][mode]`, `Q[n]`, ...)
+are views built on first access by `CompiledScenario`'s view methods, the
+one place that decides the keyed result format.
+
 All exponentials are max-shift stabilized where shares are formed; the dual
 form caps raw exponents at EXP_BOUND and raises OverflowGuard beyond it,
 which signals a divergent dual iterate rather than a modeling error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -44,69 +52,6 @@ class UnknownChoice(ChoiceError):
 
 class OverflowGuard(ChoiceError):
     """An exponent exceeded EXP_BOUND; the dual iterate is divergent."""
-
-
-@dataclass(frozen=True)
-class PriceSystem:
-    """Driver prices rho, location values lambda, and derived traveler prices.
-
-    eta_direct[(r,s)] = rho_direct[(r,s)] + lam[s] and
-    eta_hub[(r,s)] = rho_hub[(r,s)] + lam[h(r,s)] hold exactly by
-    construction. Negative values are legitimate (subsidy signals).
-    """
-
-    rho_direct: Mapping[tuple[int, int], float]
-    rho_hub: Mapping[tuple[int, int], float]
-    lam: Mapping[int, float]
-    eta_direct: Mapping[tuple[int, int], float]
-    eta_hub: Mapping[tuple[int, int], float]
-
-    @staticmethod
-    def build(
-        sc: Scenario,
-        rho_direct: Mapping[tuple[int, int], float],
-        rho_hub: Mapping[tuple[int, int], float],
-        lam: Mapping[int, float],
-    ) -> "PriceSystem":
-        eta_direct = {}
-        eta_hub = {}
-        for od in sc.ods:
-            rs = (od.r, od.s)
-            eta_direct[rs] = rho_direct[rs] + lam[od.s]
-            eta_hub[rs] = rho_hub[rs] + lam[od.hub]
-        return PriceSystem(
-            rho_direct=dict(rho_direct),
-            rho_hub=dict(rho_hub),
-            lam=dict(lam),
-            eta_direct=eta_direct,
-            eta_hub=eta_hub,
-        )
-
-    @staticmethod
-    def zero(sc: Scenario) -> "PriceSystem":
-        zeros_od = {(od.r, od.s): 0.0 for od in sc.ods}
-        return PriceSystem.build(
-            sc, zeros_od, dict(zeros_od), {n: 0.0 for n in sc.network.nodes}
-        )
-
-
-@dataclass(frozen=True)
-class TravelerFlows:
-    """q[(r,s)][mode] in travelers/period; rows sum to demand."""
-
-    q: Mapping[tuple[int, int], Mapping[str, float]]
-
-    def flow(self, r: int, s: int, mode: str) -> float:
-        return self.q[(r, s)][mode]
-
-
-@dataclass(frozen=True)
-class DriverFlows:
-    """Per-node service flows, sign-out flows, and stocks (drivers/period)."""
-
-    q: Mapping[int, Mapping[tuple[int, int], float]]
-    q_H: Mapping[int, float]
-    Q: Mapping[int, float]
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +83,7 @@ class CompiledScenario:
     a_H: np.ndarray        # (n_nodes,) sign-out exponent
     dQ: np.ndarray         # (n_nodes,) sign-in rates
     column_pairs: tuple[tuple[int, int], ...]  # (2m,) driver pair per column
+    reloc: np.ndarray      # (n_nodes, 2m) minutes from node to column's origin
     # Flat positions of the traveler logit sensitivities in the Jacobian
     # blocks, for values ordered (ride,ride), (ride,multi), (multi,ride),
     # (multi,multi), each in od order: rho_lam_flat indexes a (2m, n_nodes)
@@ -150,6 +96,34 @@ class CompiledScenario:
     @property
     def dim(self) -> int:
         return 2 * self.m + self.n_nodes
+
+    def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rho_direct, rho_hub, lambda) parts of a vector in dual layout."""
+        m = self.m
+        return y[:m], y[m : 2 * m], y[2 * m :]
+
+    def rho_lam(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, lambda) parts of a dual vector; rho in driver column order."""
+        return y[: 2 * self.m], y[2 * self.m :]
+
+    def eta(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eta_direct, eta_hub) at dual vector y: rho plus lambda at drop-off."""
+        rho_d, rho_h, lam = self.split(y)
+        return rho_d + lam[self.s_idx], rho_h + lam[self.h_idx]
+
+    def od_view(self, values: np.ndarray) -> dict[tuple[int, int], float]:
+        """{(r, s): value} from an (m,) array in od order."""
+        return dict(zip(self.sc.rs_pairs, values.tolist()))
+
+    def mode_view(self, values: np.ndarray) -> dict[tuple[int, int], dict[str, float]]:
+        """{(r, s): {mode: value}} from an (m, 3) array, columns in MODES order."""
+        return {
+            rs: dict(zip(MODES, row)) for rs, row in zip(self.sc.rs_pairs, values.tolist())
+        }
+
+    def node_view(self, values: np.ndarray) -> dict[int, float]:
+        """{n: value} from an (n_nodes,) array in node order."""
+        return dict(zip(self.node_ids, values.tolist()))
 
 
 def _compile(sc: Scenario) -> CompiledScenario:
@@ -199,7 +173,8 @@ def _compile(sc: Scenario) -> CompiledScenario:
     ).reshape(n_nodes, len(sc.origins))
     beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
     cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
-    A = beta0[cols] - dp.beta1 * T[:, cols]
+    reloc = T[:, cols]
+    A = beta0[cols] - dp.beta1 * reloc
     a_H = np.array(
         [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in node_ids]
     )
@@ -242,6 +217,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
         a_H=a_H,
         dQ=dQ,
         column_pairs=column_pairs,
+        reloc=reloc,
         rho_lam_flat=rho_lam_flat,
         lam_lam_flat=lam_lam_flat,
     )
@@ -254,6 +230,104 @@ def compile_scenario(sc: Scenario) -> CompiledScenario:
         cached = _compile(sc)
         sc.__dict__["_compiled"] = cached
     return cached
+
+
+# ---------------------------------------------------------------------------
+# result containers: arrays in compiled order, mapping views on first access
+
+
+@dataclass(frozen=True, eq=False)
+class PriceSystem:
+    """Driver prices rho, location values lambda, and derived traveler prices.
+
+    Stored as the dual vector `y` in compiled layout. The views
+    eta_direct[(r,s)] = rho_direct[(r,s)] + lam[s] and
+    eta_hub[(r,s)] = rho_hub[(r,s)] + lam[h(r,s)] hold exactly by
+    construction. Negative values are legitimate (subsidy signals).
+    """
+
+    cs: CompiledScenario = field(repr=False)
+    y: np.ndarray
+
+    @staticmethod
+    def build(
+        sc: Scenario,
+        rho_direct: Mapping[tuple[int, int], float],
+        rho_hub: Mapping[tuple[int, int], float],
+        lam: Mapping[int, float],
+    ) -> "PriceSystem":
+        cs = compile_scenario(sc)
+        y = (
+            [rho_direct[rs] for rs in sc.rs_pairs]
+            + [rho_hub[rs] for rs in sc.rs_pairs]
+            + [lam[n] for n in cs.node_ids]
+        )
+        return PriceSystem(cs, np.array(y, dtype=float))
+
+    @staticmethod
+    def zero(sc: Scenario) -> "PriceSystem":
+        cs = compile_scenario(sc)
+        return PriceSystem(cs, np.zeros(cs.dim))
+
+    @cached_property
+    def rho_direct(self) -> dict[tuple[int, int], float]:
+        return self.cs.od_view(self.cs.split(self.y)[0])
+
+    @cached_property
+    def rho_hub(self) -> dict[tuple[int, int], float]:
+        return self.cs.od_view(self.cs.split(self.y)[1])
+
+    @cached_property
+    def lam(self) -> dict[int, float]:
+        return self.cs.node_view(self.cs.split(self.y)[2])
+
+    @cached_property
+    def eta_direct(self) -> dict[tuple[int, int], float]:
+        return self.cs.od_view(self.cs.eta(self.y)[0])
+
+    @cached_property
+    def eta_hub(self) -> dict[tuple[int, int], float]:
+        return self.cs.od_view(self.cs.eta(self.y)[1])
+
+
+@dataclass(frozen=True, eq=False)
+class TravelerFlows:
+    """(m, 3) traveler flows per OD and mode in travelers/period; rows sum
+    to demand. View: q[(r,s)][mode]."""
+
+    cs: CompiledScenario = field(repr=False)
+    matrix: np.ndarray
+
+    @cached_property
+    def q(self) -> dict[tuple[int, int], dict[str, float]]:
+        return self.cs.mode_view(self.matrix)
+
+    def flow(self, r: int, s: int, mode: str) -> float:
+        return self.q[(r, s)][mode]
+
+
+@dataclass(frozen=True, eq=False)
+class DriverFlows:
+    """Per-node service flows E (n, 2m), sign-out flows E_H (n,) and stocks
+    (n,), in drivers/period. Views: q[n][(r, s')], q_H[n] and Q[n]."""
+
+    cs: CompiledScenario = field(repr=False)
+    E: np.ndarray
+    E_H: np.ndarray
+    stock: np.ndarray
+
+    @cached_property
+    def q(self) -> dict[int, dict[tuple[int, int], float]]:
+        pairs = self.cs.column_pairs
+        return {n: dict(zip(pairs, row)) for n, row in zip(self.cs.node_ids, self.E.tolist())}
+
+    @cached_property
+    def q_H(self) -> dict[int, float]:
+        return self.cs.node_view(self.E_H)
+
+    @cached_property
+    def Q(self) -> dict[int, float]:
+        return self.cs.node_view(self.stock)
 
 
 def _softmax(U: np.ndarray) -> np.ndarray:
@@ -312,21 +386,6 @@ def driver_flow_matrix(
 # public per-OD / per-node operations
 
 
-def _prices_as_arrays(
-    cs: CompiledScenario, prices: PriceSystem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(eta_direct, eta_hub, rho, lam) arrays in compiled order."""
-    sc = cs.sc
-    eta_d = np.array([prices.eta_direct[(od.r, od.s)] for od in sc.ods])
-    eta_h = np.array([prices.eta_hub[(od.r, od.s)] for od in sc.ods])
-    rho = np.array(
-        [prices.rho_direct[(od.r, od.s)] for od in sc.ods]
-        + [prices.rho_hub[(od.r, od.s)] for od in sc.ods]
-    )
-    lam = np.array([prices.lam[n] for n in cs.node_ids])
-    return eta_d, eta_h, rho, lam
-
-
 def traveler_utilities(
     sc: Scenario, od: tuple[int, int], prices: PriceSystem
 ) -> tuple[float, float, float]:
@@ -335,31 +394,15 @@ def traveler_utilities(
         raise UnknownOD(f"OD {od} not in scenario {sc.name!r}")
     cs = compile_scenario(sc)
     i = sc.rs_pairs.index(od)
-    eta_d, eta_h, _, _ = _prices_as_arrays(cs, prices)
-    U = traveler_utility_matrix(cs, eta_d, eta_h)
+    U = traveler_utility_matrix(cs, *cs.eta(prices.y))
     return float(U[i, 0]), float(U[i, 1]), float(U[i, 2])
 
 
 def traveler_flows(sc: Scenario, prices: PriceSystem) -> TravelerFlows:
     """Logit demand split for every OD; rows sum to demand by normalization."""
     cs = compile_scenario(sc)
-    eta_d, eta_h, _, _ = _prices_as_arrays(cs, prices)
-    q, _ = traveler_flow_matrix(cs, eta_d, eta_h)
-    return TravelerFlows(
-        q={
-            (od.r, od.s): {mode: float(v) for mode, v in zip(MODES, q[i])}
-            for i, od in enumerate(sc.ods)
-        }
-    )
-
-
-def _price_of_choice(sc: Scenario, choice: tuple[int, int], prices: PriceSystem) -> float:
-    if choice in set(sc.rs_pairs):
-        return prices.rho_direct[choice]
-    for od in sc.ods:
-        if (od.r, od.hub) == choice:
-            return prices.rho_hub[(od.r, od.s)]
-    raise UnknownChoice(f"driver choice {choice} not in scenario {sc.name!r}")
+    q, _ = traveler_flow_matrix(cs, *cs.eta(prices.y))
+    return TravelerFlows(cs, q)
 
 
 def driver_utilities(
@@ -382,7 +425,9 @@ def driver_utilities(
         raise UnknownChoice(f"driver choice {choice!r} not in scenario {sc.name!r}")
     r, _ = choice
     t_nr = 0.0 if n == r else sc.relocation_time(n, r)
-    return dp.beta0_at(r) - dp.beta1 * t_nr + dp.beta3 * _price_of_choice(sc, choice, prices)
+    # rho is stored in driver column order, so a pair's first column is its market
+    rho = float(prices.y[compile_scenario(sc).column_pairs.index(choice)])
+    return dp.beta0_at(r) - dp.beta1 * t_nr + dp.beta3 * rho
 
 
 def driver_flows_logit(
@@ -405,14 +450,4 @@ def driver_flows_dual(sc: Scenario, prices: PriceSystem) -> DriverFlows:
     and cancels in the normalization.
     """
     cs = compile_scenario(sc)
-    _, _, rho, lam = _prices_as_arrays(cs, prices)
-    E, E_H, Q = driver_flow_matrix(cs, rho, lam)
-    q = {
-        n: {pair: float(E[i, c]) for c, pair in enumerate(cs.column_pairs)}
-        for i, n in enumerate(cs.node_ids)
-    }
-    return DriverFlows(
-        q=q,
-        q_H={n: float(E_H[i]) for i, n in enumerate(cs.node_ids)},
-        Q={n: float(Q[i]) for i, n in enumerate(cs.node_ids)},
-    )
+    return DriverFlows(cs, *driver_flow_matrix(cs, *cs.rho_lam(prices.y)))

@@ -22,16 +22,15 @@ from .equilibrium import (
     EquilibriumSolution,
     NotConverged,
     ValidationFailed,
-    extract_prices,
     objective_value,
-    residual,
+    solution_at,
     solve,
     uniqueness_probe,
 )
 from .netgraph import NetgraphError, parse_tntp
 from .oracle import kkt_check, perturbation_probe
 from .scenario import MODES, SIGN_OUT, ScenarioError, builtin, load, validate
-from .choice import driver_flows_dual, driver_flows_logit, traveler_flows
+from .choice import driver_flows_logit, traveler_flows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -149,7 +148,6 @@ def _write_metrics_json(out_dir: Path, sc, rep: MetricsReport) -> None:
             "stocks": {str(n): v for n, v in rep.stocks.items()},
             "signout": {str(n): v for n, v in rep.signout.items()},
             "total_relocation_time": rep.total_relocation_time,
-            "empty_vmt_proxy": rep.empty_vmt_proxy,
             "subsidy": {_od_key(rs): v for rs, v in rep.subsidy.items()},
         },
     )
@@ -178,18 +176,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     except NotConverged as exc:
         # keep the best iterate for diagnosis, explicitly flagged
-        prices = extract_prices(exc.best_y, sc)
-        sol = EquilibriumSolution(
-            prices=prices,
-            traveler=traveler_flows(sc, prices),
-            driver=driver_flows_dual(sc, prices),
-            residual=residual(sc, exc.best_y),
-            iterations=len(exc.residual_history) - 1,
-            wall_time=0.0,
-            y=exc.best_y,
-            converged=False,
-            residual_history=tuple(exc.residual_history),
-        )
+        sol = solution_at(sc, exc.best_y, exc.residual_history, converged=False)
         print(f"not converged: {exc}", file=sys.stderr)
         exit_code = EXIT_NOT_CONVERGED
 
@@ -227,35 +214,17 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
     return traveler_err, driver_err
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        sc = _load_scenario(args.scenario)
-    except (ScenarioError, NetgraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("MODAL_MARKET_SEED", "0"))
-
-    checks: list[tuple[str, bool, str]] = []
-
-    violations = validate(sc)
-    checks.append(
-        ("scenario_valid", not violations, f"{len(violations)} violations")
-    )
-    if violations:
-        for v in violations:
-            print(f"  violation: {v}", file=sys.stderr)
-        _print_checks(checks)
-        return EXIT_INPUT
-
+def _audit(sc, args: argparse.Namespace, seed: int,
+           checks: list[tuple[str, bool, str]], figures: dict[str, Any]) -> int:
+    """Solve, then run the replay and oracle checks; append a row per check
+    to `checks` and the measured figures to `figures`. A non-convergence is
+    recorded as a FAIL row of the check it interrupted. Returns the exit
+    code."""
     try:
         sol = solve(sc)
     except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        checks.append(("market_clearing", False, str(exc)))
         return EXIT_NOT_CONVERGED
-
     checks.append(
         (
             "market_clearing",
@@ -290,7 +259,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checks.append(
         ("convexity_probe", gap > 0, f"min objective gap {gap:.3e}")
     )
-    dev = uniqueness_probe(sc, k=args.uniqueness_starts, seed=seed)
+    figures.update({
+        "kkt_stationarity": kkt.stationarity,
+        "kkt_constraint_violation": kkt.constraint_violation,
+        "perturbation_min_gap": gap,
+        "traveler_replay_rel_err": traveler_err,
+        "driver_replay_rel_err": driver_err,
+        "objective_combined": objective_value(
+            "combined", sc, traveler=sol.traveler, driver=sol.driver
+        ),
+    })
+    try:
+        dev = uniqueness_probe(sc, k=args.uniqueness_starts, seed=seed)
+    except NotConverged as exc:
+        checks.append(("uniqueness", False, str(exc)))
+        return EXIT_NOT_CONVERGED
     checks.append(
         (
             "uniqueness",
@@ -298,8 +281,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
             f"max dual deviation {dev:.3e} over {args.uniqueness_starts} starts",
         )
     )
+    figures["uniqueness_max_deviation"] = dev
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CHECK_FAILED
 
-    if args.out is not None:
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    try:
+        sc = _load_scenario(args.scenario)
+    except (ScenarioError, NetgraphError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get("MODAL_MARKET_SEED", "0"))
+
+    violations = validate(sc)
+    checks: list[tuple[str, bool, str]] = [
+        ("scenario_valid", not violations, f"{len(violations)} violations")
+    ]
+    figures: dict[str, Any] = {}
+    if violations:
+        for v in violations:
+            print(f"  violation: {v}", file=sys.stderr)
+        exit_code = EXIT_INPUT
+    else:
+        exit_code = _audit(sc, args, seed, checks, figures)
+
+    if args.out is not None and not violations:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(out_dir, "validate", {
@@ -328,19 +337,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 "grid_min_rounds": _GRID_ROUNDS,
                 "seed": seed,
             },
-            "kkt_stationarity": kkt.stationarity,
-            "kkt_constraint_violation": kkt.constraint_violation,
-            "perturbation_min_gap": gap,
-            "uniqueness_max_deviation": dev,
-            "traveler_replay_rel_err": traveler_err,
-            "driver_replay_rel_err": driver_err,
-            "objective_combined": objective_value(
-                "combined", sc, traveler=sol.traveler, driver=sol.driver
-            ),
+            **figures,
         })
 
     _print_checks(checks)
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CHECK_FAILED
+    return exit_code
 
 
 def _print_checks(checks: list[tuple[str, bool, str]]) -> None:

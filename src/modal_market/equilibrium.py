@@ -18,12 +18,18 @@ n^3) work per step for m ODs and n nodes, against O((2m + n)^3) for a dense
 LU. The dense analytic and finite-difference Jacobians remain as references
 for tests. Prices follow from the duals by the additive decomposition
 eta = rho + lambda(drop-off).
+
+A solution is stored once, as arrays: the dual vector in its `PriceSystem`,
+the flows at it in `TravelerFlows` and `DriverFlows`, the clearing gaps in
+`ResidualReport`. `solution_at` assembles that record from a dual vector;
+the objectives read the arrays directly.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
@@ -38,8 +44,9 @@ from .choice import (
     driver_flows_dual,
     traveler_flow_matrix,
     traveler_flows,
+    traveler_utility_matrix,
 )
-from .scenario import MODES, Scenario, validate
+from .scenario import Scenario, validate
 
 
 class EquilibriumError(Exception):
@@ -69,16 +76,30 @@ class NonPositiveFlow(EquilibriumError):
     """Objective requested at a non-interior point (some flow <= 0)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
-    """Clearing gaps at a dual vector: supply minus demand per driver market,
-    and stock minus (arrivals + sign-ins) per node."""
+    """Clearing gaps at a dual vector, in dual layout: supply minus demand
+    per driver market, and stock minus (arrivals + sign-ins) per node.
+    Views: r_rho_direct[(r,s)], r_rho_hub[(r,s)] and r_lambda[n]."""
 
-    r_rho_direct: Mapping[tuple[int, int], float]
-    r_rho_hub: Mapping[tuple[int, int], float]
-    r_lambda: Mapping[int, float]
-    inf_norm: float
-    vector: np.ndarray = field(repr=False)
+    cs: CompiledScenario = field(repr=False)
+    vector: np.ndarray
+
+    @cached_property
+    def inf_norm(self) -> float:
+        return float(np.abs(self.vector).max())
+
+    @cached_property
+    def r_rho_direct(self) -> dict[tuple[int, int], float]:
+        return self.cs.od_view(self.cs.split(self.vector)[0])
+
+    @cached_property
+    def r_rho_hub(self) -> dict[tuple[int, int], float]:
+        return self.cs.od_view(self.cs.split(self.vector)[1])
+
+    @cached_property
+    def r_lambda(self) -> dict[int, float]:
+        return self.cs.node_view(self.cs.split(self.vector)[2])
 
 
 @dataclass(frozen=True)
@@ -87,25 +108,25 @@ class EquilibriumSolution:
     traveler: TravelerFlows
     driver: DriverFlows
     residual: ResidualReport
-    iterations: int
     wall_time: float
-    y: np.ndarray = field(repr=False)
+    residual_history: tuple[float, ...]
     converged: bool = True
-    residual_history: tuple[float, ...] = ()
 
+    @property
+    def y(self) -> np.ndarray:
+        """The dual vector, stored once in `prices`."""
+        return self.prices.y
 
-def _split(cs: CompiledScenario, y: np.ndarray):
-    m = cs.m
-    return y[:m], y[m : 2 * m], y[2 * m :]
+    @property
+    def iterations(self) -> int:
+        """Newton iterations: the steps recorded after the start."""
+        return len(self.residual_history) - 1
 
 
 def _flows_at(cs: CompiledScenario, y: np.ndarray):
     """All primal quantities the residual needs at dual vector y."""
-    rho_d, rho_h, lam = _split(cs, y)
-    eta_d = rho_d + lam[cs.s_idx]
-    eta_h = rho_h + lam[cs.h_idx]
-    q, P = traveler_flow_matrix(cs, eta_d, eta_h)
-    E, E_H, Q = driver_flow_matrix(cs, np.concatenate([rho_d, rho_h]), lam)
+    q, P = traveler_flow_matrix(cs, *cs.eta(y))
+    E, E_H, Q = driver_flow_matrix(cs, *cs.rho_lam(y))
     return q, P, E, E_H, Q
 
 
@@ -132,8 +153,8 @@ def _residual_of_flows(
 
 def _jacobian_analytic(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
     """Closed-form dense Jacobian of the residual map; symmetric positive
-    definite. `solve` builds it only for its least-squares rescue; tests
-    check the structured Newton step against it."""
+    definite. The solver never builds it; tests check the structured Newton
+    step against it."""
     q, P, E, _, Q = _flows_at(cs, y)
     m, dim = cs.m, cs.dim
     b2, b3 = cs.beta2, cs.beta3
@@ -225,34 +246,48 @@ def _jacobian_fd(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
     return J
 
 
+def _dual_vector(cs: CompiledScenario, y: np.ndarray, name: str = "dual vector") -> np.ndarray:
+    """Float copy of y, checked to have the dual dimension."""
+    y = np.array(y, dtype=float)
+    if y.shape != (cs.dim,):
+        raise ValueError(f"{name} must have shape ({cs.dim},), got {y.shape}")
+    return y
+
+
 def residual(sc: Scenario, y: np.ndarray) -> ResidualReport:
     """Evaluate the clearing residual at dual vector y (pure, deterministic)."""
     cs = compile_scenario(sc)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cs.dim,):
-        raise ValueError(f"dual vector must have shape ({cs.dim},), got {y.shape}")
-    vec = _residual_vector(cs, y)
-    m = cs.m
-    return ResidualReport(
-        r_rho_direct={rs: float(vec[i]) for i, rs in enumerate(cs.sc.rs_pairs)},
-        r_rho_hub={rs: float(vec[m + i]) for i, rs in enumerate(cs.sc.rs_pairs)},
-        r_lambda={n: float(vec[2 * m + i]) for i, n in enumerate(cs.node_ids)},
-        inf_norm=float(np.abs(vec).max()),
-        vector=vec,
-    )
+    return ResidualReport(cs, _residual_vector(cs, _dual_vector(cs, y)))
 
 
 def extract_prices(y: np.ndarray, sc: Scenario) -> PriceSystem:
     """PriceSystem from a dual vector; eta identities hold exactly."""
     cs = compile_scenario(sc)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cs.dim,):
-        raise ValueError(f"dual vector must have shape ({cs.dim},), got {y.shape}")
-    m = cs.m
-    rho_direct = {rs: float(y[i]) for i, rs in enumerate(sc.rs_pairs)}
-    rho_hub = {rs: float(y[m + i]) for i, rs in enumerate(sc.rs_pairs)}
-    lam = {n: float(y[2 * m + i]) for i, n in enumerate(cs.node_ids)}
-    return PriceSystem.build(sc, rho_direct, rho_hub, lam)
+    return PriceSystem(cs, _dual_vector(cs, y))
+
+
+def solution_at(
+    sc: Scenario,
+    y: np.ndarray,
+    residual_history: list[float] | tuple[float, ...],
+    converged: bool = True,
+    wall_time: float = 0.0,
+) -> EquilibriumSolution:
+    """The solution record at dual vector y: prices, flows and clearing gaps
+    evaluated there."""
+    prices = extract_prices(y, sc)
+    traveler = traveler_flows(sc, prices)
+    driver = driver_flows_dual(sc, prices)
+    gaps = _residual_of_flows(prices.cs, traveler.matrix, driver.E, driver.stock)
+    return EquilibriumSolution(
+        prices=prices,
+        traveler=traveler,
+        driver=driver,
+        residual=ResidualReport(prices.cs, gaps),
+        wall_time=wall_time,
+        residual_history=tuple(residual_history),
+        converged=converged,
+    )
 
 
 def _norms(
@@ -275,6 +310,20 @@ def _norms(
     return float(np.abs(r).max()), two_norm, r, (P, E, Q)
 
 
+def _line_search(
+    cs: CompiledScenario, y: np.ndarray, direction: np.ndarray, t: float, two_norm: float
+):
+    """First of y + t*direction, halving t up to 30 times, whose residual
+    2-norm is below `two_norm`: (y_new, _norms at y_new), or None."""
+    for _ in range(31):
+        y_try = y + t * direction
+        trial = _norms(cs, y_try)
+        if trial[1] < two_norm:
+            return y_try, trial
+        t *= 0.5
+    return None
+
+
 def solve(
     sc: Scenario,
     tol: float = 1e-10,
@@ -285,12 +334,11 @@ def solve(
 
     Each Newton step is the block elimination of `_newton_step`, from the
     flows of the last accepted trial point, at O(m n^2 + n^3) per step.
-    Only when it fails (singular Schur complement or non-finite step) is
-    the dense Jacobian built, and the step is its least-squares solution.
 
     A step is accepted only if it reduces the residual 2-norm, halving the
-    step up to 30 times; if a whole Newton step fails, a scaled fixed-point
-    correction y <- y - 0.1*r is tried before the next Newton attempt.
+    step up to 30 times. If no Newton trial is accepted, or the step cannot
+    be formed (singular Schur complement or non-finite step), a scaled
+    fixed-point correction y <- y - 0.1*r is line-searched the same way.
     Raises NotConverged with the best iterate and the residual history if the
     inf-norm never reaches `tol` within `max_iter` iterations.
     """
@@ -300,9 +348,7 @@ def solve(
     cs = compile_scenario(sc)
 
     started = time.perf_counter()
-    y = np.zeros(cs.dim) if y0 is None else np.asarray(y0, dtype=float).copy()
-    if y.shape != (cs.dim,):
-        raise ValueError(f"y0 must have shape ({cs.dim},), got {y.shape}")
+    y = np.zeros(cs.dim) if y0 is None else _dual_vector(cs, y0, "y0")
 
     inf_norm, two_norm, r, flows = _norms(cs, y)
     if r is None:
@@ -325,52 +371,22 @@ def solve(
             step = _newton_step(cs, *flows, r)
         except np.linalg.LinAlgError:
             step = None
-        if step is None or not np.isfinite(step).all():
-            J = _jacobian_analytic(cs, y)
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-
-        accepted = False
-        t = 1.0
-        for _ in range(31):
-            y_try = y + t * step
-            inf_try, two_try, r_try, flows_try = _norms(cs, y_try)
-            if two_try < two_norm:
-                y, inf_norm, two_norm, r, flows = y_try, inf_try, two_try, r_try, flows_try
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        found = None
+        if step is not None and np.isfinite(step).all():
+            found = _line_search(cs, y, step, 1.0, two_norm)
+        if found is None:
             # fixed-point fallback: prices move against excess supply
-            alpha = 0.1
-            for _ in range(31):
-                y_try = y - alpha * r
-                inf_try, two_try, r_try, flows_try = _norms(cs, y_try)
-                if two_try < two_norm:
-                    y, inf_norm, two_norm, r, flows = y_try, inf_try, two_try, r_try, flows_try
-                    accepted = True
-                    break
-                alpha *= 0.5
-        if not accepted:
+            found = _line_search(cs, y, -r, 0.1, two_norm)
+        if found is None:
             raise NotConverged(
                 f"line search stalled at inf-norm {inf_norm:.3g}", best_y, history
             )
+        y, (inf_norm, two_norm, r, flows) = found
         history.append(inf_norm)
         if inf_norm < best_inf:
             best_inf, best_y = inf_norm, y.copy()
 
-    wall = time.perf_counter() - started
-    prices = extract_prices(y, sc)
-    return EquilibriumSolution(
-        prices=prices,
-        traveler=traveler_flows(sc, prices),
-        driver=driver_flows_dual(sc, prices),
-        residual=residual(sc, y),
-        iterations=iterations,
-        wall_time=wall,
-        y=y,
-        converged=True,
-        residual_history=tuple(history),
-    )
+    return solution_at(sc, y, history, wall_time=time.perf_counter() - started)
 
 
 def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
@@ -394,27 +410,6 @@ def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
 
 # ---------------------------------------------------------------------------
 # objective values of the three optimization models
-
-
-def _as_traveler_array(cs: CompiledScenario, flows: TravelerFlows) -> np.ndarray:
-    q = np.array(
-        [[flows.q[(od.r, od.s)][mode] for mode in MODES] for od in cs.sc.ods]
-    )
-    return q
-
-
-def _as_driver_arrays(
-    cs: CompiledScenario, flows: DriverFlows
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    E = np.array(
-        [
-            [flows.q[n][pair] for pair in cs.column_pairs]
-            for n in cs.node_ids
-        ]
-    )
-    E_H = np.array([flows.q_H[n] for n in cs.node_ids])
-    Q = np.array([flows.Q[n] for n in cs.node_ids])
-    return E, E_H, Q
 
 
 def _xlogx_term(x: np.ndarray, u: np.ndarray) -> float:
@@ -449,39 +444,25 @@ def objective_value(
     combined model is price-free.
     """
     cs = compile_scenario(sc)
-    xlogx_term = _xlogx_term
 
     if model == "traveler":
         if traveler is None or prices is None:
             raise ValueError("traveler objective needs traveler flows and prices")
-        q = _as_traveler_array(cs, traveler)
-        eta_d = np.array([prices.eta_direct[rs] for rs in sc.rs_pairs])
-        eta_h = np.array([prices.eta_hub[rs] for rs in sc.rs_pairs])
-        U = np.stack(
-            [cs.u_drive, cs.u_ride - cs.beta2 * eta_d, cs.u_multi - cs.beta2 * eta_h],
-            axis=1,
-        )
-        return xlogx_term(q, U)
+        U = traveler_utility_matrix(cs, *cs.eta(prices.y))
+        return _xlogx_term(traveler.matrix, U)
 
     if model == "driver":
         if driver is None or prices is None:
             raise ValueError("driver objective needs driver flows and prices")
-        E, E_H, Q = _as_driver_arrays(cs, driver)
-        rho = np.array(
-            [prices.rho_direct[rs] for rs in sc.rs_pairs]
-            + [prices.rho_hub[rs] for rs in sc.rs_pairs]
-        )
-        lam = np.array([prices.lam[n] for n in cs.node_ids])
-        value = xlogx_term(E, cs.A + cs.beta3 * rho[None, :])
-        value += xlogx_term(E_H, cs.a_H)
-        value -= float(np.sum(lam * (Q - cs.dQ)))
+        rho, lam = cs.rho_lam(prices.y)
+        value = _xlogx_term(driver.E, cs.A + cs.beta3 * rho[None, :])
+        value += _xlogx_term(driver.E_H, cs.a_H)
+        value -= float(np.sum(lam * (driver.stock - cs.dQ)))
         return value
 
     if model == "combined":
         if traveler is None or driver is None:
             raise ValueError("combined objective needs traveler and driver flows")
-        q = _as_traveler_array(cs, traveler)
-        E, E_H, _ = _as_driver_arrays(cs, driver)
-        return combined_objective_arrays(cs, q, E, E_H)
+        return combined_objective_arrays(cs, traveler.matrix, driver.E, driver.E_H)
 
     raise ValueError(f"unknown model {model!r}")

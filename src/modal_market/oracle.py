@@ -25,8 +25,6 @@ from .choice import compile_scenario
 from .equilibrium import (
     EquilibriumSolution,
     NonPositiveFlow,
-    _as_driver_arrays,
-    _as_traveler_array,
     combined_objective_arrays,
 )
 from .scenario import (
@@ -62,8 +60,14 @@ class KktReport:
 _FD_REL_STEP = 1e-6
 
 
-def _central_diff(term, x: float) -> float:
-    h = _FD_REL_STEP * abs(x)
+def _central_diff(x: np.ndarray, u: np.ndarray, c: np.ndarray, beta: float) -> np.ndarray:
+    """Central differences, one per coordinate, of the Lagrangian terms
+    x*(ln x - 1 - u)/beta - c*x, at relative step _FD_REL_STEP."""
+
+    def term(v: np.ndarray) -> np.ndarray:
+        return v * (np.log(v) - 1 - u) / beta - c * v
+
+    h = _FD_REL_STEP * np.abs(x)
     return (term(x + h) - term(x - h)) / (2.0 * h)
 
 
@@ -74,58 +78,36 @@ def kkt_check(sc: Scenario, solution: EquilibriumSolution) -> KktReport:
     demand multipliers of the per-OD simplex constraints are recovered in
     closed form from the drive-mode stationarity condition (driving carries
     no endogenous price, so its coordinate pins them down); the stock
-    multipliers equal lambda by the stationarity of the stocks themselves.
+    multipliers equal lambda by the stationarity of the stocks themselves,
+    so the stocks' local terms vanish identically and are not probed.
     Differencing is done on the per-coordinate terms of the Lagrangian, so
     no precision is lost to cancellation against unrelated terms.
     """
     cs = compile_scenario(sc)
     m = cs.m
-    q = _as_traveler_array(cs, solution.traveler)
-    E, E_H, Q = _as_driver_arrays(cs, solution.driver)
+    q = solution.traveler.matrix
+    E, E_H, Q = solution.driver.E, solution.driver.E_H, solution.driver.stock
     if np.any(q <= 0) or np.any(E <= 0) or np.any(E_H <= 0) or np.any(Q <= 0):
         raise NonPositiveFlow("kkt check requires strictly positive flows")
 
-    prices = solution.prices
-    rho = np.array(
-        [prices.rho_direct[rs] for rs in sc.rs_pairs]
-        + [prices.rho_hub[rs] for rs in sc.rs_pairs]
-    )
-    lam = np.array([prices.lam[n] for n in cs.node_ids])
+    rho, lam = cs.rho_lam(solution.y)
+    eta_d, eta_h = cs.eta(solution.y)
     b2, b3 = cs.beta2, cs.beta3
 
     # mu from the drive coordinate: (1/b2)(ln q1 - U1) - mu = 0
     mu = (np.log(q[:, 0]) - cs.u_drive) / b2
 
-    worst = 0.0
-
-    def probe(term, x: float) -> None:
-        nonlocal worst
-        worst = max(worst, abs(_central_diff(term, x)))
-
-    for i in range(m):
-        u1, u2, u3 = cs.u_drive[i], cs.u_ride[i], cs.u_multi[i]
-        eta_d = rho[i] + lam[cs.s_idx[i]]
-        eta_h = rho[m + i] + lam[cs.h_idx[i]]
-        probe(lambda x, u1=u1, c=mu[i]: x * (math.log(x) - 1 - u1) / b2 - c * x,
-              q[i, 0])
-        probe(lambda x, u2=u2, c=mu[i] - eta_d: x * (math.log(x) - 1 - u2) / b2 - c * x,
-              q[i, 1])
-        probe(lambda x, u3=u3, c=mu[i] - eta_h: x * (math.log(x) - 1 - u3) / b2 - c * x,
-              q[i, 2])
-
-    for n in range(cs.n_nodes):
-        for c in range(2 * m):
-            probe(
-                lambda x, a=cs.A[n, c], p=rho[c] + lam[n]: x * (math.log(x) - 1 - a) / b3 - p * x,
-                E[n, c],
-            )
-        probe(
-            lambda x, a=cs.a_H[n], p=lam[n]: x * (math.log(x) - 1 - a) / b3 - p * x,
-            E_H[n],
-        )
-        # stock coordinate: the flow-balance multiplier equals lambda, so the
-        # local term is identically zero; differencing it keeps the loop honest
-        probe(lambda x: 0.0 * x, Q[n])
+    grads = (
+        _central_diff(
+            q,
+            np.stack([cs.u_drive, cs.u_ride, cs.u_multi], axis=1),
+            np.stack([mu, mu - eta_d, mu - eta_h], axis=1),
+            b2,
+        ),
+        _central_diff(E, cs.A, rho[None, :] + lam[:, None], b3),
+        _central_diff(E_H, cs.a_H, lam, b3),
+    )
+    worst = max(float(np.abs(g).max()) for g in grads)
 
     arrivals = np.zeros(cs.n_nodes)
     np.add.at(arrivals, cs.s_idx, q[:, 1])
@@ -137,7 +119,7 @@ def kkt_check(sc: Scenario, solution: EquilibriumSolution) -> KktReport:
         float(np.abs(E[:, m:].sum(axis=0) - q[:, 2]).max()),
         float(np.abs(Q - arrivals - cs.dQ).max()),
     )
-    return KktReport(stationarity=float(worst), constraint_violation=float(constraint))
+    return KktReport(stationarity=worst, constraint_violation=float(constraint))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +289,8 @@ def perturbation_probe(
     """
     cs = compile_scenario(sc)
     m = cs.m
-    q0 = _as_traveler_array(cs, solution.traveler)
-    E0, EH0, _ = _as_driver_arrays(cs, solution.driver)
+    q0 = solution.traveler.matrix
+    E0, EH0 = solution.driver.E, solution.driver.E_H
     f0 = combined_objective_arrays(cs, q0, E0, EH0)
     full0 = np.concatenate([E0, EH0[:, None]], axis=1)  # sign-out as last col
 

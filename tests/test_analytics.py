@@ -2,6 +2,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from modal_market.analytics import (
@@ -10,6 +11,9 @@ from modal_market.analytics import (
     sweep,
     total_relocation_time,
 )
+from modal_market.choice import compile_scenario
+from modal_market.equilibrium import solve
+from modal_market.oracle import random_scenario
 from modal_market.scenario import MODES
 
 
@@ -24,23 +28,28 @@ class TestMetrics:
         for shares in rep.mode_share.values():
             assert shares["ride"] > shares["drive"] > shares["multi"]
 
-    def test_relocation_time_matches_brute_force(self, five_node, five_node_solution):
-        rep = metrics(five_node, five_node_solution)
-        brute = 0.0
-        for n in five_node.network.nodes:
-            for pair in five_node.driver_pairs:
-                r = pair[0]
-                t_nr = 0.0 if n == r else five_node.relocation_time(n, r)
-                brute += five_node_solution.driver.q[n][pair] * t_nr
-        assert rep.total_relocation_time == brute
-        assert rep.empty_vmt_proxy == rep.total_relocation_time
+    def test_relocation_time_matches_brute_force(
+        self, five_node, five_node_solution, sioux_scenarios, sioux_solutions
+    ):
+        cases = [(five_node, five_node_solution), (sioux_scenarios[3], sioux_solutions[3])]
+        for seed in (0, 3, 7, 11):
+            sc = random_scenario(seed)
+            cases.append((sc, solve(sc)))
+        for sc, sol in cases:
+            rep = metrics(sc, sol)
+            brute = 0.0
+            for n in sc.network.nodes:
+                for pair in sc.driver_pairs:
+                    r = pair[0]
+                    t_nr = 0.0 if n == r else sc.relocation_time(n, r)
+                    brute += sol.driver.q[n][pair] * t_nr
+            assert rep.total_relocation_time == brute, sc.name
 
     def test_all_staying_drivers_zero_relocation(self, five_node, five_node_solution):
-        q = {
-            n: {pair: (1.0 if pair[0] == n else 0.0) for pair in five_node.driver_pairs}
-            for n in five_node.network.nodes
-        }
-        stay_home = dataclasses.replace(five_node_solution.driver, q=q)
+        cs = compile_scenario(five_node)
+        origins = np.array([r for r, _ in cs.column_pairs])
+        E = (np.array(cs.node_ids)[:, None] == origins[None, :]).astype(float)
+        stay_home = dataclasses.replace(five_node_solution.driver, E=E)
         sol = dataclasses.replace(five_node_solution, driver=stay_home)
         assert total_relocation_time(five_node, sol) == 0.0
 
@@ -51,7 +60,6 @@ class TestMetrics:
 
     def test_negative_price_raises_subsidy_flag(self, five_node):
         from modal_market.scenario import with_param
-        from modal_market.equilibrium import solve
 
         sc = with_param(five_node, "traveler_params.beta2", 0.1)
         sol = solve(sc)

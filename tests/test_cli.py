@@ -122,6 +122,47 @@ class TestValidateCommand:
         code = main(["validate", "--scenario", "builtin:5node"])
         assert code == 0
 
+    def test_probe_nonconvergence_still_reports(self, tmp_path, capsys):
+        # a uniqueness-probe start of random_scenario(3) stalls (a known
+        # far-start failure); the check table and the report still appear
+        from modal_market.oracle import random_scenario
+        from modal_market.scenario import save
+
+        path = tmp_path / "random-3.json"
+        path.write_bytes(save(random_scenario(3)))
+        out_dir = tmp_path / "out"
+        code = main(["validate", "--scenario", str(path), "--out", str(out_dir)])
+        out = capsys.readouterr().out
+        assert code == 3
+        for check in ("scenario_valid", "market_clearing", "kkt_stationarity",
+                      "convexity_probe"):
+            assert f"PASS {check}" in out
+        assert "FAIL uniqueness: line search stalled" in out
+        report = json.loads((out_dir / "oracle_report.json").read_text())
+        assert report["checks"]["uniqueness"]["passed"] is False
+        assert report["kkt_stationarity"] <= 1e-6
+        assert "uniqueness_max_deviation" not in report
+
+    def test_solve_nonconvergence_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        from modal_market import cli
+        from modal_market.equilibrium import NotConverged
+
+        def stalled(sc, **_):
+            raise NotConverged("line search stalled at inf-norm 1", np.zeros(9), [1.0])
+
+        monkeypatch.setattr(cli, "solve", stalled)
+        code = main(["validate", "--scenario", "builtin:5node", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.splitlines() == [
+            "PASS scenario_valid: 0 violations",
+            "FAIL market_clearing: line search stalled at inf-norm 1",
+        ]
+        report = json.loads((tmp_path / "oracle_report.json").read_text())
+        assert set(report["checks"]) == {"scenario_valid", "market_clearing"}
+
 
 class TestSweepCommand:
     def test_three_rows(self, tmp_path):

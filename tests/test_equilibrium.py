@@ -215,6 +215,52 @@ class TestSolve:
             assert sol.residual.inf_norm <= 1e-10
 
 
+class TestSolutionArrays:
+    def test_views_match_arrays_on_corpus(
+        self, five_node, five_node_solution, sioux_scenarios, sioux_solutions
+    ):
+        cases = [(five_node, five_node_solution)]
+        cases += [(sioux_scenarios[k], sioux_solutions[k]) for k in (1, 2, 3)]
+        for seed in range(20):
+            sc = random_scenario(seed)
+            cases.append((sc, solve(sc)))
+        for sc, sol in cases:
+            cs = compile_scenario(sc)
+            m = cs.m
+            p, t, d, res = sol.prices, sol.traveler, sol.driver, sol.residual
+            y, r = p.y, res.vector
+            # views are keyed in od / node order and hold Python floats
+            assert list(p.eta_hub) == list(t.q) == list(sc.rs_pairs), sc.name
+            assert list(d.Q) == list(res.r_lambda) == list(sc.network.nodes), sc.name
+            assert all(type(v) is float for v in p.eta_direct.values()), sc.name
+            for i, rs in enumerate(sc.rs_pairs):
+                lam_s, lam_h = y[2 * m + cs.s_idx[i]], y[2 * m + cs.h_idx[i]]
+                assert p.rho_direct[rs] == y[i], sc.name
+                assert p.rho_hub[rs] == y[m + i], sc.name
+                assert p.eta_direct[rs] == y[i] + lam_s, sc.name
+                assert p.eta_hub[rs] == y[m + i] + lam_h, sc.name
+                assert res.r_rho_direct[rs] == r[i], sc.name
+                assert res.r_rho_hub[rs] == r[m + i], sc.name
+                for j, mode in enumerate(MODES):
+                    assert t.q[rs][mode] == t.matrix[i, j], sc.name
+            for k, n in enumerate(cs.node_ids):
+                assert p.lam[n] == y[2 * m + k], sc.name
+                assert res.r_lambda[n] == r[2 * m + k], sc.name
+                assert d.q_H[n] == d.E_H[k], sc.name
+                assert d.Q[n] == d.stock[k], sc.name
+                for c, pair in enumerate(cs.column_pairs):
+                    assert d.q[n][pair] == d.E[k, c], sc.name
+            assert res.inf_norm == np.abs(r).max(), sc.name
+            # the stored flows are the closed forms at the stored prices
+            replay_t = traveler_flows(sc, p)
+            replay_d = driver_flows_dual(sc, p)
+            assert np.array_equal(t.matrix, replay_t.matrix), sc.name
+            assert np.array_equal(d.E, replay_d.E), sc.name
+            assert np.array_equal(d.E_H, replay_d.E_H), sc.name
+            assert np.array_equal(d.stock, replay_d.stock), sc.name
+            assert np.array_equal(r, residual(sc, y).vector), sc.name
+
+
 class TestUniquenessProbe:
     def test_5node_unique(self, five_node):
         assert uniqueness_probe(five_node, k=5, seed=42) <= 1e-6
@@ -250,27 +296,26 @@ class TestObjectiveValue:
 
     def test_combined_minimal_at_solution(self, five_node, five_node_solution):
         sol = five_node_solution
+        cs = compile_scenario(five_node)
         base = objective_value(
             "combined", five_node, traveler=sol.traveler, driver=sol.driver
         )
         rng = np.random.default_rng(5)
         for _ in range(10):
             # random feasible reshuffle of traveler mass, mirrored onto the
-            # driver flows arriving at the matching drop-off nodes
-            q = {rs: dict(row) for rs, row in sol.traveler.q.items()}
-            drv_q = {n: dict(row) for n, row in sol.driver.q.items()}
-            drv_Q = dict(sol.driver.Q)
-            for od in five_node.ods:
-                rs = (od.r, od.s)
+            # driver flows arriving at the matching drop-off nodes (driver
+            # column i is the direct leg of od i)
+            q = sol.traveler.matrix.copy()
+            E = sol.driver.E.copy()
+            stock = sol.driver.stock.copy()
+            for i in range(cs.m):
                 delta = rng.uniform(-0.5, 0.5)
-                q[rs]["drive"] += delta
-                q[rs]["ride"] -= delta
-                drv_q[od.s][rs] -= delta
-                drv_Q[od.s] -= delta
-            perturbed_traveler = dataclasses.replace(sol.traveler, q=q)
-            perturbed_driver = dataclasses.replace(
-                sol.driver, q=drv_q, Q=drv_Q
-            )
+                q[i, MODES.index("drive")] += delta
+                q[i, MODES.index("ride")] -= delta
+                E[cs.s_idx[i], i] -= delta
+                stock[cs.s_idx[i]] -= delta
+            perturbed_traveler = dataclasses.replace(sol.traveler, matrix=q)
+            perturbed_driver = dataclasses.replace(sol.driver, E=E, stock=stock)
             value = objective_value(
                 "combined", five_node, traveler=perturbed_traveler, driver=perturbed_driver
             )
@@ -288,9 +333,9 @@ class TestObjectiveValue:
 
     def test_nonpositive_flow_rejected(self, five_node, five_node_solution):
         sol = five_node_solution
-        q = {rs: dict(row) for rs, row in sol.traveler.q.items()}
-        q[(1, 2)]["drive"] = 0.0
-        broken = dataclasses.replace(sol.traveler, q=q)
+        q = sol.traveler.matrix.copy()
+        q[five_node.rs_pairs.index((1, 2)), MODES.index("drive")] = 0.0
+        broken = dataclasses.replace(sol.traveler, matrix=q)
         with pytest.raises(NonPositiveFlow):
             objective_value("combined", five_node, traveler=broken, driver=sol.driver)
 

@@ -17,7 +17,17 @@ from modal_market.oracle import (
     perturbation_probe,
     random_scenario,
 )
-from modal_market.scenario import validate
+from modal_market.scenario import MODES, validate
+
+
+def with_traveler_flow(sc, sol, rs, mode, delta):
+    """Copy of `sol` with one traveler flow moved by `delta` (set to 0 if None)."""
+    matrix = sol.traveler.matrix.copy()
+    i, j = sc.rs_pairs.index(rs), MODES.index(mode)
+    matrix[i, j] = 0.0 if delta is None else matrix[i, j] + delta
+    return dataclasses.replace(
+        sol, traveler=dataclasses.replace(sol.traveler, matrix=matrix)
+    )
 
 
 class TestKktCheck:
@@ -33,12 +43,7 @@ class TestKktCheck:
 
     def test_perturbed_flow_detected(self, five_node, five_node_solution):
         base = kkt_check(five_node, five_node_solution).stationarity
-        q = {rs: dict(row) for rs, row in five_node_solution.traveler.q.items()}
-        q[(1, 2)]["ride"] += 1.0
-        perturbed = dataclasses.replace(
-            five_node_solution,
-            traveler=dataclasses.replace(five_node_solution.traveler, q=q),
-        )
+        perturbed = with_traveler_flow(five_node, five_node_solution, (1, 2), "ride", 1.0)
         rep = kkt_check(five_node, perturbed)
         assert rep.stationarity >= 1e-2
         assert rep.stationarity >= 10 * base
@@ -53,12 +58,7 @@ class TestKktCheck:
         assert rep.stationarity > 0.1
 
     def test_nonpositive_flow_rejected(self, five_node, five_node_solution):
-        q = {rs: dict(row) for rs, row in five_node_solution.traveler.q.items()}
-        q[(1, 2)]["multi"] = 0.0
-        broken = dataclasses.replace(
-            five_node_solution,
-            traveler=dataclasses.replace(five_node_solution.traveler, q=q),
-        )
+        broken = with_traveler_flow(five_node, five_node_solution, (1, 2), "multi", None)
         with pytest.raises(NonPositiveFlow):
             kkt_check(five_node, broken)
 
