@@ -330,11 +330,12 @@ class DriverFlows:
         return self.cs.node_view(self.stock)
 
 
-def _softmax(U: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-shift stabilization."""
-    shifted = U - U.max(axis=-1, keepdims=True)
-    E = np.exp(shifted)
-    return E / E.sum(axis=-1, keepdims=True)
+def _logit(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax and log-sum-exp of U, both max-shift stabilized."""
+    top = U.max(axis=-1, keepdims=True)
+    E = np.exp(U - top)
+    total = E.sum(axis=-1, keepdims=True)
+    return E / total, (top + np.log(total))[..., 0]
 
 
 def traveler_utility_matrix(
@@ -353,10 +354,11 @@ def traveler_utility_matrix(
 
 def traveler_flow_matrix(
     cs: CompiledScenario, eta_direct: np.ndarray, eta_hub: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(q, P): (m, 3) flows and probabilities at the given prices."""
-    P = _softmax(traveler_utility_matrix(cs, eta_direct, eta_hub))
-    return cs.d[:, None] * P, P
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, P, lse): (m, 3) flows and probabilities at the given prices, and
+    the (m,) log-sum-exp of each OD's three utilities."""
+    P, lse = _logit(traveler_utility_matrix(cs, eta_direct, eta_hub))
+    return cs.d[:, None] * P, P, lse
 
 
 def driver_flow_matrix(
@@ -401,7 +403,7 @@ def traveler_utilities(
 def traveler_flows(sc: Scenario, prices: PriceSystem) -> TravelerFlows:
     """Logit demand split for every OD; rows sum to demand by normalization."""
     cs = compile_scenario(sc)
-    q, _ = traveler_flow_matrix(cs, *cs.eta(prices.y))
+    q, _, _ = traveler_flow_matrix(cs, *cs.eta(prices.y))
     return TravelerFlows(cs, q)
 
 
@@ -438,7 +440,7 @@ def driver_flows_logit(
         raise ValueError(f"stock Q_n must be >= 0, got {Q_n}")
     choices: list[tuple[int, int] | str] = list(sc.driver_pairs) + [SIGN_OUT]
     U = np.array([driver_utilities(sc, n, c, prices) for c in choices])
-    P = _softmax(U)
+    P, _ = _logit(U)
     return {c: float(Q_n * P[i]) for i, c in enumerate(choices)}
 
 

@@ -16,6 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .analytics import HubStudy, MetricsReport, SweepCell, hub_study, metrics, sweep_cell
 from .equilibrium import (
@@ -29,7 +31,7 @@ from .equilibrium import (
 )
 from .netgraph import NetgraphError, parse_tntp
 from .oracle import kkt_check, perturbation_probe
-from .scenario import MODES, SIGN_OUT, ScenarioError, builtin, load, validate
+from .scenario import MODES, ScenarioError, builtin, load, validate
 from .choice import driver_flows_logit, traveler_flows
 
 EXIT_OK = 0
@@ -195,22 +197,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """Max over entries of |a - b| / max(|a|, |b|, 1e-300)."""
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    return float((np.abs(a - b) / scale).max())
+
+
 def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
     """Max relative error of the standalone logit replays of the solution."""
-    tf = traveler_flows(sc, sol.prices)
-    traveler_err = 0.0
-    for rs in sc.rs_pairs:
-        for mode in MODES:
-            a, b = tf.q[rs][mode], sol.traveler.q[rs][mode]
-            traveler_err = max(traveler_err, abs(a - b) / max(abs(a), abs(b), 1e-300))
+    traveler_err = _rel_err(traveler_flows(sc, sol.prices).matrix, sol.traveler.matrix)
     driver_err = 0.0
-    for n in sc.network.nodes:
-        flows = driver_flows_logit(sc, n, sol.driver.Q[n], sol.prices)
-        for pair in sc.driver_pairs:
-            a, b = flows[pair], sol.driver.q[n][pair]
-            driver_err = max(driver_err, abs(a - b) / max(abs(a), abs(b), 1e-300))
-        a, b = flows[SIGN_OUT], sol.driver.q_H[n]
-        driver_err = max(driver_err, abs(a - b) / max(abs(a), abs(b), 1e-300))
+    for k, n in enumerate(sc.network.nodes):
+        # the replay lists the driver pairs in column order, then sign-out
+        replay = driver_flows_logit(sc, n, float(sol.driver.stock[k]), sol.prices)
+        stored = np.append(sol.driver.E[k], sol.driver.E_H[k])
+        driver_err = max(driver_err, _rel_err(np.fromiter(replay.values(), float), stored))
     return traveler_err, driver_err
 
 

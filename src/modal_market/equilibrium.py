@@ -6,17 +6,18 @@ root-finding problem on the clearing residual over the dual vector
 
     y = (rho_direct per OD, rho_hub per OD, lambda per node).
 
-The residual is the gradient of a smooth strictly concave dual, hence its
-Jacobian is symmetric positive definite; `solve` runs damped Newton on it
-with a norm-decrease line search. The Jacobian is never formed: each OD's
-logit couples only its own two rho coordinates and two lambdas, and each
-driver flow one rho and one lambda, so the rho-rho block is block diagonal
-with one 2x2 block per OD. A Newton step eliminates those blocks in closed
-form and solves an n_nodes x n_nodes Schur complement for lambda (block
-elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4): O(m n^2 +
-n^3) work per step for m ODs and n nodes, against O((2m + n)^3) for a dense
-LU. The dense analytic and finite-difference Jacobians remain as references
-for tests. Prices follow from the duals by the additive decomposition
+The residual is the gradient of a smooth strictly convex dual potential
+phi (`_potential`), hence its Jacobian is symmetric positive definite;
+`solve` runs damped Newton on it with Armijo backtracking on phi, its one
+merit function. The Jacobian is never formed: each OD's logit couples only
+its own two rho coordinates and two lambdas, and each driver flow one rho
+and one lambda, so the rho-rho block is block diagonal with one 2x2 block
+per OD. A Newton step eliminates those blocks in closed form and solves an
+n_nodes x n_nodes Schur complement for lambda (block elimination, Boyd &
+Vandenberghe, Convex Optimization, App. C.4): O(m n^2 + n^3) work per step
+for m ODs and n nodes, against O((2m + n)^3) for a dense LU. The dense
+analytic and finite-difference Jacobians remain as references for tests.
+Prices follow from the duals by the additive decomposition
 eta = rho + lambda(drop-off).
 
 A solution is stored once, as arrays: the dual vector in its `PriceSystem`,
@@ -48,6 +49,8 @@ from .choice import (
 )
 from .scenario import Scenario, validate
 
+_EPS = float(np.finfo(float).eps)
+
 
 class EquilibriumError(Exception):
     """Base class for solver errors."""
@@ -64,7 +67,7 @@ class ValidationFailed(EquilibriumError):
 
 
 class NotConverged(EquilibriumError):
-    """Solver hit its iteration cap; carries the best iterate for diagnosis."""
+    """Solver stopped short of its tolerance; carries the best iterate for diagnosis."""
 
     def __init__(self, message: str, best_y: np.ndarray, residual_history: list[float]):
         super().__init__(message)
@@ -124,14 +127,15 @@ class EquilibriumSolution:
 
 
 def _flows_at(cs: CompiledScenario, y: np.ndarray):
-    """All primal quantities the residual needs at dual vector y."""
-    q, P = traveler_flow_matrix(cs, *cs.eta(y))
-    E, E_H, Q = driver_flow_matrix(cs, *cs.rho_lam(y))
-    return q, P, E, E_H, Q
+    """(q, P, lse, E, Q) at dual vector y: traveler flows, probabilities and
+    log-sum-exps, driver service flows and stocks."""
+    q, P, lse = traveler_flow_matrix(cs, *cs.eta(y))
+    E, _, Q = driver_flow_matrix(cs, *cs.rho_lam(y))
+    return q, P, lse, E, Q
 
 
 def _residual_vector(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
-    q, _, E, _, Q = _flows_at(cs, y)
+    q, _, _, E, Q = _flows_at(cs, y)
     return _residual_of_flows(cs, q, E, Q)
 
 
@@ -139,9 +143,9 @@ def _residual_of_flows(
     cs: CompiledScenario, q: np.ndarray, E: np.ndarray, Q: np.ndarray
 ) -> np.ndarray:
     m = cs.m
-    arrivals = np.zeros(cs.n_nodes)
-    np.add.at(arrivals, cs.s_idx, q[:, 1])
-    np.add.at(arrivals, cs.h_idx, q[:, 2])
+    arrivals = np.bincount(
+        np.concatenate([cs.s_idx, cs.h_idx]), q[:, 1:].T.ravel(), minlength=cs.n_nodes
+    )
     return np.concatenate(
         [
             E[:, :m].sum(axis=0) - q[:, 1],
@@ -155,7 +159,7 @@ def _jacobian_analytic(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
     """Closed-form dense Jacobian of the residual map; symmetric positive
     definite. The solver never builds it; tests check the structured Newton
     step against it."""
-    q, P, E, _, Q = _flows_at(cs, y)
+    q, P, _, E, Q = _flows_at(cs, y)
     m, dim = cs.m, cs.dim
     b2, b3 = cs.beta2, cs.beta3
 
@@ -197,8 +201,8 @@ def _newton_step(
     of the step solves the n x n Schur complement
     S = J_lam_lam - J_rho_lam^T J_rho_rho^{-1} J_rho_lam, and the rho part
     follows by back-substitution: O(m n^2 + n^3) per step instead of the
-    O((2m + n)^3) of a dense LU. A vanishing or overflowing pivot shows as
-    a non-finite step, and a singular S raises LinAlgError.
+    O((2m + n)^3) of a dense LU. Raises LinAlgError when S is singular or
+    a vanishing or overflowing pivot makes the step non-finite.
     """
     m, n = cs.m, cs.n_nodes
     b3 = cs.beta3
@@ -231,7 +235,10 @@ def _newton_step(
         S = L - C.T @ W[:, :n]
         dlam = np.linalg.solve(S, C.T @ W[:, n] - r[2 * m :])
         drho = -W[:, n] - W[:, :n] @ dlam
-    return np.concatenate([drho, dlam])
+    step = np.concatenate([drho, dlam])
+    if not np.isfinite(step).all():
+        raise np.linalg.LinAlgError("non-finite Newton step")
+    return step
 
 
 def _jacobian_fd(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
@@ -290,38 +297,28 @@ def solution_at(
     )
 
 
-def _norms(
-    cs: CompiledScenario, y: np.ndarray
-) -> tuple[float, float, np.ndarray | None, tuple[np.ndarray, ...] | None]:
-    """(inf_norm, two_norm, r, (P, E, Q)) at y.
+def _potential(cs: CompiledScenario, y: np.ndarray):
+    """(phi, allowance, (q, P, E, Q)) at y; phi is infinite, and the flows
+    None, when the driver flows overflow.
 
-    Norms are infinite, and r and the flows None, when the driver flows
-    overflow. The 2-norm alone overflows to inf once some |r_i| exceeds
-    about 1e154; that is not an error: an infinite 2-norm never decreases,
-    so the line search rejects such a trial.
+    phi(y) = sum_n Q_n / beta3 + sum_i (d_i/beta2) LSE_i(U) - dQ . lambda,
+    with Q_n the driver stock (sign-out included) and LSE_i the log-sum-exp
+    of OD i's utilities, is convex with the clearing residual as gradient.
+    The allowance, 8 eps times the size of phi's terms, is the rounding a
+    comparison of two phi values must forgive; (q, P, E, Q) are the flows
+    phi was formed from.
     """
     try:
-        q, P, E, _, Q = _flows_at(cs, y)
+        q, P, lse, E, Q = _flows_at(cs, y)
     except OverflowGuard:
-        return np.inf, np.inf, None, None
-    r = _residual_of_flows(cs, q, E, Q)
-    with np.errstate(over="ignore"):
-        two_norm = float(np.linalg.norm(r))
-    return float(np.abs(r).max()), two_norm, r, (P, E, Q)
-
-
-def _line_search(
-    cs: CompiledScenario, y: np.ndarray, direction: np.ndarray, t: float, two_norm: float
-):
-    """First of y + t*direction, halving t up to 30 times, whose residual
-    2-norm is below `two_norm`: (y_new, _norms at y_new), or None."""
-    for _ in range(31):
-        y_try = y + t * direction
-        trial = _norms(cs, y_try)
-        if trial[1] < two_norm:
-            return y_try, trial
-        t *= 0.5
-    return None
+        return np.inf, np.inf, None
+    lam = cs.rho_lam(y)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drivers = Q.sum() / cs.beta3
+        travelers = cs.d / cs.beta2 * lse
+        phi = float(drivers + travelers.sum() - cs.dQ @ lam)
+        size = float(drivers + np.abs(travelers).sum() + cs.dQ @ np.abs(lam))
+    return phi, 8 * _EPS * size, (q, P, E, Q)
 
 
 def solve(
@@ -330,17 +327,19 @@ def solve(
     max_iter: int = 200,
     y0: np.ndarray | None = None,
 ) -> EquilibriumSolution:
-    """Damped Newton on the clearing residual.
+    """Damped Newton on the clearing residual r, the gradient of the dual
+    potential phi (`_potential`), with Armijo backtracking on phi.
 
-    Each Newton step is the block elimination of `_newton_step`, from the
-    flows of the last accepted trial point, at O(m n^2 + n^3) per step.
+    The step d = -J^{-1} r (`_newton_step`, from the flows of the last
+    accepted point) is a descent direction for phi. The first t = 1, 1/2,
+    1/4, ... with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
+    allowance, is accepted; trials whose driver flows overflow, or where phi
+    is not finite, are rejected.
 
-    A step is accepted only if it reduces the residual 2-norm, halving the
-    step up to 30 times. If no Newton trial is accepted, or the step cannot
-    be formed (singular Schur complement or non-finite step), a scaled
-    fixed-point correction y <- y - 0.1*r is line-searched the same way.
-    Raises NotConverged with the best iterate and the residual history if the
-    inf-norm never reaches `tol` within `max_iter` iterations.
+    Raises NotConverged, with the iterate of lowest inf-norm and the inf-norm
+    history, if the inf-norm does not reach `tol` within `max_iter`
+    iterations, if the step cannot be formed (singular Schur complement or
+    non-finite step), or if t d falls below the float resolution of y.
     """
     violations = validate(sc)
     if violations:
@@ -349,44 +348,40 @@ def solve(
 
     started = time.perf_counter()
     y = np.zeros(cs.dim) if y0 is None else _dual_vector(cs, y0, "y0")
-
-    inf_norm, two_norm, r, flows = _norms(cs, y)
-    if r is None:
+    point = _potential(cs, y)
+    if not np.isfinite(point[0]):
         raise OverflowGuard("initial dual vector overflows the driver flows")
-    history = [inf_norm]
-    best_y, best_inf = y.copy(), inf_norm
-
-    iterations = 0
-    while inf_norm > tol:
-        if iterations >= max_iter:
-            raise NotConverged(
-                f"no convergence to {tol:g} within {max_iter} iterations "
-                f"(best inf-norm {best_inf:.3g})",
-                best_y,
-                history,
-            )
-        iterations += 1
-
-        try:
-            step = _newton_step(cs, *flows, r)
-        except np.linalg.LinAlgError:
-            step = None
-        found = None
-        if step is not None and np.isfinite(step).all():
-            found = _line_search(cs, y, step, 1.0, two_norm)
-        if found is None:
-            # fixed-point fallback: prices move against excess supply
-            found = _line_search(cs, y, -r, 0.1, two_norm)
-        if found is None:
-            raise NotConverged(
-                f"line search stalled at inf-norm {inf_norm:.3g}", best_y, history
-            )
-        y, (inf_norm, two_norm, r, flows) = found
+    history: list[float] = []
+    best_y, best_inf = y, np.inf
+    while True:
+        phi, allowance, (q, P, E, Q) = point
+        r = _residual_of_flows(cs, q, E, Q)
+        inf_norm = float(np.abs(r).max())
         history.append(inf_norm)
         if inf_norm < best_inf:
-            best_inf, best_y = inf_norm, y.copy()
+            best_y, best_inf = y, inf_norm
+        if inf_norm <= tol:
+            return solution_at(sc, y, history, wall_time=time.perf_counter() - started)
+        if len(history) > max_iter:
+            reason = f"no convergence to {tol:g} within {max_iter} iterations"
+            raise NotConverged(f"{reason} (best inf-norm {best_inf:.3g})", best_y, history)
+        try:
+            step = _newton_step(cs, P, E, Q, r)
+        except np.linalg.LinAlgError as exc:
+            reason = f"Newton step failed at inf-norm {inf_norm:.3g}: {exc}"
+            raise NotConverged(reason, best_y, history) from exc
 
-    return solution_at(sc, y, history, wall_time=time.perf_counter() - started)
+        t, slope = 1.0, 1e-4 * float(r @ step)
+        t_min = _EPS * max(1.0, float(np.abs(y).max())) / float(np.abs(step).max())
+        while True:
+            point = _potential(cs, y + t * step)
+            if point[0] <= phi + t * slope + allowance:
+                break
+            t *= 0.5
+            if t <= t_min:
+                reason = f"line search stalled at inf-norm {inf_norm:.3g}"
+                raise NotConverged(reason, best_y, history)
+        y = y + t * step
 
 
 def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:

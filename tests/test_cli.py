@@ -122,12 +122,20 @@ class TestValidateCommand:
         code = main(["validate", "--scenario", "builtin:5node"])
         assert code == 0
 
-    def test_probe_nonconvergence_still_reports(self, tmp_path, capsys):
-        # a uniqueness-probe start of random_scenario(3) stalls (a known
-        # far-start failure); the check table and the report still appear
+    def test_probe_nonconvergence_still_reports(self, tmp_path, monkeypatch, capsys):
+        # a uniqueness-probe start that does not converge: the check table
+        # and the report still appear
+        import numpy as np
+
+        from modal_market import cli
+        from modal_market.equilibrium import NotConverged
         from modal_market.oracle import random_scenario
         from modal_market.scenario import save
 
+        def stalled(sc, **_):
+            raise NotConverged("line search stalled at inf-norm 1", np.zeros(9), [1.0])
+
+        monkeypatch.setattr(cli, "uniqueness_probe", stalled)
         path = tmp_path / "random-3.json"
         path.write_bytes(save(random_scenario(3)))
         out_dir = tmp_path / "out"
@@ -142,6 +150,21 @@ class TestValidateCommand:
         assert report["checks"]["uniqueness"]["passed"] is False
         assert report["kkt_stationarity"] <= 1e-6
         assert "uniqueness_max_deviation" not in report
+
+    def test_replay_errors_match_loop_reference(self, sioux_scenarios, sioux_solutions,
+                                                five_node, five_node_solution):
+        # the array comparison against the per-entry loop of the acceptance
+        # gate: bit-identical
+        from modal_market.cli import _replay_errors
+        from modal_market.equilibrium import solve
+        from modal_market.oracle import random_scenario
+        from test_acceptance import replay_errors
+
+        cases = [(five_node, five_node_solution)]
+        cases += [(sioux_scenarios[k], sioux_solutions[k]) for k in (1, 2, 3)]
+        cases += [(sc, solve(sc)) for sc in map(random_scenario, range(10))]
+        for sc, sol in cases:
+            assert _replay_errors(sc, sol) == replay_errors(sc, sol), sc.name
 
     def test_solve_nonconvergence_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
         import numpy as np
