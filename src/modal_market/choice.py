@@ -391,13 +391,29 @@ def driver_flow_matrix(
 def traveler_utilities(
     sc: Scenario, od: tuple[int, int], prices: PriceSystem
 ) -> tuple[float, float, float]:
-    """(U_drive, U_ride, U_multi) for one OD at the given prices."""
+    """(U_drive, U_ride, U_multi) for one OD at the given prices.
+
+    Written out from the OD's data and the traveler parameters, not taken
+    from the compiled arrays, so a replay through it audits them.
+    """
     if od not in set(sc.rs_pairs):
         raise UnknownOD(f"OD {od} not in scenario {sc.name!r}")
-    cs = compile_scenario(sc)
-    i = sc.rs_pairs.index(od)
-    U = traveler_utility_matrix(cs, *cs.eta(prices.y))
-    return float(U[i, 0]), float(U[i, 1]), float(U[i, 2])
+    spec, tp = sc.od(*od), sc.traveler_params
+    u_drive = (
+        tp.beta0_drive
+        - tp.beta1_drive * (spec.drive_time + spec.parking_time)
+        - tp.beta2 * (spec.drive_cost + spec.parking_cost)
+    )
+    u_ride = (
+        tp.beta0_ride - tp.beta1_ride * spec.drive_time - tp.beta2 * prices.eta_direct[od]
+    )
+    u_multi = (
+        tp.beta0_multi
+        - tp.beta1_multi * (spec.hub_access_time + spec.transit_time)
+        - tp.beta1_wait * spec.transit_wait
+        - tp.beta2 * (spec.transit_fare + prices.eta_hub[od])
+    )
+    return u_drive, u_ride, u_multi
 
 
 def traveler_flows(sc: Scenario, prices: PriceSystem) -> TravelerFlows:

@@ -30,9 +30,9 @@ from .equilibrium import (
     uniqueness_probe,
 )
 from .netgraph import NetgraphError, parse_tntp
-from .oracle import kkt_check, perturbation_probe
+from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 from .scenario import MODES, ScenarioError, builtin, load, validate
-from .choice import driver_flows_logit, traveler_flows
+from .choice import driver_flows_logit, traveler_utilities
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -203,9 +203,24 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / scale).max())
 
 
+def _logit_split(total: float, utilities: tuple[float, ...]) -> np.ndarray:
+    """`total` split over the options by a plain max-shifted logit."""
+    e = np.exp(np.subtract(utilities, max(utilities)))
+    return total * (e / e.sum())
+
+
 def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
-    """Max relative error of the standalone logit replays of the solution."""
-    traveler_err = _rel_err(traveler_flows(sc, sol.prices).matrix, sol.traveler.matrix)
+    """Max relative error of the standalone logit replays of the solution.
+
+    Both replays take their utilities from the scenario data
+    (`traveler_utilities`, `driver_utilities`), not from the compiled
+    arrays the solver used.
+    """
+    traveler = [
+        _logit_split(od.demand, traveler_utilities(sc, (od.r, od.s), sol.prices))
+        for od in sc.ods
+    ]
+    traveler_err = _rel_err(np.array(traveler), sol.traveler.matrix)
     driver_err = 0.0
     for k, n in enumerate(sc.network.nodes):
         # the replay lists the driver pairs in column order, then sign-out
@@ -317,14 +332,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "kkt_tol": args.kkt_tol, "uniqueness_starts": args.uniqueness_starts,
             "seed": seed, "out": str(out_dir),
         })
-        from .oracle import (
-            _FD_REL_STEP,
-            _GRID_POINTS,
-            _GRID_ROUNDS,
-            _GRID_SHRINK,
-            _GRID_SPAN,
-        )
-
         _write_json(out_dir / "oracle_report.json", {
             "checks": {
                 name: {"passed": ok, "detail": detail}
@@ -332,10 +339,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             },
             "schedules": {
                 "kkt_fd_relative_step": _FD_REL_STEP,
-                "grid_points": _GRID_POINTS,
-                "grid_initial_half_width": _GRID_SPAN,
-                "grid_shrink_factor": _GRID_SHRINK,
-                "grid_min_rounds": _GRID_ROUNDS,
                 "seed": seed,
             },
             **figures,

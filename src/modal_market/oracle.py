@@ -7,9 +7,9 @@ Three checks, each deliberately avoiding the solver's own code paths:
 * `grid_solve_micro` recovers the duals of very small instances by nested
   grid refinement over the clearing residual, with flow formulas written
   out locally rather than imported from the choice module;
-* `perturbation_probe` draws feasibility-preserving random perturbations
-  and confirms the combined objective strictly increases away from the
-  solution.
+* `perturbation_probe` projects random relative moves of every flow onto
+  the null space of the model's constraints, written out here, and confirms
+  the combined objective strictly increases along each.
 
 `micro_instances` and `random_scenario` supply the verification corpus.
 """
@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .choice import compile_scenario
+from .choice import CompiledScenario, compile_scenario
 from .equilibrium import (
     EquilibriumSolution,
     NonPositiveFlow,
@@ -272,6 +272,51 @@ def grid_solve_micro(sc: Scenario) -> np.ndarray:
 # convexity probe
 
 
+def _flow_parts(cs: CompiledScenario, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(q, E, E_H) views of flows packed along the last axis of v: drive,
+    ride and multimodal flows by OD, E row by row, E_H."""
+    lead, m, n = v.shape[:-1], cs.m, cs.n_nodes
+    q = v[..., : 3 * m].reshape(lead + (3, m)).swapaxes(-1, -2)
+    return q, v[..., 3 * m : -n].reshape(lead + (n, 2 * m)), v[..., -n:]
+
+
+def _moves(cs: CompiledScenario, solution: EquilibriumSolution, samples: int,
+           seed: int, magnitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """Packed flows x and `samples` feasible moves x*u, one per row: each
+    Gaussian u is projected onto the null space of u -> B(x*u) and scaled to
+    max|u| = magnitude. B maps flows to the demand per OD, the clearing per
+    driver column and the stock balance per node, the stock eliminated."""
+    m = cs.m
+    D = np.eye(cs.n_nodes)[np.concatenate([cs.s_idx, cs.h_idx])]  # column drop-offs
+
+    def B(v: np.ndarray) -> np.ndarray:
+        q, E, E_H = _flow_parts(cs, v)
+        served = v[..., m : 3 * m]  # traveler demand per driver column
+        rows = (q.sum(axis=-1), E.sum(axis=-2) - served, E.sum(axis=-1) + E_H - served @ D)
+        return np.concatenate(rows, axis=-1)
+
+    def B_adjoint(z: np.ndarray) -> np.ndarray:
+        a, col, s = np.split(z, [m, 3 * m], axis=-1)
+        E = s[..., :, None] + col[..., None, :]
+        parts = (a, np.tile(a, 2) - col - s @ D.T, E.reshape(z.shape[:-1] + (-1,)), s)
+        return np.concatenate(parts, axis=-1)
+
+    q, dr = solution.traveler.matrix, solution.driver
+    x = np.concatenate([q.T.ravel(), dr.E.ravel(), dr.E_H])
+    # the Gram matrix B X^2 B^T, 64 rows at a time to bound the temporaries
+    eye = np.eye(3 * m + cs.n_nodes)
+    gram = np.concatenate(
+        [B(x * x * B_adjoint(rows)) for rows in np.split(eye, range(64, len(eye), 64))]
+    )
+    d = np.sqrt(np.diag(gram))  # Jacobi scaling: the flows span many magnitudes
+    gram /= np.outer(d, d)
+    u = np.random.default_rng(seed).standard_normal((samples, x.size))
+    for _ in range(2):  # the second pass removes what rounding left of B(x*u)
+        u -= x * B_adjoint(np.linalg.solve(gram, B(x * u).T / d[:, None]).T / d)
+    u *= magnitude / np.abs(u).max(axis=1, keepdims=True)
+    return x, x * u
+
+
 def perturbation_probe(
     sc: Scenario,
     solution: EquilibriumSolution,
@@ -281,62 +326,19 @@ def perturbation_probe(
 ) -> float:
     """Min combined-objective gap over random feasible perturbations.
 
-    Each sample redistributes traveler mass inside demand rows, mirrors the
-    ride/multi changes onto the driver flows arriving at the corresponding
-    drop-off nodes (which keeps every clearing and stock equation exact),
-    and stirs the driver matrix with zero-margin 2x2 exchanges. Strict
-    convexity of the objective makes every gap positive.
+    The feasible moves of a linearly constrained program are the null space
+    of its constraint matrix, so each sample is a Gaussian relative move of
+    every flow projected onto it: every demand, clearing and stock equation
+    stays exact, and no flow moves by more than `magnitude` (in [0, 1)) of
+    its own size. Strict convexity makes every gap positive.
     """
+    if not 0.0 <= magnitude < 1.0:
+        raise ValueError(f"magnitude must lie in [0, 1), got {magnitude}")
     cs = compile_scenario(sc)
-    m = cs.m
-    q0 = solution.traveler.matrix
-    E0, EH0 = solution.driver.E, solution.driver.E_H
-    f0 = combined_objective_arrays(cs, q0, E0, EH0)
-    full0 = np.concatenate([E0, EH0[:, None]], axis=1)  # sign-out as last col
-
-    rng = np.random.default_rng(seed)
-    n_cols = 2 * m + 1
-    worst = np.inf
-    for _ in range(samples):
-        dq = np.zeros_like(q0)
-        dE = np.zeros_like(full0)
-        for i in range(m):
-            # each move is capped by every cell it can shrink, including the
-            # mirrored driver cell, so no entry moves more than `magnitude`
-            # of its own size
-            caps = (
-                q0[i, 0],
-                min(q0[i, 1], full0[cs.s_idx[i], i]),
-                min(q0[i, 2], full0[cs.h_idx[i], m + i]),
-            )
-            a, b = rng.choice(3, size=2, replace=False)
-            amp = magnitude * min(caps[a], caps[b]) * rng.uniform(-1.0, 1.0)
-            dq[i, a] += amp
-            dq[i, b] -= amp
-            # mirror ride/multi changes onto the driver flows that arrive
-            # at the drop-off node of the same leg
-            dE[cs.s_idx[i], i] += dq[i, 1]
-            dE[cs.h_idx[i], m + i] += dq[i, 2]
-        for _ in range(2 * cs.n_nodes):
-            n1, n2 = rng.choice(cs.n_nodes, size=2, replace=False)
-            c1, c2 = rng.choice(n_cols, size=2, replace=False)
-            cells = (full0[n1, c1], full0[n1, c2], full0[n2, c1], full0[n2, c2])
-            t = magnitude * min(cells) * rng.uniform(-1.0, 1.0)
-            dE[n1, c1] += t
-            dE[n1, c2] -= t
-            dE[n2, c1] -= t
-            dE[n2, c2] += t
-
-        scale = 1.0
-        while scale > 1e-18 and (
-            np.any(q0 + scale * dq <= 0) or np.any(full0 + scale * dE <= 0)
-        ):
-            scale *= 0.5
-        q1 = q0 + scale * dq
-        full1 = full0 + scale * dE
-        gap = combined_objective_arrays(cs, q1, full1[:, :-1], full1[:, -1]) - f0
-        worst = min(worst, gap)
-    return float(worst)
+    x, dx = _moves(cs, solution, samples, seed, magnitude)
+    f0 = combined_objective_arrays(cs, *_flow_parts(cs, x))
+    gaps = [combined_objective_arrays(cs, *_flow_parts(cs, x + step)) - f0 for step in dx]
+    return float(min(gaps, default=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from modal_market.analytics import hub_study, sweep
-from modal_market.choice import driver_flows_logit, traveler_flows
+from modal_market.choice import driver_flows_logit, traveler_utilities
 from modal_market.equilibrium import solve, uniqueness_probe
 from modal_market.netgraph import parse_tntp, serialize_tntp
 from modal_market.oracle import (
@@ -53,10 +53,12 @@ def corpus_solutions(corpus):
 
 def replay_errors(sc, sol):
     traveler_err = 0.0
-    replay = traveler_flows(sc, sol.prices)
-    for rs in sc.rs_pairs:
-        for mode in MODES:
-            a, b = replay.q[rs][mode], sol.traveler.q[rs][mode]
+    for od in sc.ods:
+        rs = (od.r, od.s)
+        U = traveler_utilities(sc, rs, sol.prices)
+        e = np.exp(np.subtract(U, max(U)))
+        for k, mode in enumerate(MODES):
+            a, b = od.demand * (e[k] / e.sum()), sol.traveler.q[rs][mode]
             traveler_err = max(traveler_err, abs(a - b) / max(abs(a), abs(b), 1e-300))
     driver_err = 0.0
     for n in sc.network.nodes:

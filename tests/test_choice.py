@@ -18,6 +18,7 @@ from modal_market.choice import (
     driver_utilities,
     traveler_flows,
     traveler_utilities,
+    traveler_utility_matrix,
 )
 from modal_market.scenario import (
     MODES,
@@ -88,6 +89,16 @@ class TestTravelerUtilities:
     def test_unknown_od(self, five_node):
         with pytest.raises(UnknownOD):
             traveler_utilities(five_node, (1, 5), prices_with(five_node))
+
+    def test_compiled_utilities_match_traveler_utilities(self, solved_corpus):
+        # traveler_utilities is written out from the scenario data and sums
+        # the fare and price terms in another order than the compiled matrix
+        for sc, sol in solved_corpus.values():
+            cs = compile_scenario(sc)
+            U = traveler_utility_matrix(cs, *cs.eta(sol.y))
+            for i, rs in enumerate(sc.rs_pairs):
+                replay = traveler_utilities(sc, rs, sol.prices)
+                np.testing.assert_allclose(U[i], replay, rtol=1e-13, atol=1e-12, err_msg=sc.name)
 
 
 class TestTravelerFlows:

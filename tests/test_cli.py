@@ -116,6 +116,7 @@ class TestValidateCommand:
         report = json.loads((tmp_path / "oracle_report.json").read_text())
         assert report["checks"]["kkt_stationarity"]["passed"] is True
         assert report["kkt_stationarity"] <= 1e-6
+        assert report["schedules"] == {"kkt_fd_relative_step": 1e-6, "seed": 1}
 
     def test_env_seed_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("MODAL_MARKET_SEED", "77")
@@ -151,20 +152,32 @@ class TestValidateCommand:
         assert report["kkt_stationarity"] <= 1e-6
         assert "uniqueness_max_deviation" not in report
 
-    def test_replay_errors_match_loop_reference(self, sioux_scenarios, sioux_solutions,
-                                                five_node, five_node_solution):
+    def test_replay_errors_match_loop_reference(self, solved_corpus):
         # the array comparison against the per-entry loop of the acceptance
         # gate: bit-identical
         from modal_market.cli import _replay_errors
-        from modal_market.equilibrium import solve
-        from modal_market.oracle import random_scenario
         from test_acceptance import replay_errors
 
-        cases = [(five_node, five_node_solution)]
-        cases += [(sioux_scenarios[k], sioux_solutions[k]) for k in (1, 2, 3)]
-        cases += [(sc, solve(sc)) for sc in map(random_scenario, range(10))]
-        for sc, sol in cases:
+        for sc, sol in solved_corpus.values():
             assert _replay_errors(sc, sol) == replay_errors(sc, sol), sc.name
+
+    def test_traveler_replay_audits_compiled_utilities(self, monkeypatch, capsys):
+        # a sign error in the compiled traveler utilities reaches the solve;
+        # the replay, built from the scenario data, must catch it
+        from modal_market import choice
+
+        compiled = choice.traveler_utility_matrix
+
+        def drive_sign_flipped(cs, eta_direct, eta_hub):
+            U = compiled(cs, eta_direct, eta_hub)
+            U[:, 0] = -U[:, 0]
+            return U
+
+        monkeypatch.setattr(choice, "traveler_utility_matrix", drive_sign_flipped)
+        code = main(["validate", "--scenario", "builtin:5node", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL traveler_logit_replay" in out
 
     def test_solve_nonconvergence_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
         import numpy as np

@@ -291,15 +291,8 @@ class TestSolve:
 
 
 class TestSolutionArrays:
-    def test_views_match_arrays_on_corpus(
-        self, five_node, five_node_solution, sioux_scenarios, sioux_solutions
-    ):
-        cases = [(five_node, five_node_solution)]
-        cases += [(sioux_scenarios[k], sioux_solutions[k]) for k in (1, 2, 3)]
-        for seed in range(20):
-            sc = random_scenario(seed)
-            cases.append((sc, solve(sc)))
-        for sc, sol in cases:
+    def test_views_match_arrays_on_corpus(self, solved_corpus):
+        for sc, sol in solved_corpus.values():
             cs = compile_scenario(sc)
             m = cs.m
             p, t, d, res = sol.prices, sol.traveler, sol.driver, sol.residual

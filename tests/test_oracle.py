@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modal_market.choice import compile_scenario
 from modal_market.equilibrium import (
     NonPositiveFlow,
     extract_prices,
@@ -12,6 +13,8 @@ from modal_market.equilibrium import (
 )
 from modal_market.oracle import (
     DimensionTooLarge,
+    _flow_parts,
+    _moves,
     grid_solve_micro,
     kkt_check,
     perturbation_probe,
@@ -62,10 +65,9 @@ class TestKktCheck:
         with pytest.raises(NonPositiveFlow):
             kkt_check(five_node, broken)
 
-    def test_randomized_corpus(self):
+    def test_randomized_corpus(self, solved_corpus):
         for seed in range(5):
-            sc = random_scenario(seed)
-            sol = solve(sc)
+            sc, sol = solved_corpus[f"random-{seed}"]
             rep = kkt_check(sc, sol)
             assert rep.stationarity <= 1e-6, (seed, rep)
 
@@ -141,11 +143,41 @@ class TestPerturbationProbe:
             sol = solve(sc)
             assert perturbation_probe(sc, sol, samples=40, seed=2) > 0
 
-    def test_positive_on_random_corpus(self):
+    def test_positive_on_random_corpus(self, solved_corpus):
         for seed in range(20):
-            sc = random_scenario(seed)
-            sol = solve(sc)
+            sc, sol = solved_corpus[f"random-{seed}"]
             assert perturbation_probe(sc, sol, samples=20, seed=seed) > 0, seed
+
+    def test_positive_on_corpus_at_default_samples(self, solved_corpus):
+        # thin markets (random 6, 54, 75, 94, ...) hold flows below 1e-11:
+        # moves capped by the smallest cell gave gaps of 0 or -2e-13
+        for name, (sc, sol) in solved_corpus.items():
+            for k in range(5):
+                assert perturbation_probe(sc, sol, seed=k) > 0, (name, k)
+
+    def test_moves_feasible_and_relative(self, solved_corpus):
+        magnitude = 1e-3
+        for name, (sc, sol) in solved_corpus.items():
+            cs = compile_scenario(sc)
+            x, dx = _moves(cs, sol, samples=25, seed=0, magnitude=magnitude)
+            assert np.all(np.abs(dx) <= magnitude * x * (1 + 4 * np.finfo(float).eps)), name
+            base = kkt_check(sc, sol).constraint_violation
+            for step in dx:
+                q, E, E_H = _flow_parts(cs, x + step)
+                moved = dataclasses.replace(
+                    sol,
+                    traveler=dataclasses.replace(sol.traveler, matrix=q),
+                    driver=dataclasses.replace(
+                        sol.driver, E=E, E_H=E_H, stock=E.sum(axis=1) + E_H
+                    ),
+                )
+                violation = kkt_check(sc, moved).constraint_violation
+                assert abs(violation - base) <= 1e-12 * x.max(), name
+
+    def test_magnitude_outside_unit_interval_rejected(self, five_node, five_node_solution):
+        for magnitude in (1.0, -1e-3):
+            with pytest.raises(ValueError):
+                perturbation_probe(five_node, five_node_solution, magnitude=magnitude)
 
 
 class TestRandomScenario:
