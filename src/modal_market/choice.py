@@ -21,7 +21,9 @@ one place that decides the keyed result format.
 
 All exponentials are max-shift stabilized where shares are formed; the dual
 form caps raw exponents at EXP_BOUND and raises OverflowGuard beyond it,
-which signals a divergent dual iterate rather than a modeling error.
+which signals a divergent dual iterate rather than a modeling error. The
+array kernels (`traveler_flow_matrix`, `driver_flow_matrix`) broadcast over
+leading axes, so the solver evaluates a stack of dual points in one call.
 """
 from __future__ import annotations
 
@@ -63,7 +65,8 @@ class CompiledScenario:
     """Index maps and coefficient arrays for vectorized evaluation.
 
     Dual vector layout: y[:m] = rho_direct (od order), y[m:2m] = rho_hub
-    (od order), y[2m:2m+n_nodes] = lambda (node order).
+    (od order), y[2m:2m+n_nodes] = lambda (node order). The accessors below
+    read the last axis, so they also take a stack of dual vectors.
     """
 
     sc: Scenario
@@ -74,6 +77,7 @@ class CompiledScenario:
     d: np.ndarray          # (m,) demands
     s_idx: np.ndarray      # (m,) destination node index
     h_idx: np.ndarray      # (m,) hub node index
+    drop_idx: np.ndarray   # (2m,) drop-off node index per driver column
     u_drive: np.ndarray    # (m,) full drive utility (price-free)
     u_ride: np.ndarray     # (m,) ride utility at eta = 0
     u_multi: np.ndarray    # (m,) multimodal utility at eta = 0 (fare folded in)
@@ -92,6 +96,9 @@ class CompiledScenario:
     # n_nodes diagonal positions.
     rho_lam_flat: np.ndarray   # (4m,)
     lam_lam_flat: np.ndarray   # (n_nodes + 4m,)
+    # weights of (stock per node, log-sum-exp per od, lambda per node) in the
+    # solver's dual potential: 1/beta3, d/beta2 and -dQ
+    phi_weights: np.ndarray    # (2 n_nodes + m,)
 
     @property
     def dim(self) -> int:
@@ -100,16 +107,17 @@ class CompiledScenario:
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho_direct, rho_hub, lambda) parts of a vector in dual layout."""
         m = self.m
-        return y[:m], y[m : 2 * m], y[2 * m :]
+        return y[..., :m], y[..., m : 2 * m], y[..., 2 * m :]
 
     def rho_lam(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rho, lambda) parts of a dual vector; rho in driver column order."""
-        return y[: 2 * self.m], y[2 * self.m :]
+        return y[..., : 2 * self.m], y[..., 2 * self.m :]
 
     def eta(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(eta_direct, eta_hub) at dual vector y: rho plus lambda at drop-off."""
-        rho_d, rho_h, lam = self.split(y)
-        return rho_d + lam[self.s_idx], rho_h + lam[self.h_idx]
+        rho, lam = self.rho_lam(y)
+        eta = rho + lam[..., self.drop_idx]
+        return eta[..., : self.m], eta[..., self.m :]
 
     def od_view(self, values: np.ndarray) -> dict[tuple[int, int], float]:
         """{(r, s): value} from an (m,) array in od order."""
@@ -208,6 +216,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
         d=d,
         s_idx=s_idx,
         h_idx=h_idx,
+        drop_idx=np.concatenate([s_idx, h_idx]),
         u_drive=u_drive,
         u_ride=u_ride,
         u_multi=u_multi,
@@ -220,6 +229,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
         reloc=reloc,
         rho_lam_flat=rho_lam_flat,
         lam_lam_flat=lam_lam_flat,
+        phi_weights=np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ]),
     )
 
 
@@ -341,22 +351,19 @@ def _logit(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def traveler_utility_matrix(
     cs: CompiledScenario, eta_direct: np.ndarray, eta_hub: np.ndarray
 ) -> np.ndarray:
-    """(m, 3) deterministic utilities at the given traveler prices."""
-    return np.stack(
-        [
-            cs.u_drive,
-            cs.u_ride - cs.beta2 * eta_direct,
-            cs.u_multi - cs.beta2 * eta_hub,
-        ],
-        axis=1,
-    )
+    """(..., m, 3) deterministic utilities at the given (..., m) traveler prices."""
+    U = np.empty(eta_direct.shape + (3,))
+    U[..., 0] = cs.u_drive
+    U[..., 1] = cs.u_ride - cs.beta2 * eta_direct
+    U[..., 2] = cs.u_multi - cs.beta2 * eta_hub
+    return U
 
 
 def traveler_flow_matrix(
     cs: CompiledScenario, eta_direct: np.ndarray, eta_hub: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, P, lse): (m, 3) flows and probabilities at the given prices, and
-    the (m,) log-sum-exp of each OD's three utilities."""
+    """(q, P, lse): (..., m, 3) flows and probabilities at the given prices,
+    and the (..., m) log-sum-exp of each OD's three utilities."""
     P, lse = _logit(traveler_utility_matrix(cs, eta_direct, eta_hub))
     return cs.d[:, None] * P, P, lse
 
@@ -367,21 +374,25 @@ def driver_flow_matrix(
     """Dual-form driver flows: (E, E_H, Q).
 
     E[n, c] = exp(A[n, c] + beta3*(rho_c + lambda_n)), E_H[n] the sign-out
-    column, Q the row sums. Raises OverflowGuard when any exponent exceeds
-    EXP_BOUND.
+    column, Q the row sums. Leading axes of rho and lam index a stack of
+    dual points. A point with an exponent beyond EXP_BOUND has all its flows
+    +inf; OverflowGuard is raised when every point has one, so a single
+    divergent point always raises.
     """
-    expo = cs.A + cs.beta3 * (rho[None, :] + lam[:, None])
+    expo = cs.A + cs.beta3 * (rho[..., None, :] + lam[..., :, None])
     expo_H = cs.a_H + cs.beta3 * lam
-    worst = max(
-        float(expo.max(initial=-np.inf)), float(expo_H.max(initial=-np.inf))
-    )
-    if not np.isfinite(worst) or worst > EXP_BOUND:
-        raise OverflowGuard(
-            f"driver flow exponent {worst:.3g} exceeds bound {EXP_BOUND:g}"
-        )
+    worst = np.maximum(expo.max(axis=-1, initial=-np.inf), expo_H).max(axis=-1, initial=-np.inf)
+    within = worst <= EXP_BOUND  # False for NaN too
+    if not within.all():
+        if not within.any():
+            raise OverflowGuard(
+                f"driver flow exponent {worst.max():.3g} exceeds bound {EXP_BOUND:g}"
+            )
+        expo[~within] = np.inf
+        expo_H[~within] = np.inf
     E = np.exp(expo)
     E_H = np.exp(expo_H)
-    return E, E_H, E.sum(axis=1) + E_H
+    return E, E_H, E.sum(axis=-1) + E_H
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ root-finding problem on the clearing residual over the dual vector
 The residual is the gradient of a smooth strictly convex dual potential
 phi (`_potential`), hence its Jacobian is symmetric positive definite;
 `solve` runs damped Newton on it with Armijo backtracking on phi, its one
-merit function. The Jacobian is never formed: each OD's logit couples only
+merit function, and stops once the residual and the Newton step (the
+first-order error of the duals) are both small. The Newton core (`_newton`)
+works on a stack of dual vectors: `solve` runs it on one start and
+`uniqueness_probe` on all of its starts at once, each row stepping exactly
+as it would alone. The Jacobian is never formed: each OD's logit couples only
 its own two rho coordinates and two lambdas, and each driver flow one rho
 and one lambda, so the rho-rho block is block diagonal with one 2x2 block
 per OD. A Newton step eliminates those blocks in closed form and solves an
@@ -27,6 +31,7 @@ the objectives read the arrays directly.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,6 +55,8 @@ from .choice import (
 from .scenario import Scenario, validate
 
 _EPS = float(np.finfo(float).eps)
+#: phi's rounding allowance per unit of the size of its terms
+_ALLOWANCE = 8 * _EPS
 
 
 class EquilibriumError(Exception):
@@ -127,39 +134,44 @@ class EquilibriumSolution:
 
 
 def _flows_at(cs: CompiledScenario, y: np.ndarray):
-    """(q, P, lse, E, Q) at dual vector y: traveler flows, probabilities and
-    log-sum-exps, driver service flows and stocks."""
+    """(q, P, lse, E, E_H, Q) at dual vector y, or at each row of a stack of
+    them: traveler flows, probabilities and log-sum-exps, driver service and
+    sign-out flows and stocks."""
     q, P, lse = traveler_flow_matrix(cs, *cs.eta(y))
-    E, _, Q = driver_flow_matrix(cs, *cs.rho_lam(y))
-    return q, P, lse, E, Q
+    E, E_H, Q = driver_flow_matrix(cs, *cs.rho_lam(y))
+    return q, P, lse, E, E_H, Q
 
 
 def _residual_vector(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
-    q, _, _, E, Q = _flows_at(cs, y)
+    q, _, _, E, _, Q = _flows_at(cs, y)
     return _residual_of_flows(cs, q, E, Q)
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sums of values (..., len(index)) into (..., *shape) at the flat
+    positions index, row by row: one np.bincount over every leading row, so
+    each sum adds its terms in index order whatever the number of rows."""
+    size, rows = math.prod(shape), values.size // index.size
+    if rows > 1:
+        index = (index + size * np.arange(rows)[:, None]).ravel()
+    return np.bincount(index, values.ravel(), minlength=rows * size).reshape(
+        values.shape[:-1] + shape
+    )
 
 
 def _residual_of_flows(
     cs: CompiledScenario, q: np.ndarray, E: np.ndarray, Q: np.ndarray
 ) -> np.ndarray:
-    m = cs.m
-    arrivals = np.bincount(
-        np.concatenate([cs.s_idx, cs.h_idx]), q[:, 1:].T.ravel(), minlength=cs.n_nodes
-    )
-    return np.concatenate(
-        [
-            E[:, :m].sum(axis=0) - q[:, 1],
-            E[:, m:].sum(axis=0) - q[:, 2],
-            Q - arrivals - cs.dQ,
-        ]
-    )
+    served = q[..., 1:].swapaxes(-1, -2).reshape(q.shape[:-2] + (2 * cs.m,))
+    arrivals = _scatter(cs.drop_idx, served, (cs.n_nodes,))
+    return np.concatenate([E.sum(axis=-2) - served, Q - arrivals - cs.dQ], axis=-1)
 
 
 def _jacobian_analytic(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
     """Closed-form dense Jacobian of the residual map; symmetric positive
     definite. The solver never builds it; tests check the structured Newton
     step against it."""
-    q, P, _, E, Q = _flows_at(cs, y)
+    q, P, _, E, _, Q = _flows_at(cs, y)
     m, dim = cs.m, cs.dim
     b2, b3 = cs.beta2, cs.beta3
 
@@ -194,51 +206,60 @@ def _newton_step(
     """Newton step -J^{-1} r by block elimination of the rho coordinates.
 
     P, E, Q are the traveler probabilities, driver flows and stocks at the
-    iterate and r the residual there. J_rho_rho is block diagonal, one 2x2
+    iterate and r the residual there; leading axes index a stack of
+    iterates, each stepped on its own. J_rho_rho is block diagonal, one 2x2
     block per OD over (rho_direct_i, rho_hub_i): beta3 times the two driver
     column sums on the diagonal plus beta2*d_i*(diag(p) - p p^T) over
     (ride, multi). Those blocks are inverted in closed form, the lambda part
     of the step solves the n x n Schur complement
     S = J_lam_lam - J_rho_lam^T J_rho_rho^{-1} J_rho_lam, and the rho part
     follows by back-substitution: O(m n^2 + n^3) per step instead of the
-    O((2m + n)^3) of a dense LU. Raises LinAlgError when S is singular or
-    a vanishing or overflowing pivot makes the step non-finite.
+    O((2m + n)^3) of a dense LU. An iterate whose S is singular gets a NaN
+    step, and a vanishing or overflowing pivot a non-finite one; the other
+    iterates of the stack are unaffected.
     """
     m, n = cs.m, cs.n_nodes
     b3 = cs.beta3
     bd = cs.beta2 * cs.d
-    p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
+    p0, p1, p2 = P[..., 0], P[..., 1], P[..., 2]
     # traveler sensitivities over (ride, multi); p0 + p2 = 1 - p1 without
     # the cancellation when p1 is close to 1
-    a = bd * p1 * (p0 + p2)
-    c = -bd * p1 * p2
-    e = bd * p2 * (p0 + p1)
-    sens = np.concatenate([a, c, c, e])
-    C = b3 * E.T + np.bincount(cs.rho_lam_flat, sens, minlength=2 * m * n).reshape(2 * m, n)
-    L = np.bincount(
-        cs.lam_lam_flat, np.concatenate([b3 * Q, sens]), minlength=n * n
-    ).reshape(n, n)
+    bp1, bp2 = bd * p1, bd * p2
+    a = bp1 * (p0 + p2)
+    c = -bp1 * p2
+    e = bp2 * (p0 + p1)
+    sens = np.concatenate([a, c, c, e], axis=-1)
+    C = b3 * E.swapaxes(-1, -2) + _scatter(cs.rho_lam_flat, sens, (2 * m, n))
+    L = _scatter(cs.lam_lam_flat, np.concatenate([b3 * Q, sens], axis=-1), (n, n))
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # each 2x2 block [[b11, c], [c, b22]] is factored on the b11 pivot;
         # its Schur value b22 - c^2/b11 is summed from positive terms, since
         # b11*b22 - c^2 = D_d*D_h + D_d*e + a*D_h + bd^2*p0*p1*p2
-        D = b3 * E.sum(axis=0)
-        D_d, D_h = D[:m], D[m:]
+        D = b3 * E.sum(axis=-2)
+        D_d, D_h = D[..., :m], D[..., m:]
         b11 = D_d + a
-        piv = D_h + e * (D_d / b11) + bd * bd * p0 * p1 * p2 / b11
-        X = np.column_stack([C, r[: 2 * m]])
-        X_d, X_h = X[:m], X[m:]
-        W_h = (X_h - (c / b11)[:, None] * X_d) / piv[:, None]
-        W_d = (X_d - c[:, None] * W_h) / b11[:, None]
-        W = np.concatenate([W_d, W_h])  # J_rho_rho^{-1} [J_rho_lam, r_rho]
-        S = L - C.T @ W[:, :n]
-        dlam = np.linalg.solve(S, C.T @ W[:, n] - r[2 * m :])
-        drho = -W[:, n] - W[:, :n] @ dlam
-    step = np.concatenate([drho, dlam])
-    if not np.isfinite(step).all():
-        raise np.linalg.LinAlgError("non-finite Newton step")
-    return step
+        piv = D_h + e * (D_d / b11) + bp1 * bp2 * p0 / b11
+        X = np.concatenate([C, r[..., : 2 * m, None]], axis=-1)
+        X_d, X_h = X[..., :m, :], X[..., m:, :]
+        W_h = (X_h - (c / b11)[..., None] * X_d) / piv[..., None]
+        W_d = (X_d - c[..., None] * W_h) / b11[..., None]
+        W = np.concatenate([W_d, W_h], axis=-2)  # J_rho_rho^{-1} [J_rho_lam, r_rho]
+        CW = C.swapaxes(-1, -2) @ W
+        S = L - CW[..., :n]
+        rhs = CW[..., n:] - r[..., 2 * m :, None]
+        try:
+            dlam = np.linalg.solve(S, rhs)
+        except np.linalg.LinAlgError:
+            # one singular S fails the whole stack: solve iterate by iterate
+            dlam = np.full(rhs.shape, np.nan)
+            for i in np.ndindex(r.shape[:-1]):
+                try:
+                    dlam[i] = np.linalg.solve(S[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    pass
+        drho = -W[..., n] - (W[..., :n] @ dlam)[..., 0]
+    return np.concatenate([drho, dlam[..., 0]], axis=-1)
 
 
 def _jacobian_fd(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
@@ -298,33 +319,197 @@ def solution_at(
 
 
 def _potential(cs: CompiledScenario, y: np.ndarray):
-    """(phi, allowance, (q, P, E, Q)) at y; phi is infinite, and the flows
-    None, when the driver flows overflow.
+    """(phi, allowance, (q, P, E, E_H, Q)) at y, or at each row of a stack of
+    dual vectors; phi is infinite at a point whose driver flows overflow, and
+    the flows are None when every point's do.
 
     phi(y) = sum_n Q_n / beta3 + sum_i (d_i/beta2) LSE_i(U) - dQ . lambda,
     with Q_n the driver stock (sign-out included) and LSE_i the log-sum-exp
     of OD i's utilities, is convex with the clearing residual as gradient.
     The allowance, 8 eps times the size of phi's terms, is the rounding a
-    comparison of two phi values must forgive; (q, P, E, Q) are the flows
-    phi was formed from.
+    comparison of two phi values must forgive; (q, P, E, E_H, Q) are the
+    traveler flows and probabilities and the driver flows and stocks phi was
+    formed from.
     """
     try:
-        q, P, lse, E, Q = _flows_at(cs, y)
+        q, P, lse, E, E_H, Q = _flows_at(cs, y)
     except OverflowGuard:
-        return np.inf, np.inf, None
-    lam = cs.rho_lam(y)[1]
+        inf = np.full(y.shape[:-1], np.inf)
+        return inf, inf, None
+    terms = np.concatenate([Q, lse, cs.rho_lam(y)[1]], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        drivers = Q.sum() / cs.beta3
-        travelers = cs.d / cs.beta2 * lse
-        phi = float(drivers + travelers.sum() - cs.dQ @ lam)
-        size = float(drivers + np.abs(travelers).sum() + cs.dQ @ np.abs(lam))
-    return phi, 8 * _EPS * size, (q, P, E, Q)
+        phi = np.vecdot(terms, cs.phi_weights)
+        size = np.vecdot(np.abs(terms), np.abs(cs.phi_weights))
+    return phi, _ALLOWANCE * size, (q, P, E, E_H, Q)
+
+
+def _compiled(sc: Scenario) -> CompiledScenario:
+    """The compiled scenario, after validation (ValidationFailed otherwise)."""
+    violations = validate(sc)
+    if violations:
+        raise ValidationFailed(violations)
+    return compile_scenario(sc)
+
+
+#: Defaults of `solve`; `uniqueness_probe` solves with them too.
+TOL = 1e-10
+MAX_ITER = 200
+
+
+def _history(trail: list, i: int) -> tuple[list[float], list[np.ndarray]]:
+    """Row i's inf-norm history and iterates, read from the trail of
+    (rows, Y, inf-norms) that `_newton` keeps."""
+    history, iterates, at = [], [], (None, 0)
+    for rows, Y, inf_norm in trail:
+        if rows is not at[0]:  # the active rows change only when some finish
+            at = (rows, int(np.searchsorted(rows, i)))
+        history.append(float(inf_norm[at[1]]))
+        iterates.append(Y[at[1]])
+    return history, iterates
+
+
+def _newton(
+    cs: CompiledScenario, Y: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, list[list[float]], list[tuple[np.ndarray, ...]]]:
+    """Damped Newton from every row of Y (k, dim) at once; see `solve`.
+
+    The rows advance in lockstep, one Newton iteration per pass, so numpy's
+    per-call cost is paid once per pass rather than once per row. Each row
+    keeps its own step length, history, convergence and failure, and every
+    operation acts on each row alone, so a row's iterates are bit-identical
+    to a run from that row by itself. A row that finishes, or fails, leaves
+    the stack. Returns the final dual vectors (k, dim), the inf-norm history
+    of each row and, per row, the flows (q, E, E_H, Q) and residual r at its
+    final vector; if any row failed, raises the failure of the lowest-index
+    one instead, which is what running the rows one by one in index order
+    would raise.
+    """
+    k = len(Y)
+    finals = np.empty_like(Y)
+    histories: list[list[float]] = [[] for _ in range(k)]
+    ends: list[tuple[np.ndarray, ...]] = [() for _ in range(k)]
+    failures: dict[int, Exception] = {}
+    rows = np.arange(k)
+    phi, allowance, flows = _potential(cs, Y)
+    if not np.isfinite(phi).all():
+        for i in np.flatnonzero(~np.isfinite(phi)):
+            failures[int(i)] = OverflowGuard("initial dual vector overflows the driver flows")
+        keep = np.flatnonzero(np.isfinite(phi))
+        rows, Y, phi, allowance = rows[keep], Y[keep], phi[keep], allowance[keep]
+        flows = tuple(f[keep] for f in flows) if keep.size else None
+
+    trail: list = []  # (rows, Y, inf-norms) per pass
+
+    def fail(positions: np.ndarray, why) -> None:
+        """Fail the rows at these positions of the stack; `why` maps the
+        row's inf-norm and best inf-norm to the message."""
+        for p in positions:
+            i = int(rows[p])
+            history, iterates = _history(trail, i)
+            best = int(np.argmin(history))  # the first, on ties
+            failures[i] = NotConverged(why(inf_norm[p], history[best]), iterates[best], history)
+
+    while rows.size:
+        q, P, E, E_H, Q = flows
+        r = _residual_of_flows(cs, q, E, Q)
+        inf_norm = np.abs(r).max(axis=-1)
+        trail.append((rows, Y, inf_norm))
+        step = _newton_step(cs, P, E, Q, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
+        go = np.isfinite(slope)
+        if (inf_norm <= tol).any() or not go.all() or len(trail) > max_iter:
+            size = np.abs(step).max(axis=-1)
+            # stop on the residual and on dual accuracy: the step is the
+            # first-order error of y (Boyd & Vandenberghe, section 9.5.1)
+            done = (inf_norm <= tol) & (size <= 1e-9 * np.maximum(1.0, np.abs(Y).max(axis=-1)))
+            for p in np.flatnonzero(done):
+                i = int(rows[p])
+                finals[i], histories[i] = Y[p], _history(trail, i)[0]
+                ends[i] = (q[p], E[p], E_H[p], Q[p], r[p])
+            if done.all():
+                break
+            if len(trail) > max_iter:
+                fail(np.flatnonzero(~done), lambda x, best: (
+                    f"no convergence to {tol:g} within {max_iter} iterations"
+                    f" (best inf-norm {best:.3g})"
+                ))
+                break
+            fail(np.flatnonzero(~done & ~np.isfinite(size)), lambda x, _: (
+                f"Newton step failed at inf-norm {x:.3g}: singular Schur complement"
+                " or non-finite step"
+            ))
+            fail(np.flatnonzero(~done & np.isfinite(size) & ~go), lambda x, _: (
+                f"line-search slope not finite at inf-norm {x:.3g}"
+            ))
+            keep = np.flatnonzero(go & ~done)
+            rows, Y, phi, allowance, step, slope, inf_norm = (
+                a[keep] for a in (rows, Y, phi, allowance, step, slope, inf_norm)
+            )
+            if not rows.size:
+                break
+
+        # Armijo backtracking on phi, row by row: the first t = 1, 1/2, ...
+        # with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
+        # allowance; a row stalls once t d is below the float resolution of
+        # y. Rows search in lockstep, so every row still searching has the
+        # same t.
+        t, trial = 1.0, Y + step
+        point = _potential(cs, trial)
+        ok = point[0] <= phi + slope + allowance
+        if ok.all():
+            Y, (phi, allowance, flows) = trial, point
+            continue
+        with np.errstate(divide="ignore"):
+            t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / np.abs(step).max(axis=-1)
+        # the rows still searching: positions in the stack, and their data
+        search = (np.arange(rows.size), Y, step, phi, slope, allowance, t_min)
+        accepted = []  # (positions, Y, phi, allowance, flows) per trial
+        while True:
+            if ok.any():
+                flows_ok = tuple(f[ok] for f in point[2])
+                accepted.append((search[0][ok], trial[ok], point[0][ok], point[1][ok], flows_ok))
+                search = tuple(a[~ok] for a in search)
+            t *= 0.5
+            stalled = t <= search[-1]
+            if stalled.any():
+                fail(search[0][stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
+                search = tuple(a[~stalled] for a in search)
+                if not search[0].size:
+                    break
+            at, Ys, steps, phis, slopes, allowances, _ = search
+            trial = Ys + t * steps
+            point = _potential(cs, trial)
+            ok = point[0] <= phis + t * slopes + allowances
+            if ok.all():
+                accepted.append((at, trial, *point))
+                break
+        if not accepted:
+            break
+        # rows accepted at different trials, or some stalled: reassemble the
+        # rows that go on, in row order
+        positions = np.concatenate([part[0] for part in accepted])
+        if len(accepted) == 1 and positions.size == rows.size:
+            _, Y, phi, allowance, flows = accepted[0]
+            continue
+        order = np.argsort(positions)
+        rows = rows[positions[order]]
+        Y, phi, allowance = (
+            np.concatenate([part[j] for part in accepted])[order] for j in (1, 2, 3)
+        )
+        flows = tuple(
+            np.concatenate([part[4][f] for part in accepted])[order] for f in range(5)
+        )
+
+    if failures:
+        raise failures[min(failures)]
+    return finals, histories, ends
 
 
 def solve(
     sc: Scenario,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
     y0: np.ndarray | None = None,
 ) -> EquilibriumSolution:
     """Damped Newton on the clearing residual r, the gradient of the dual
@@ -334,89 +519,66 @@ def solve(
     accepted point) is a descent direction for phi. The first t = 1, 1/2,
     1/4, ... with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
     allowance, is accepted; trials whose driver flows overflow, or where phi
-    is not finite, are rejected.
+    is not finite, are rejected. The solve stops when the inf-norm of r is at
+    most `tol` and the step, the first-order error of y, is at most
+    1e-9 max(1, |y|_inf) in the inf-norm.
 
     Raises NotConverged, with the iterate of lowest inf-norm and the inf-norm
-    history, if the inf-norm does not reach `tol` within `max_iter`
-    iterations, if the step cannot be formed (singular Schur complement or
-    non-finite step), or if t d falls below the float resolution of y.
+    history, if that does not happen within `max_iter` iterations, if the
+    step cannot be formed (singular Schur complement or non-finite step) or
+    its slope r.d is not finite, or if t d falls below the float resolution
+    of y. Raises OverflowGuard if the driver flows overflow at y0.
     """
-    violations = validate(sc)
-    if violations:
-        raise ValidationFailed(violations)
-    cs = compile_scenario(sc)
-
+    cs = _compiled(sc)
     started = time.perf_counter()
     y = np.zeros(cs.dim) if y0 is None else _dual_vector(cs, y0, "y0")
-    point = _potential(cs, y)
-    if not np.isfinite(point[0]):
-        raise OverflowGuard("initial dual vector overflows the driver flows")
-    history: list[float] = []
-    best_y, best_inf = y, np.inf
-    while True:
-        phi, allowance, (q, P, E, Q) = point
-        r = _residual_of_flows(cs, q, E, Q)
-        inf_norm = float(np.abs(r).max())
-        history.append(inf_norm)
-        if inf_norm < best_inf:
-            best_y, best_inf = y, inf_norm
-        if inf_norm <= tol:
-            return solution_at(sc, y, history, wall_time=time.perf_counter() - started)
-        if len(history) > max_iter:
-            reason = f"no convergence to {tol:g} within {max_iter} iterations"
-            raise NotConverged(f"{reason} (best inf-norm {best_inf:.3g})", best_y, history)
-        try:
-            step = _newton_step(cs, P, E, Q, r)
-        except np.linalg.LinAlgError as exc:
-            reason = f"Newton step failed at inf-norm {inf_norm:.3g}: {exc}"
-            raise NotConverged(reason, best_y, history) from exc
-
-        t, slope = 1.0, 1e-4 * float(r @ step)
-        t_min = _EPS * max(1.0, float(np.abs(y).max())) / float(np.abs(step).max())
-        while True:
-            point = _potential(cs, y + t * step)
-            if point[0] <= phi + t * slope + allowance:
-                break
-            t *= 0.5
-            if t <= t_min:
-                reason = f"line search stalled at inf-norm {inf_norm:.3g}"
-                raise NotConverged(reason, best_y, history)
-        y = y + t * step
+    (y,), (history,), ((q, E, E_H, Q, r),) = _newton(cs, y[None], tol, max_iter)
+    # the solver's own flows at y: the closed forms `solution_at` would redo
+    return EquilibriumSolution(
+        prices=PriceSystem(cs, y),
+        traveler=TravelerFlows(cs, q),
+        driver=DriverFlows(cs, E, E_H, Q),
+        residual=ResidualReport(cs, r),
+        wall_time=time.perf_counter() - started,
+        residual_history=tuple(history),
+    )
 
 
 def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
     """Solve from k random dual starts; return max pairwise inf-norm gap.
 
-    Starts are uniform in [-10, 10] per coordinate. Any NotConverged is
-    raised, not hidden.
+    Starts are uniform in [-10, 10] per coordinate. All k starts are solved
+    as one stack (`_newton`), each exactly as `solve` would solve it alone;
+    if any fails, the failure `solve` raises for the lowest-index failing
+    start is raised, not hidden.
     """
     if k < 2:
         raise ValueError("uniqueness probe needs k >= 2 starts")
-    cs = compile_scenario(sc)
+    cs = _compiled(sc)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-10.0, 10.0, size=(k, cs.dim))
-    ys = [solve(sc, y0=starts[i]).y for i in range(k)]
-    worst = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            worst = max(worst, float(np.abs(ys[i] - ys[j]).max()))
-    return worst
+    ys, _, _ = _newton(cs, starts, TOL, MAX_ITER)
+    return float(np.abs(ys[:, None] - ys).max())
 
 
 # ---------------------------------------------------------------------------
 # objective values of the three optimization models
 
 
-def _xlogx_term(x: np.ndarray, u: np.ndarray) -> float:
+def _xlogx_term(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sum of x*(ln x - 1 - u) over the trailing axes of u, one value per
+    leading index of x."""
     if np.any(x <= 0):
         raise NonPositiveFlow("objective requires strictly positive flows")
-    return float(np.sum(x * (np.log(x) - 1.0 - u)))
+    return np.sum(x * (np.log(x) - 1.0 - u), axis=tuple(range(-u.ndim, 0)))
 
 
 def combined_objective_arrays(
     cs: CompiledScenario, q: np.ndarray, E: np.ndarray, E_H: np.ndarray
-) -> float:
-    """Combined-model objective on raw arrays ((m,3), (n,2m), (n,))."""
+) -> np.ndarray:
+    """Combined-model objective on raw arrays ((..., m, 3), (..., n, 2m),
+    (..., n)): one value per leading index, so a batch of flow points is
+    evaluated in one call."""
     U_free = np.stack([cs.u_drive, cs.u_ride, cs.u_multi], axis=1)
     value = _xlogx_term(q, U_free) / cs.beta2
     value += (_xlogx_term(E, cs.A) + _xlogx_term(E_H, cs.a_H)) / cs.beta3
@@ -444,7 +606,7 @@ def objective_value(
         if traveler is None or prices is None:
             raise ValueError("traveler objective needs traveler flows and prices")
         U = traveler_utility_matrix(cs, *cs.eta(prices.y))
-        return _xlogx_term(traveler.matrix, U)
+        return float(_xlogx_term(traveler.matrix, U))
 
     if model == "driver":
         if driver is None or prices is None:
@@ -453,11 +615,11 @@ def objective_value(
         value = _xlogx_term(driver.E, cs.A + cs.beta3 * rho[None, :])
         value += _xlogx_term(driver.E_H, cs.a_H)
         value -= float(np.sum(lam * (driver.stock - cs.dQ)))
-        return value
+        return float(value)
 
     if model == "combined":
         if traveler is None or driver is None:
             raise ValueError("combined objective needs traveler and driver flows")
-        return combined_objective_arrays(cs, traveler.matrix, driver.E, driver.E_H)
+        return float(combined_objective_arrays(cs, traveler.matrix, driver.E, driver.E_H))
 
     raise ValueError(f"unknown model {model!r}")

@@ -170,7 +170,7 @@ class TestValidateCommand:
 
         def drive_sign_flipped(cs, eta_direct, eta_hub):
             U = compiled(cs, eta_direct, eta_hub)
-            U[:, 0] = -U[:, 0]
+            U[..., 0] = -U[..., 0]
             return U
 
         monkeypatch.setattr(choice, "traveler_utility_matrix", drive_sign_flipped)

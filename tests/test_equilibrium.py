@@ -7,14 +7,24 @@ import numpy as np
 import pytest
 
 from modal_market import equilibrium
-from modal_market.choice import PriceSystem, compile_scenario, driver_flows_dual, traveler_flows
+from modal_market.choice import (
+    EXP_BOUND,
+    OverflowGuard,
+    PriceSystem,
+    compile_scenario,
+    driver_flows_dual,
+    traveler_flows,
+)
 from modal_market.equilibrium import (
+    MAX_ITER,
+    TOL,
     NonPositiveFlow,
     NotConverged,
     ValidationFailed,
     _flows_at,
     _jacobian_analytic,
     _jacobian_fd,
+    _newton,
     _newton_step,
     _potential,
     _residual_of_flows,
@@ -32,7 +42,7 @@ from test_choice import zero_everything_scenario
 
 def newton_step_at(cs, y):
     """(structured step, residual) at y."""
-    _, P, _, E, Q = _flows_at(cs, y)
+    _, P, _, E, _, Q = _flows_at(cs, y)
     r = _residual_vector(cs, y)
     return _newton_step(cs, P, E, Q, r), r
 
@@ -94,7 +104,7 @@ class TestResidual:
         for sc in corpus:
             cs = compile_scenario(sc)
             for y in (np.zeros(cs.dim), rng.uniform(-3.0, 3.0, cs.dim)):
-                q, _, _, E, Q = _flows_at(cs, y)
+                q, _, _, E, _, Q = _flows_at(cs, y)
                 arrivals = np.zeros(cs.n_nodes)
                 for idx, col in ((cs.s_idx, 1), (cs.h_idx, 2)):
                     for i in range(cs.m):
@@ -229,19 +239,45 @@ class TestSolve:
                 assert np.abs(grad - r).max() <= 1e-5 * max(1.0, np.abs(r).max())
 
     def test_probe_starts_converge_on_corpus(self, five_node, sioux_scenarios):
-        # every start of the criterion-5 probe reaches the clearing
-        # tolerance, on the builtins and random_scenario 0-99; the dual
-        # deviation is not asserted here, since on thin markets the 1e-10
-        # clearing tolerance does not pin rho_hub to 1e-6
+        # every start of the criterion-5 probe converges and agrees with the
+        # others to criterion 5's 1e-6, on the builtins and random_scenario
+        # 0-99: the dual-accuracy stop pins the duals of thin markets too
         corpus = [five_node, *sioux_scenarios.values()]
         corpus += [random_scenario(seed) for seed in range(100)]
         failed = []
         for sc in corpus:
             try:
-                uniqueness_probe(sc, k=5, seed=20240601)
+                deviation = uniqueness_probe(sc, k=5, seed=20240601)
             except NotConverged as exc:
                 failed.append(f"{sc.name}: {exc}")
+                continue
+            if not deviation <= 1e-6:
+                failed.append(f"{sc.name}: max dual deviation {deviation:.3e}")
         assert failed == []
+
+    def test_stops_on_dual_accuracy(self, sioux_scenarios):
+        # at the returned duals the residual passes and the Newton step, the
+        # first-order error of y, is below 1e-9 relative
+        for sc in [*sioux_scenarios.values(), random_scenario(54), random_scenario(61)]:
+            cs = compile_scenario(sc)
+            sol = solve(sc)
+            step, r = newton_step_at(cs, sol.y)
+            assert np.abs(r).max() <= 1e-10, sc.name
+            assert np.abs(step).max() <= 1e-9 * max(1.0, np.abs(sol.y).max()), sc.name
+
+    def test_slope_overflow_is_a_typed_failure(self):
+        # a far start on random_scenario(6) whose line-search slope r.d
+        # overflows: a NotConverged with the best iterate, no RuntimeWarning
+        sc = random_scenario(6)
+        y0 = np.random.default_rng(10).uniform(-100.0, 100.0, size=(10, 9))[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged, match="line-search slope not finite") as err:
+                solve(sc, y0=y0)
+        history = err.value.residual_history
+        assert len(history) >= 2
+        assert np.all(np.isfinite(err.value.best_y))
+        assert np.abs(residual(sc, err.value.best_y).vector).max() == min(history)
 
     def test_not_converged_carries_diagnostics(self, five_node):
         with pytest.raises(NotConverged) as err:
@@ -288,6 +324,115 @@ class TestSolve:
         for k, sol in sioux_solutions.items():
             assert sol.converged
             assert sol.residual.inf_norm <= 1e-10
+
+
+def probe_corpus(five_node, sioux_scenarios):
+    """(scenario, criterion-5 starts) for the builtins and random_scenario 0-99."""
+    corpus = [five_node, *sioux_scenarios.values()]
+    corpus += [random_scenario(seed) for seed in range(100)]
+    for sc in corpus:
+        dim = compile_scenario(sc).dim
+        yield sc, np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(5, dim))
+
+
+def first_failure_one_by_one(sc, starts, **kwargs):
+    """The exception of the first start, in index order, that `solve` cannot
+    solve alone; None when all converge."""
+    for start in starts:
+        try:
+            solve(sc, y0=start, **kwargs)
+        except (NotConverged, OverflowGuard) as exc:
+            return exc
+    return None
+
+
+def assert_same_failure(stacked, alone):
+    assert type(stacked) is type(alone)
+    assert str(stacked) == str(alone)
+    if isinstance(alone, NotConverged):
+        assert np.array_equal(stacked.best_y, alone.best_y)
+        assert stacked.residual_history == alone.residual_history
+
+
+class TestStackedNewton:
+    """`_newton` on a stack of starts against `solve` on each start alone."""
+
+    def test_rows_bit_identical_to_solo_solves(self, five_node, sioux_scenarios):
+        for sc, starts in probe_corpus(five_node, sioux_scenarios):
+            ys, histories, ends = _newton(compile_scenario(sc), starts, TOL, MAX_ITER)
+            for i, start in enumerate(starts):
+                alone = solve(sc, y0=start)
+                assert np.array_equal(ys[i], alone.y), (sc.name, i)
+                assert histories[i] == list(alone.residual_history), (sc.name, i)
+                flows = (alone.traveler.matrix, alone.driver.E, alone.driver.E_H,
+                         alone.driver.stock, alone.residual.vector)
+                assert all(map(np.array_equal, ends[i], flows)), (sc.name, i)
+
+    def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
+        # a cap between the fastest and the slowest start: some rows
+        # converge, the others fail, and the lowest-index failure is raised
+        for sc, starts in probe_corpus(five_node, sioux_scenarios):
+            cs = compile_scenario(sc)
+            counts = sorted(len(h) - 1 for h in _newton(cs, starts, TOL, MAX_ITER)[1])
+            if counts[0] == counts[-1]:
+                continue
+            max_iter = counts[2] - 1 if counts[2] > counts[0] else counts[0]
+            alone = first_failure_one_by_one(sc, starts, max_iter=max_iter)
+            with pytest.raises(NotConverged) as err:
+                _newton(cs, starts, TOL, max_iter)
+            assert_same_failure(err.value, alone)
+
+    def test_mixed_failures_match_one_by_one(self):
+        # converging starts around a slope overflow (random_scenario(6),
+        # [-100, 100]), a singular Schur complement (random_scenario(18),
+        # [-30, 30]) and a start whose driver flows overflow at once
+        cases = [
+            (random_scenario(6), np.random.default_rng(10).uniform(-100.0, 100.0, (10, 9))[2]),
+            (random_scenario(18), np.random.default_rng(7).uniform(-30.0, 30.0, (10, 11))[6]),
+        ]
+        for sc, bad in cases:
+            cs = compile_scenario(sc)
+            good = np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(3, cs.dim))
+            overflow = np.full(cs.dim, EXP_BOUND)
+            for starts in (
+                np.stack([good[0], bad, good[1], good[2]]),
+                np.stack([good[0], good[1], overflow, bad]),
+                np.stack([bad, overflow, good[0]]),
+            ):
+                alone = first_failure_one_by_one(sc, starts)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises((NotConverged, OverflowGuard)) as err:
+                        _newton(cs, starts, TOL, MAX_ITER)
+                assert_same_failure(err.value, alone)
+
+    def test_singular_schur_complement_is_attributed_to_its_row(self, monkeypatch):
+        # the singular row makes the stacked linear solve fail for the whole
+        # stack; the other rows go on exactly as they do alone
+        sc = random_scenario(18)
+        cs = compile_scenario(sc)
+        bad = np.random.default_rng(7).uniform(-30.0, 30.0, (10, cs.dim))[6]
+        good = np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(2, cs.dim))
+        solves = []
+        linalg_solve = np.linalg.solve
+
+        def recorded(a, b):
+            try:
+                return linalg_solve(a, b)
+            except np.linalg.LinAlgError:
+                solves.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        # the singular row last: a good row failed with it would be raised
+        starts = np.stack([good[0], good[1], bad])
+        alone = first_failure_one_by_one(sc, starts)
+        assert "Newton step failed" in str(alone)
+        solves.clear()
+        with pytest.raises(NotConverged) as err:
+            _newton(cs, starts, TOL, MAX_ITER)
+        assert (3, cs.n_nodes, cs.n_nodes) in solves
+        assert_same_failure(err.value, alone)
 
 
 class TestSolutionArrays:
