@@ -156,12 +156,7 @@ def _write_metrics_json(out_dir: Path, sc, rep: MetricsReport) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        sc = _load_scenario(args.scenario)
-    except (ScenarioError, NetgraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    sc = _load_scenario(args.scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
@@ -173,9 +168,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     exit_code = EXIT_OK
     try:
         sol = solve(sc, tol=args.tol, max_iter=args.max_iter)
-    except ValidationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotConverged as exc:
         # keep the best iterate for diagnosis, explicitly flagged
         sol = solution_at(sc, exc.best_y, exc.residual_history, converged=False)
@@ -302,12 +294,7 @@ def _audit(sc, args: argparse.Namespace, seed: int,
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        sc = _load_scenario(args.scenario)
-    except (ScenarioError, NetgraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    sc = _load_scenario(args.scenario)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("MODAL_MARKET_SEED", "0"))
@@ -448,11 +435,7 @@ def cmd_import_tntp(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"error: network file not found: {args.net}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        net = parse_tntp(path.read_bytes(), name=path.stem)
-    except NetgraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    net = parse_tntp(path.read_bytes(), name=path.stem)
 
     skeleton = {
         "name": net.name,

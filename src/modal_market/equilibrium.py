@@ -13,16 +13,18 @@ merit function, and stops once the residual and the Newton step (the
 first-order error of the duals) are both small. The Newton core (`_newton`)
 works on a stack of dual vectors: `solve` runs it on one start and
 `uniqueness_probe` on all of its starts at once, each row stepping exactly
-as it would alone. The Jacobian is never formed: each OD's logit couples only
-its own two rho coordinates and two lambdas, and each driver flow one rho
-and one lambda, so the rho-rho block is block diagonal with one 2x2 block
-per OD. A Newton step eliminates those blocks in closed form and solves an
-n_nodes x n_nodes Schur complement for lambda (block elimination, Boyd &
-Vandenberghe, Convex Optimization, App. C.4): O(m n^2 + n^3) work per step
-for m ODs and n nodes, against O((2m + n)^3) for a dense LU. The dense
-analytic and finite-difference Jacobians remain as references for tests.
-Prices follow from the duals by the additive decomposition
-eta = rho + lambda(drop-off).
+as it would alone. Its line search has one path: the full-step trial stack
+becomes the next state, and the rows that backtrack overwrite their own
+rows of it with the trial they accept. The Jacobian is never formed: each
+OD's logit couples only its own two rho coordinates and two lambdas, and
+each driver flow one rho and one lambda, so the rho-rho block is block
+diagonal with one 2x2 block per OD. A Newton step eliminates those blocks
+in closed form and solves an n_nodes x n_nodes Schur complement for lambda
+(block elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4):
+O(m n^2 + n^3) work per step for m ODs and n nodes, against O((2m + n)^3)
+for a dense LU. The dense analytic and finite-difference Jacobians remain
+as references for tests. Prices follow from the duals by the additive
+decomposition eta = rho + lambda(drop-off).
 
 A solution is stored once, as arrays: the dual vector in its `PriceSystem`,
 the flows at it in `TravelerFlows` and `DriverFlows`, the clearing gaps in
@@ -321,7 +323,8 @@ def solution_at(
 def _potential(cs: CompiledScenario, y: np.ndarray):
     """(phi, allowance, (q, P, E, E_H, Q)) at y, or at each row of a stack of
     dual vectors; phi is infinite at a point whose driver flows overflow, and
-    the flows are None when every point's do.
+    the flows are None when every point's do. Every returned array is its
+    own, so a caller may write into any of them.
 
     phi(y) = sum_n Q_n / beta3 + sum_i (d_i/beta2) LSE_i(U) - dQ . lambda,
     with Q_n the driver stock (sign-out included) and LSE_i the log-sum-exp
@@ -334,8 +337,7 @@ def _potential(cs: CompiledScenario, y: np.ndarray):
     try:
         q, P, lse, E, E_H, Q = _flows_at(cs, y)
     except OverflowGuard:
-        inf = np.full(y.shape[:-1], np.inf)
-        return inf, inf, None
+        return np.full(y.shape[:-1], np.inf), np.full(y.shape[:-1], np.inf), None
     terms = np.concatenate([Q, lse, cs.rho_lam(y)[1]], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.vecdot(terms, cs.phi_weights)
@@ -356,18 +358,6 @@ TOL = 1e-10
 MAX_ITER = 200
 
 
-def _history(trail: list, i: int) -> tuple[list[float], list[np.ndarray]]:
-    """Row i's inf-norm history and iterates, read from the trail of
-    (rows, Y, inf-norms) that `_newton` keeps."""
-    history, iterates, at = [], [], (None, 0)
-    for rows, Y, inf_norm in trail:
-        if rows is not at[0]:  # the active rows change only when some finish
-            at = (rows, int(np.searchsorted(rows, i)))
-        history.append(float(inf_norm[at[1]]))
-        iterates.append(Y[at[1]])
-    return history, iterates
-
-
 def _newton(
     cs: CompiledScenario, Y: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, list[list[float]], list[tuple[np.ndarray, ...]]]:
@@ -377,16 +367,20 @@ def _newton(
     per-call cost is paid once per pass rather than once per row. Each row
     keeps its own step length, history, convergence and failure, and every
     operation acts on each row alone, so a row's iterates are bit-identical
-    to a run from that row by itself. A row that finishes, or fails, leaves
-    the stack. Returns the final dual vectors (k, dim), the inf-norm history
-    of each row and, per row, the flows (q, E, E_H, Q) and residual r at its
-    final vector; if any row failed, raises the failure of the lowest-index
-    one instead, which is what running the rows one by one in index order
-    would raise.
+    to a run from that row by itself. Every live row tries the full step,
+    and that trial stack is the next state; the rows that backtrack share
+    the halved step length, and each of their trials overwrites its own
+    rows of the state, so a row leaves the line search holding the trial it
+    accepted. A row that finishes, or fails, leaves the stack. Returns
+    the final dual vectors (k, dim), the inf-norm history of each row and,
+    per row, the flows (q, E, E_H, Q) and residual r at its final vector; if
+    any row failed, raises the failure of the lowest-index one instead,
+    which is what running the rows one by one in index order would raise.
     """
     k = len(Y)
     finals = np.empty_like(Y)
     histories: list[list[float]] = [[] for _ in range(k)]
+    iterates: list[list[np.ndarray]] = [[] for _ in range(k)]
     ends: list[tuple[np.ndarray, ...]] = [() for _ in range(k)]
     failures: dict[int, Exception] = {}
     rows = np.arange(k)
@@ -398,38 +392,39 @@ def _newton(
         rows, Y, phi, allowance = rows[keep], Y[keep], phi[keep], allowance[keep]
         flows = tuple(f[keep] for f in flows) if keep.size else None
 
-    trail: list = []  # (rows, Y, inf-norms) per pass
-
     def fail(positions: np.ndarray, why) -> None:
         """Fail the rows at these positions of the stack; `why` maps the
         row's inf-norm and best inf-norm to the message."""
         for p in positions:
             i = int(rows[p])
-            history, iterates = _history(trail, i)
+            history = histories[i]
             best = int(np.argmin(history))  # the first, on ties
-            failures[i] = NotConverged(why(inf_norm[p], history[best]), iterates[best], history)
+            failures[i] = NotConverged(why(inf_norm[p], history[best]), iterates[i][best], history)
 
     while rows.size:
         q, P, E, E_H, Q = flows
         r = _residual_of_flows(cs, q, E, Q)
         inf_norm = np.abs(r).max(axis=-1)
-        trail.append((rows, Y, inf_norm))
+        for i, x, y in zip(rows.tolist(), inf_norm.tolist(), Y):
+            histories[i].append(x)
+            iterates[i].append(y)
         step = _newton_step(cs, P, E, Q, r)
         with np.errstate(over="ignore", invalid="ignore"):
             slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
         go = np.isfinite(slope)
-        if (inf_norm <= tol).any() or not go.all() or len(trail) > max_iter:
+        capped = len(histories[rows[0]]) > max_iter  # the same for every row
+        if (inf_norm <= tol).any() or not go.all() or capped:
             size = np.abs(step).max(axis=-1)
             # stop on the residual and on dual accuracy: the step is the
             # first-order error of y (Boyd & Vandenberghe, section 9.5.1)
             done = (inf_norm <= tol) & (size <= 1e-9 * np.maximum(1.0, np.abs(Y).max(axis=-1)))
             for p in np.flatnonzero(done):
                 i = int(rows[p])
-                finals[i], histories[i] = Y[p], _history(trail, i)[0]
+                finals[i] = Y[p]
                 ends[i] = (q[p], E[p], E_H[p], Q[p], r[p])
             if done.all():
                 break
-            if len(trail) > max_iter:
+            if capped:
                 fail(np.flatnonzero(~done), lambda x, best: (
                     f"no convergence to {tol:g} within {max_iter} iterations"
                     f" (best inf-norm {best:.3g})"
@@ -443,8 +438,8 @@ def _newton(
                 f"line-search slope not finite at inf-norm {x:.3g}"
             ))
             keep = np.flatnonzero(go & ~done)
-            rows, Y, phi, allowance, step, slope, inf_norm = (
-                a[keep] for a in (rows, Y, phi, allowance, step, slope, inf_norm)
+            rows, Y, phi, allowance, step, slope, inf_norm, *flows = (
+                a[keep] for a in (rows, Y, phi, allowance, step, slope, inf_norm, *flows)
             )
             if not rows.size:
                 break
@@ -452,54 +447,38 @@ def _newton(
         # Armijo backtracking on phi, row by row: the first t = 1, 1/2, ...
         # with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
         # allowance; a row stalls once t d is below the float resolution of
-        # y. Rows search in lockstep, so every row still searching has the
-        # same t.
-        t, trial = 1.0, Y + step
-        point = _potential(cs, trial)
-        ok = point[0] <= phi + slope + allowance
-        if ok.all():
-            Y, (phi, allowance, flows) = trial, point
-            continue
-        with np.errstate(divide="ignore"):
-            t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / np.abs(step).max(axis=-1)
-        # the rows still searching: positions in the stack, and their data
-        search = (np.arange(rows.size), Y, step, phi, slope, allowance, t_min)
-        accepted = []  # (positions, Y, phi, allowance, flows) per trial
-        while True:
-            if ok.any():
-                flows_ok = tuple(f[ok] for f in point[2])
-                accepted.append((search[0][ok], trial[ok], point[0][ok], point[1][ok], flows_ok))
-                search = tuple(a[~ok] for a in search)
-            t *= 0.5
-            stalled = t <= search[-1]
-            if stalled.any():
-                fail(search[0][stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
-                search = tuple(a[~stalled] for a in search)
-                if not search[0].size:
-                    break
-            at, Ys, steps, phis, slopes, allowances, _ = search
-            trial = Ys + t * steps
-            point = _potential(cs, trial)
-            ok = point[0] <= phis + t * slopes + allowances
-            if ok.all():
-                accepted.append((at, trial, *point))
-                break
-        if not accepted:
-            break
-        # rows accepted at different trials, or some stalled: reassemble the
-        # rows that go on, in row order
-        positions = np.concatenate([part[0] for part in accepted])
-        if len(accepted) == 1 and positions.size == rows.size:
-            _, Y, phi, allowance, flows = accepted[0]
-            continue
-        order = np.argsort(positions)
-        rows = rows[positions[order]]
-        Y, phi, allowance = (
-            np.concatenate([part[j] for part in accepted])[order] for j in (1, 2, 3)
-        )
-        flows = tuple(
-            np.concatenate([part[4][f] for part in accepted])[order] for f in range(5)
-        )
+        # y. The t = 1 trial stack is the next state. Rows still searching
+        # share the halved t, and each trial overwrites the rows that made
+        # it, so a row keeps the trial it accepted. A trial whose every row
+        # overflows has no flows: at t = 1 the current flows, no longer read
+        # once the step is formed, stand in for them, and a later one writes
+        # none, since all its rows are rejected.
+        trial = Y + step
+        phi_t, allowance_t, flows_t = _potential(cs, trial)
+        state = (trial, phi_t, allowance_t, *(flows_t or flows))
+        at = np.flatnonzero(~(phi_t <= phi + slope + allowance))
+        if at.size:
+            with np.errstate(divide="ignore"):
+                t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1))
+                t_min /= np.abs(step).max(axis=-1)
+            t, live = 1.0, np.ones(rows.size, dtype=bool)
+            while at.size:
+                t *= 0.5
+                stalled = t <= t_min[at]
+                if stalled.any():
+                    fail(at[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
+                    live[at[stalled]] = False
+                    at = at[~stalled]
+                    if not at.size:
+                        break
+                trial = Y[at] + t * step[at]
+                phi_t, allowance_t, flows_t = _potential(cs, trial)
+                for whole, part in zip(state, (trial, phi_t, allowance_t, *(flows_t or ()))):
+                    whole[at] = part
+                at = at[~(phi_t <= phi[at] + t * slope[at] + allowance[at])]
+            if not live.all():
+                rows, *state = (a[live] for a in (rows, *state))
+        Y, phi, allowance, *flows = state
 
     if failures:
         raise failures[min(failures)]

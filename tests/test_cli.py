@@ -2,12 +2,42 @@
 import csv
 import json
 
+import pytest
+
 from modal_market.cli import main
+from modal_market.scenario import builtin_5node, to_document
 
 
 def read_csv(path):
     with path.open() as fh:
         return list(csv.reader(fh))
+
+
+SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["solve", "--scenario", "nope.json"], "error: scenario file not found: nope.json\n"),
+    (["solve", "--scenario", "schema.json"], "error: /network: required key missing\n"),
+    (["solve", "--scenario", "zero_demand.json"],
+     "error: scenario failed validation:\n  /ods/0/demand: OD (1,2) demand 0.0 must be > 0\n"),
+    (["validate", "--scenario", "nope.json"], "error: scenario file not found: nope.json\n"),
+    (["validate", "--scenario", "schema.json"], "error: /network: required key missing\n"),
+    (["sweep", "--scenario", "nope.json", *SWEEP], "error: scenario file not found: nope.json\n"),
+    (["sweep", "--scenario", "schema.json", *SWEEP], "error: /network: required key missing\n"),
+    (["import-tntp", "--net", "bad.tntp", "--out", "out/s.json"],
+     "error: missing <NUMBER OF NODES>\n"),
+])
+def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
+    # every command reports a bad input file as `error: ...` on stderr, exit 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "schema.json").write_text('{"name": "x"}')
+    doc = to_document(builtin_5node())
+    doc["ods"][0]["demand"] = 0.0  # loads fine, fails validation
+    (tmp_path / "zero_demand.json").write_text(json.dumps(doc))
+    (tmp_path / "bad.tntp").write_text("<END OF METADATA>\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == stderr
 
 
 class TestSolveCommand:

@@ -368,6 +368,31 @@ class TestStackedNewton:
                          alone.driver.stock, alone.residual.vector)
                 assert all(map(np.array_equal, ends[i], flows)), (sc.name, i)
 
+    def test_evaluations_per_run(self, five_node, sioux_scenarios, monkeypatch):
+        # the stack size of every phi and Newton-step evaluation: no empty
+        # stack, step stacks that shrink only as rows finish, and corpus
+        # totals pinned, so a rewrite of the line search that adds, drops or
+        # resizes an evaluation fails here
+        sizes = {}
+
+        def counted(name, fn):
+            def evaluate(cs, *arrays):
+                sizes[name].append(len(arrays[-1]))
+                return fn(cs, *arrays)
+            return evaluate
+
+        monkeypatch.setattr(equilibrium, "_potential", counted("phi", _potential))
+        monkeypatch.setattr(equilibrium, "_newton_step", counted("step", _newton_step))
+        totals = np.zeros(4, dtype=int)
+        for sc, starts in probe_corpus(five_node, sioux_scenarios):
+            sizes.update(phi=[], step=[])
+            histories = _newton(compile_scenario(sc), starts, TOL, MAX_ITER)[1]
+            passes = range(max(map(len, histories)))
+            assert sizes["step"] == [sum(len(h) > j for h in histories) for j in passes]
+            assert min(sizes["phi"]) > 0, sc.name
+            totals += [len(sizes["phi"]), sum(sizes["phi"]), len(sizes["step"]), sum(sizes["step"])]
+        assert totals.tolist() == [7799, 22992, 3286, 13486]
+
     def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
         # a cap between the fastest and the slowest start: some rows
         # converge, the others fail, and the lowest-index failure is raised
@@ -385,12 +410,18 @@ class TestStackedNewton:
     def test_mixed_failures_match_one_by_one(self):
         # converging starts around a slope overflow (random_scenario(6),
         # [-100, 100]), a singular Schur complement (random_scenario(18),
-        # [-30, 30]) and a start whose driver flows overflow at once
+        # [-30, 30]), a stalled line search (random_scenario(0),
+        # [-100, 100]) and a start whose driver flows overflow at once
         cases = [
-            (random_scenario(6), np.random.default_rng(10).uniform(-100.0, 100.0, (10, 9))[2]),
-            (random_scenario(18), np.random.default_rng(7).uniform(-30.0, 30.0, (10, 11))[6]),
+            (random_scenario(6), np.random.default_rng(10).uniform(-100.0, 100.0, (10, 9))[2],
+             "line-search slope not finite"),
+            (random_scenario(18), np.random.default_rng(7).uniform(-30.0, 30.0, (10, 11))[6],
+             "Newton step failed"),
+            (random_scenario(0), np.random.default_rng(7).uniform(-100.0, 100.0, (10, 11))[4],
+             "line search stalled"),
         ]
-        for sc, bad in cases:
+        for sc, bad, why in cases:
+            assert why in str(first_failure_one_by_one(sc, [bad]))
             cs = compile_scenario(sc)
             good = np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(3, cs.dim))
             overflow = np.full(cs.dim, EXP_BOUND)
