@@ -22,6 +22,7 @@ from . import __version__
 from .analytics import HubStudy, MetricsReport, SweepCell, hub_study, metrics, sweep_cell
 from .equilibrium import (
     EquilibriumSolution,
+    NonPositiveFlow,
     NotConverged,
     ValidationFailed,
     objective_value,
@@ -225,7 +226,8 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
 def _audit(sc, args: argparse.Namespace, seed: int,
            checks: list[tuple[str, bool, str]], figures: dict[str, Any]) -> int:
     """Solve, then run the replay and oracle checks; append a row per check
-    to `checks` and the measured figures to `figures`. A non-convergence is
+    to `checks` and the measured figures to `figures`. A non-convergence, or
+    a flow that is not strictly positive where a check needs one, is
     recorded as a FAIL row of the check it interrupted. Returns the exit
     code."""
     try:
@@ -255,7 +257,11 @@ def _audit(sc, args: argparse.Namespace, seed: int,
             f"rel err {driver_err:.3e} (tol {args.replay_tol:g})",
         )
     )
-    kkt = kkt_check(sc, sol)
+    try:
+        kkt = kkt_check(sc, sol)
+    except NonPositiveFlow as exc:
+        checks.append(("kkt_stationarity", False, str(exc)))
+        return EXIT_CHECK_FAILED
     checks.append(
         (
             "kkt_stationarity",
@@ -263,7 +269,11 @@ def _audit(sc, args: argparse.Namespace, seed: int,
             f"max |grad| {kkt.stationarity:.3e} (tol {args.kkt_tol:g})",
         )
     )
-    gap = perturbation_probe(sc, sol, samples=100, seed=seed)
+    try:
+        gap = perturbation_probe(sc, sol, samples=100, seed=seed)
+    except NonPositiveFlow as exc:
+        checks.append(("convexity_probe", False, str(exc)))
+        return EXIT_CHECK_FAILED
     checks.append(
         ("convexity_probe", gap > 0, f"min objective gap {gap:.3e}")
     )

@@ -208,7 +208,10 @@ def _newton_step(
     """Newton step -J^{-1} r by block elimination of the rho coordinates.
 
     P, E, Q are the traveler probabilities, driver flows and stocks at the
-    iterate and r the residual there; leading axes index a stack of
+    iterate, and r (..., dim, k) holds k right-hand sides there: the
+    residual, as one column, for a Newton step, or the convexity probe's
+    samples (`oracle._moves`). The result has r's shape, and one
+    factorization serves all k columns. Leading axes index a stack of
     iterates, each stepped on its own. J_rho_rho is block diagonal, one 2x2
     block per OD over (rho_direct_i, rho_hub_i): beta3 times the two driver
     column sums on the diagonal plus beta2*d_i*(diag(p) - p p^T) over
@@ -242,26 +245,26 @@ def _newton_step(
         D_d, D_h = D[..., :m], D[..., m:]
         b11 = D_d + a
         piv = D_h + e * (D_d / b11) + bp1 * bp2 * p0 / b11
-        X = np.concatenate([C, r[..., : 2 * m, None]], axis=-1)
+        X = np.concatenate([C, r[..., : 2 * m, :]], axis=-1)
         X_d, X_h = X[..., :m, :], X[..., m:, :]
         W_h = (X_h - (c / b11)[..., None] * X_d) / piv[..., None]
         W_d = (X_d - c[..., None] * W_h) / b11[..., None]
         W = np.concatenate([W_d, W_h], axis=-2)  # J_rho_rho^{-1} [J_rho_lam, r_rho]
         CW = C.swapaxes(-1, -2) @ W
         S = L - CW[..., :n]
-        rhs = CW[..., n:] - r[..., 2 * m :, None]
+        rhs = CW[..., n:] - r[..., 2 * m :, :]
         try:
             dlam = np.linalg.solve(S, rhs)
         except np.linalg.LinAlgError:
             # one singular S fails the whole stack: solve iterate by iterate
             dlam = np.full(rhs.shape, np.nan)
-            for i in np.ndindex(r.shape[:-1]):
+            for i in np.ndindex(r.shape[:-2]):
                 try:
                     dlam[i] = np.linalg.solve(S[i], rhs[i])
                 except np.linalg.LinAlgError:
                     pass
-        drho = -W[..., n] - (W[..., :n] @ dlam)[..., 0]
-    return np.concatenate([drho, dlam[..., 0]], axis=-1)
+        drho = -W[..., n:] - W[..., :n] @ dlam
+    return np.concatenate([drho, dlam], axis=-2)
 
 
 def _jacobian_fd(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
@@ -408,7 +411,7 @@ def _newton(
         for i, x, y in zip(rows.tolist(), inf_norm.tolist(), Y):
             histories[i].append(x)
             iterates[i].append(y)
-        step = _newton_step(cs, P, E, Q, r)
+        step = _newton_step(cs, P, E, Q, r[..., None])[..., 0]
         with np.errstate(over="ignore", invalid="ignore"):
             slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
         go = np.isfinite(slope)

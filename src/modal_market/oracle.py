@@ -1,15 +1,22 @@
 """Independent verification layer for equilibrium solutions.
 
-Three checks, each deliberately avoiding the solver's own code paths:
+Three checks of a solution against the model itself:
 
 * `kkt_check` rebuilds the combined model's Lagrangian and probes its
   stationarity coordinate-by-coordinate with central finite differences;
+  its constraint residuals are the feasibility audit the tests hold the
+  probe's moves to;
 * `grid_solve_micro` recovers the duals of very small instances by nested
   grid refinement over the clearing residual, with flow formulas written
   out locally rather than imported from the choice module;
 * `perturbation_probe` projects random relative moves of every flow onto
-  the null space of the model's constraints, written out here, and confirms
-  the combined objective strictly increases along each.
+  the null space of the model's constraints and confirms the combined
+  objective strictly increases along each.
+
+The first two avoid the solver's code paths. The probe's projection solves
+its normal equations with the solver's Newton step (`_newton_step`), which
+factors that very system at the solution; its constraint map B and the
+adjoint of B are written out here, and `kkt_check` does not use the step.
 
 `micro_instances` and `random_scenario` supply the verification corpus.
 """
@@ -25,6 +32,7 @@ from .choice import CompiledScenario, compile_scenario
 from .equilibrium import (
     EquilibriumSolution,
     NonPositiveFlow,
+    _newton_step,
     combined_objective_arrays,
 )
 from .scenario import (
@@ -283,36 +291,43 @@ def _flow_parts(cs: CompiledScenario, v: np.ndarray) -> tuple[np.ndarray, ...]:
 def _moves(cs: CompiledScenario, solution: EquilibriumSolution, samples: int,
            seed: int, magnitude: float) -> tuple[np.ndarray, np.ndarray]:
     """Packed flows x and `samples` feasible moves x*u, one per row: each
-    Gaussian u is projected onto the null space of u -> B(x*u) and scaled to
-    max|u| = magnitude. B maps flows to the demand per OD, the clearing per
-    driver column and the stock balance per node, the stock eliminated."""
+    Gaussian u is projected onto the null space of u -> B(x*u) in the metric
+    of the objective's Hessian and scaled to max|u| = magnitude.
+
+    `centred` takes each OD's share-weighted mean off its three traveler
+    entries, which keeps its demand row exact. B maps flows to the clearing
+    per driver column and the stock balance per node, the stock eliminated,
+    in dual layout. With the demand rows eliminated, B W B^T for
+    W = diag(beta*x) is the solver's Jacobian at the solution, so one
+    `_newton_step` with every sample as a right-hand side projects them all.
+    """
     m = cs.m
-    D = np.eye(cs.n_nodes)[np.concatenate([cs.s_idx, cs.h_idx])]  # column drop-offs
+    q, dr = solution.traveler.matrix, solution.driver
+    x = np.concatenate([q.T.ravel(), dr.E.ravel(), dr.E_H])
+    P = q / cs.d[:, None]
+    beta = np.repeat([cs.beta2, cs.beta3], [3 * m, x.size - 3 * m])
+    D = np.eye(cs.n_nodes)[cs.drop_idx]  # column drop-offs
 
     def B(v: np.ndarray) -> np.ndarray:
-        q, E, E_H = _flow_parts(cs, v)
+        _, E, E_H = _flow_parts(cs, v)
         served = v[..., m : 3 * m]  # traveler demand per driver column
-        rows = (q.sum(axis=-1), E.sum(axis=-2) - served, E.sum(axis=-1) + E_H - served @ D)
+        rows = (E.sum(axis=-2) - served, E.sum(axis=-1) + E_H - served @ D)
         return np.concatenate(rows, axis=-1)
 
     def B_adjoint(z: np.ndarray) -> np.ndarray:
-        a, col, s = np.split(z, [m, 3 * m], axis=-1)
+        col, s = np.split(z, [2 * m], axis=-1)
         E = s[..., :, None] + col[..., None, :]
-        parts = (a, np.tile(a, 2) - col - s @ D.T, E.reshape(z.shape[:-1] + (-1,)), s)
+        # no row of B holds a drive flow
+        parts = (np.zeros_like(col[..., :m]), -col - s @ D.T, E.reshape(z.shape[:-1] + (-1,)), s)
         return np.concatenate(parts, axis=-1)
 
-    q, dr = solution.traveler.matrix, solution.driver
-    x = np.concatenate([q.T.ravel(), dr.E.ravel(), dr.E_H])
-    # the Gram matrix B X^2 B^T, 64 rows at a time to bound the temporaries
-    eye = np.eye(3 * m + cs.n_nodes)
-    gram = np.concatenate(
-        [B(x * x * B_adjoint(rows)) for rows in np.split(eye, range(64, len(eye), 64))]
-    )
-    d = np.sqrt(np.diag(gram))  # Jacobi scaling: the flows span many magnitudes
-    gram /= np.outer(d, d)
-    u = np.random.default_rng(seed).standard_normal((samples, x.size))
+    def centred(u: np.ndarray) -> np.ndarray:
+        u[..., : 3 * m] -= np.tile((_flow_parts(cs, u)[0] * P).sum(axis=-1), 3)
+        return u
+
+    u = centred(np.random.default_rng(seed).standard_normal((samples, x.size)))
     for _ in range(2):  # the second pass removes what rounding left of B(x*u)
-        u -= x * B_adjoint(np.linalg.solve(gram, B(x * u).T / d[:, None]).T / d)
+        u += centred(beta * B_adjoint(_newton_step(cs, P, dr.E, dr.stock, B(x * u).T).T))
     u *= magnitude / np.abs(u).max(axis=1, keepdims=True)
     return x, x * u
 
@@ -327,19 +342,22 @@ def perturbation_probe(
     """Min combined-objective gap over random feasible perturbations.
 
     The feasible moves of a linearly constrained program are the null space
-    of its constraint matrix, so each sample is a Gaussian relative move of
-    every flow projected onto it: every demand, clearing and stock equation
-    stays exact, and no flow moves by more than `magnitude` (in [0, 1)) of
-    its own size. Strict convexity makes every gap positive. The objective
-    is evaluated at x and at all moved points in one batched call.
+    of its constraint matrix, so each of the `samples` (at least 1) moves is
+    a Gaussian relative move of every flow projected onto it in the metric
+    of the objective's Hessian (`_moves`): every demand, clearing and stock
+    equation stays exact, and no flow moves by more than `magnitude` (in
+    [0, 1)) of its own size. Strict convexity makes every gap positive. The
+    objective is evaluated at x and at all moved points in one batched call.
     """
     if not 0.0 <= magnitude < 1.0:
         raise ValueError(f"magnitude must lie in [0, 1), got {magnitude}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     cs = compile_scenario(sc)
     x, dx = _moves(cs, solution, samples, seed, magnitude)
     # x and every moved point in one call: row 0 is x
     f = combined_objective_arrays(cs, *_flow_parts(cs, np.vstack([x, x + dx])))
-    return float((f[1:] - f[0]).min(initial=np.inf))
+    return float((f[1:] - f[0]).min())
 
 
 # ---------------------------------------------------------------------------

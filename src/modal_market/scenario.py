@@ -193,20 +193,9 @@ def validate(sc: Scenario) -> list[str]:
                 out.append(f"{p}/{label}: node {node} absent from network")
         if not od.demand > 0:
             out.append(f"{p}/demand: OD ({od.r},{od.s}) demand {od.demand} must be > 0")
-        for label, value in (
-            ("drive_time", od.drive_time),
-            ("hub_access_time", od.hub_access_time),
-            ("transit_time", od.transit_time),
-            ("transit_wait", od.transit_wait),
-            ("parking_time", od.parking_time),
-        ):
-            if not 0 <= value < INF:
-                out.append(f"{p}/{label}: {value} must be finite and >= 0")
-        for label, value in (
-            ("transit_fare", od.transit_fare),
-            ("drive_cost", od.drive_cost),
-            ("parking_cost", od.parking_cost),
-        ):
+        for label in ("drive_time", "hub_access_time", "transit_time", "transit_wait",
+                      "parking_time", "transit_fare", "drive_cost", "parking_cost"):
+            value = getattr(od, label)
             if not 0 <= value < INF:
                 out.append(f"{p}/{label}: {value} must be finite and >= 0")
 

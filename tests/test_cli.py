@@ -182,6 +182,31 @@ class TestValidateCommand:
         assert report["kkt_stationarity"] <= 1e-6
         assert "uniqueness_max_deviation" not in report
 
+    @pytest.mark.parametrize("check", ["kkt_stationarity", "convexity_probe"])
+    def test_zero_flow_is_a_fail_row(self, check, tmp_path, monkeypatch, capsys):
+        # a 5000-minute relocation underflows two driver flows to 0.0 at a
+        # converged solve: the check that needs positive flows fails, and the
+        # table and the report still appear. With the KKT audit stubbed to
+        # pass, the probe meets the zero flows instead.
+        from modal_market import cli
+        from modal_market.oracle import KktReport
+
+        doc = to_document(builtin_5node())
+        for override in doc["relocation_times"]["overrides"]:
+            if (override["n"], override["r"]) == (5, 1):
+                override["minutes"] = 5000.0
+        if check == "convexity_probe":
+            monkeypatch.setattr(cli, "kkt_check", lambda sc, sol: KktReport(0.0, 0.0))
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "PASS market_clearing" in out
+        assert f"FAIL {check}: " in out and "strictly positive flows" in out
+        report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
+        assert report["checks"][check]["passed"] is False
+
     def test_replay_errors_match_loop_reference(self, solved_corpus):
         # the array comparison against the per-entry loop of the acceptance
         # gate: bit-identical

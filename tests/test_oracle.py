@@ -179,6 +179,30 @@ class TestPerturbationProbe:
             with pytest.raises(ValueError):
                 perturbation_probe(five_node, five_node_solution, magnitude=magnitude)
 
+    def test_samples_below_one_rejected(self, five_node, five_node_solution):
+        # an empty probe has no gap to report, and must not read as a pass
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples"):
+                perturbation_probe(five_node, five_node_solution, samples=samples)
+
+    def test_projection_solves_only_the_schur_complement(self, solved_corpus, monkeypatch):
+        # the moves are projected through the solver's Newton step: every
+        # dense solve has the order of the node count, never the 3m + n of
+        # the constraint Gram matrix
+        orders = []
+        solve_dense = np.linalg.solve
+
+        def recorded(a, b):
+            orders.append(a.shape[-1])
+            return solve_dense(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        for name in ("5node", "sioux1", "sioux2", "sioux3"):
+            sc, sol = solved_corpus[name]
+            orders.clear()
+            perturbation_probe(sc, sol)
+            assert orders and set(orders) == {compile_scenario(sc).n_nodes}, name
+
 
 class TestRandomScenario:
     def test_seeded_and_deterministic(self):
