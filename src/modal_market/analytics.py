@@ -6,31 +6,37 @@ hub study compares the three Sioux Falls builtins.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .choice import compile_scenario
+from .choice import CompiledScenario, compile_scenario
 from .equilibrium import EquilibriumError, EquilibriumSolution, solve
 from .scenario import MODES, Scenario, builtin_sioux, with_param
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
-    """Per-OD shares and prices, per-node driver quantities, and the
-    relocation-time total that proxies empty vehicle travel."""
+    """What metrics add to a solution, as arrays in compiled order: the
+    (m, 3) mode shares, the (m,) subsidy flags, and the relocation-time
+    total that proxies empty vehicle travel. Prices, stocks and sign-out
+    flows are read from the solution itself. Views: mode_share[(r,s)][mode]
+    and subsidy[(r,s)]."""
 
-    mode_share: Mapping[tuple[int, int], Mapping[str, float]]
-    eta_direct: Mapping[tuple[int, int], float]
-    eta_hub: Mapping[tuple[int, int], float]
-    rho_direct: Mapping[tuple[int, int], float]
-    rho_hub: Mapping[tuple[int, int], float]
-    lam: Mapping[int, float]
-    stocks: Mapping[int, float]
-    signout: Mapping[int, float]
+    cs: CompiledScenario = field(repr=False)
+    shares: np.ndarray
+    subsidized: np.ndarray
     total_relocation_time: float
-    subsidy: Mapping[tuple[int, int], bool]
+
+    @cached_property
+    def mode_share(self) -> dict[tuple[int, int], dict[str, float]]:
+        return self.cs.mode_view(self.shares)
+
+    @cached_property
+    def subsidy(self) -> dict[tuple[int, int], bool]:
+        return self.cs.od_view(self.subsidized)
 
 
 def total_relocation_time(sc: Scenario, solution: EquilibriumSolution) -> float:
@@ -44,21 +50,13 @@ def total_relocation_time(sc: Scenario, solution: EquilibriumSolution) -> float:
 
 def metrics(sc: Scenario, solution: EquilibriumSolution) -> MetricsReport:
     cs = compile_scenario(sc)
-    p = solution.prices
-    rho_d, rho_h, _ = cs.split(p.y)
-    eta_d, eta_h = cs.eta(p.y)
-    subsidy = (eta_d < 0) | (eta_h < 0) | (rho_d < 0) | (rho_h < 0)
+    rho_d, rho_h, _ = cs.split(solution.y)
+    eta_d, eta_h = cs.eta(solution.y)
     return MetricsReport(
-        mode_share=cs.mode_view(solution.traveler.matrix / cs.d[:, None]),
-        eta_direct=p.eta_direct,
-        eta_hub=p.eta_hub,
-        rho_direct=p.rho_direct,
-        rho_hub=p.rho_hub,
-        lam=p.lam,
-        stocks=solution.driver.Q,
-        signout=solution.driver.q_H,
+        cs=cs,
+        shares=solution.traveler.matrix / cs.d[:, None],
+        subsidized=(eta_d < 0) | (eta_h < 0) | (rho_d < 0) | (rho_h < 0),
         total_relocation_time=total_relocation_time(sc, solution),
-        subsidy=cs.od_view(subsidy),
     )
 
 

@@ -71,7 +71,6 @@ class CompiledScenario:
 
     sc: Scenario
     node_ids: tuple[int, ...]
-    node_index: Mapping[int, int]
     m: int
     n_nodes: int
     d: np.ndarray          # (m,) demands
@@ -210,7 +209,6 @@ def _compile(sc: Scenario) -> CompiledScenario:
     return CompiledScenario(
         sc=sc,
         node_ids=node_ids,
-        node_index=node_index,
         m=m,
         n_nodes=n_nodes,
         d=d,
@@ -311,9 +309,6 @@ class TravelerFlows:
     @cached_property
     def q(self) -> dict[tuple[int, int], dict[str, float]]:
         return self.cs.mode_view(self.matrix)
-
-    def flow(self, r: int, s: int, mode: str) -> float:
-        return self.q[(r, s)][mode]
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,7 @@ from .equilibrium import (
 from .netgraph import NetgraphError, parse_tntp
 from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 from .scenario import MODES, ScenarioError, builtin, load, validate
+from .scenario import DriverParams, TravelerParams, params_document
 from .choice import driver_flows_logit, traveler_utilities
 
 EXIT_OK = 0
@@ -45,7 +46,7 @@ def _load_scenario(ref: str):
     if ref.startswith("builtin:"):
         return builtin(ref)
     path = Path(ref)
-    if not path.exists():
+    if not path.is_file():
         raise ScenarioError(f"scenario file not found: {ref}")
     return load(path.read_bytes())
 
@@ -101,57 +102,48 @@ def _solution_document(sc, sol: EquilibriumSolution) -> dict[str, Any]:
     }
 
 
-def _write_metrics_csv(out_dir: Path, sc, rep: MetricsReport) -> None:
+def _write_metrics_csv(out_dir: Path, sc, sol: EquilibriumSolution, rep: MetricsReport) -> None:
+    cs = rep.cs
+    od_keys = [_od_key(rs) for rs in sc.rs_pairs]
     _write_csv(
         out_dir / "mode_shares.csv",
-        ["od", "drive", "ride", "multi"],
-        [
-            [_od_key(rs)] + [rep.mode_share[rs][m] for m in MODES]
-            for rs in sc.rs_pairs
-        ],
+        ["od", *MODES],
+        [[key, *row] for key, row in zip(od_keys, rep.shares.tolist())],
     )
+    rho_d, rho_h, lam = cs.split(sol.y)
+    prices = np.column_stack([*cs.eta(sol.y), rho_d, rho_h, lam[cs.s_idx], lam[cs.h_idx]])
     _write_csv(
         out_dir / "prices.csv",
         ["od", "eta_direct", "eta_hub", "rho_direct", "rho_hub",
          "lambda_s", "lambda_h", "subsidy_flag"],
         [
-            [
-                _od_key((od.r, od.s)),
-                rep.eta_direct[(od.r, od.s)],
-                rep.eta_hub[(od.r, od.s)],
-                rep.rho_direct[(od.r, od.s)],
-                rep.rho_hub[(od.r, od.s)],
-                rep.lam[od.s],
-                rep.lam[od.hub],
-                int(rep.subsidy[(od.r, od.s)]),
-            ]
-            for od in sc.ods
+            [key, *row, int(flag)]
+            for key, row, flag in zip(od_keys, prices.tolist(), rep.subsidized.tolist())
         ],
     )
+    drivers = np.column_stack([sol.driver.stock, sol.driver.E_H, lam])
     _write_csv(
         out_dir / "drivers.csv",
         ["node", "Q", "signout", "lambda"],
-        [
-            [n, rep.stocks[n], rep.signout[n], rep.lam[n]]
-            for n in sc.network.nodes
-        ],
+        [[n, *row] for n, row in zip(cs.node_ids, drivers.tolist())],
     )
 
 
-def _write_metrics_json(out_dir: Path, sc, rep: MetricsReport) -> None:
+def _write_metrics_json(out_dir: Path, sc, doc: dict[str, Any], rep: MetricsReport) -> None:
+    """The solution document's price, stock and sign-out blocks, plus what
+    the metrics add."""
+    od_keys = [_od_key(rs) for rs in sc.rs_pairs]
     _write_json(
         out_dir / "metrics.json",
         {
-            "mode_share": {_od_key(rs): dict(v) for rs, v in rep.mode_share.items()},
-            "eta_direct": {_od_key(rs): v for rs, v in rep.eta_direct.items()},
-            "eta_hub": {_od_key(rs): v for rs, v in rep.eta_hub.items()},
-            "rho_direct": {_od_key(rs): v for rs, v in rep.rho_direct.items()},
-            "rho_hub": {_od_key(rs): v for rs, v in rep.rho_hub.items()},
-            "lambda": {str(n): v for n, v in rep.lam.items()},
-            "stocks": {str(n): v for n, v in rep.stocks.items()},
-            "signout": {str(n): v for n, v in rep.signout.items()},
+            **doc["prices"],
+            "stocks": doc["flows"]["stocks"],
+            "signout": doc["flows"]["signout"],
+            "mode_share": {
+                key: dict(zip(MODES, row)) for key, row in zip(od_keys, rep.shares.tolist())
+            },
             "total_relocation_time": rep.total_relocation_time,
-            "subsidy": {_od_key(rs): v for rs, v in rep.subsidy.items()},
+            "subsidy": dict(zip(od_keys, rep.subsidized.tolist())),
         },
     )
 
@@ -175,12 +167,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"not converged: {exc}", file=sys.stderr)
         exit_code = EXIT_NOT_CONVERGED
 
-    _write_json(out_dir / "solution.json", _solution_document(sc, sol))
+    doc = _solution_document(sc, sol)
+    _write_json(out_dir / "solution.json", doc)
     rep = metrics(sc, sol)
     if args.format == "csv":
-        _write_metrics_csv(out_dir, sc, rep)
+        _write_metrics_csv(out_dir, sc, sol, rep)
     else:
-        _write_metrics_json(out_dir, sc, rep)
+        _write_metrics_json(out_dir, sc, doc, rep)
     flag = "converged" if sol.converged else "NOT CONVERGED"
     print(
         f"{sc.name}: {flag} residual={sol.residual.inf_norm:.3e} "
@@ -304,6 +297,9 @@ def _audit(sc, args: argparse.Namespace, seed: int,
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.uniqueness_starts < 2:
+        print("error: --uniqueness-starts must be >= 2", file=sys.stderr)
+        return EXIT_INPUT
     sc = _load_scenario(args.scenario)
     seed = args.seed
     if seed is None:
@@ -442,7 +438,7 @@ def cmd_hub_study(args: argparse.Namespace) -> int:
 
 def cmd_import_tntp(args: argparse.Namespace) -> int:
     path = Path(args.net)
-    if not path.exists():
+    if not path.is_file():
         print(f"error: network file not found: {args.net}", file=sys.stderr)
         return EXIT_INPUT
     net = parse_tntp(path.read_bytes(), name=path.stem)
@@ -459,12 +455,7 @@ def cmd_import_tntp(args: argparse.Namespace) -> int:
         "ods": [],
         "relocation_times": {"auto_shortest_path": True, "overrides": []},
         "signin": {str(n): 0.0 for n in net.nodes},
-        "traveler_params": {
-            "beta0_drive": 4.0, "beta0_ride": 2.0, "beta0_multi": 1.0,
-            "beta1_drive": 0.3, "beta1_ride": 0.2, "beta1_multi": 0.1,
-            "beta1_wait": 0.2, "beta2": 1.0,
-        },
-        "driver_params": {"beta0_r": 0.0, "beta0_H": 2.0, "beta1": 0.3, "beta3": 1.0},
+        **params_document(TravelerParams(), DriverParams()),
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -188,7 +188,12 @@ def parse_tntp(text: bytes | str, name: str = "") -> Network:
     are parsed positionally and ignored. Comment lines start with '~'.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NetgraphError(
+                f"TNTP file is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
     lines = text.splitlines()
 
     meta: dict[str, str] = {}

@@ -53,14 +53,6 @@ class TravelerParams:
     beta1_wait: float = 0.2    # transit-wait sensitivity, 1/minute
     beta2: float = 1.0         # price sensitivity, 1/currency
 
-    @property
-    def beta0(self) -> tuple[float, float, float]:
-        return (self.beta0_drive, self.beta0_ride, self.beta0_multi)
-
-    @property
-    def beta1(self) -> tuple[float, float, float]:
-        return (self.beta1_drive, self.beta1_ride, self.beta1_multi)
-
 
 @dataclass(frozen=True)
 class DriverParams:
@@ -514,7 +506,7 @@ def load(doc: bytes | str | dict) -> Scenario:
     if isinstance(doc, (bytes, str)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaViolation("", f"invalid JSON: {exc}") from None
     root = _want(doc, "", dict, "an object")
 
@@ -632,6 +624,23 @@ def load(doc: bytes | str | dict) -> Scenario:
     )
 
 
+def params_document(tp: TravelerParams, dp: DriverParams) -> dict[str, Any]:
+    """The `traveler_params` and `driver_params` blocks of a scenario document."""
+    return {
+        "traveler_params": {fname: getattr(tp, fname) for fname in _TRAVELER_FIELDS},
+        "driver_params": {
+            "beta0_r": (
+                {str(n): v for n, v in sorted(dp.beta0_r.items())}
+                if dp.beta0_r
+                else dp.beta0_r_default
+            ),
+            "beta0_H": dp.beta0_H,
+            "beta1": dp.beta1,
+            "beta3": dp.beta3,
+        },
+    }
+
+
 def to_document(sc: Scenario) -> dict:
     """Canonical JSON document for a Scenario (load(to_document(sc)) == sc).
 
@@ -660,19 +669,7 @@ def to_document(sc: Scenario) -> dict:
             ],
         },
         "signin": {str(n): v for n, v in sorted(sc.signin.items())},
-        "traveler_params": {
-            fname: getattr(sc.traveler_params, fname) for fname in _TRAVELER_FIELDS
-        },
-        "driver_params": {
-            "beta0_r": (
-                {str(n): v for n, v in sorted(sc.driver_params.beta0_r.items())}
-                if sc.driver_params.beta0_r
-                else sc.driver_params.beta0_r_default
-            ),
-            "beta0_H": sc.driver_params.beta0_H,
-            "beta1": sc.driver_params.beta1,
-            "beta3": sc.driver_params.beta3,
-        },
+        **params_document(sc.traveler_params, sc.driver_params),
     }
     if sc.signout_bonus:
         doc["signout_bonus"] = {str(n): v for n, v in sorted(sc.signout_bonus.items())}

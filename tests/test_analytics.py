@@ -56,7 +56,9 @@ class TestMetrics:
     def test_recomputation_bit_identical(self, five_node, five_node_solution):
         a = metrics(five_node, five_node_solution)
         b = metrics(five_node, five_node_solution)
-        assert a == b
+        assert np.array_equal(a.shares, b.shares)
+        assert np.array_equal(a.subsidized, b.subsidized)
+        assert a.total_relocation_time == b.total_relocation_time
 
     def test_negative_price_raises_subsidy_flag(self, five_node):
         from modal_market.scenario import with_param
@@ -65,7 +67,7 @@ class TestMetrics:
         sol = solve(sc)
         rep = metrics(sc, sol)
         assert all(rep.subsidy.values())
-        assert all(rep.rho_hub[rs] < 0 for rs in sc.rs_pairs)
+        assert all(sol.prices.rho_hub[rs] < 0 for rs in sc.rs_pairs)
 
 
 class TestSweep:

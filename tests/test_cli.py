@@ -2,10 +2,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from modal_market.choice import compile_scenario
 from modal_market.cli import main
-from modal_market.scenario import builtin_5node, to_document
+from modal_market.equilibrium import solve
+from modal_market.oracle import random_scenario
+from modal_market.scenario import MODES, builtin, builtin_5node, load, save, to_document
 
 
 def read_csv(path):
@@ -27,6 +31,16 @@ SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
     (["sweep", "--scenario", "schema.json", *SWEEP], "error: /network: required key missing\n"),
     (["import-tntp", "--net", "bad.tntp", "--out", "out/s.json"],
      "error: missing <NUMBER OF NODES>\n"),
+    (["validate", "--scenario", "builtin:5node", "--uniqueness-starts", "1"],
+     "error: --uniqueness-starts must be >= 2\n"),
+    (["solve", "--scenario", "adir"], "error: scenario file not found: adir\n"),
+    (["solve", "--scenario", "latin1.json"],
+     "error: : invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 13: "
+     "invalid continuation byte\n"),
+    (["import-tntp", "--net", "adir", "--out", "out/s.json"],
+     "error: network file not found: adir\n"),
+    (["import-tntp", "--net", "latin1.tntp", "--out", "out/s.json"],
+     "error: TNTP file is not UTF-8 text: invalid continuation byte at byte 5\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
     # every command reports a bad input file as `error: ...` on stderr, exit 2
@@ -36,6 +50,9 @@ def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatc
     doc["ods"][0]["demand"] = 0.0  # loads fine, fails validation
     (tmp_path / "zero_demand.json").write_text(json.dumps(doc))
     (tmp_path / "bad.tntp").write_text("<END OF METADATA>\n")
+    (tmp_path / "latin1.tntp").write_bytes("~ café\n".encode("latin-1"))
+    (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
+    (tmp_path / "adir").mkdir()
     assert main(argv) == 2
     assert capsys.readouterr().err == stderr
 
@@ -119,6 +136,62 @@ class TestSolveCommand:
         path.write_bytes(save(builtin_5node()))
         code = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+SCENARIO_REFS = [f"builtin:{b}" for b in ("5node", "sioux1", "sioux2", "sioux3")]
+SCENARIO_REFS += [f"random:{s}" for s in range(10)]
+
+
+@pytest.mark.parametrize("ref", SCENARIO_REFS)
+def test_artifacts_agree_with_solution_arrays(ref, tmp_path):
+    # every rendered cell reads back bit for bit as the array entry it
+    # renders; the expected columns index the arrays by node id, not through
+    # the compiled index arrays the writers use
+    if ref.startswith("random:"):
+        path = tmp_path / "sc.json"
+        path.write_bytes(save(random_scenario(int(ref[7:]))))
+        ref = str(path)
+        sc = load(path.read_bytes())
+    else:
+        sc = builtin(ref)
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    assert main(["solve", "--scenario", ref, "--out", str(csv_dir)]) == 0
+    assert main(["solve", "--scenario", ref, "--out", str(json_dir), "--format", "json"]) == 0
+    sol = solve(sc)
+    cs = compile_scenario(sc)
+    rho_d, rho_h, lam = cs.split(sol.y)
+    at = {n: k for k, n in enumerate(cs.node_ids)}
+    lam_s = lam[[at[od.s] for od in sc.ods]]
+    lam_h = lam[[at[od.hub] for od in sc.ods]]
+    eta_d, eta_h = rho_d + lam_s, rho_h + lam_h
+    subsidized = (eta_d < 0) | (eta_h < 0) | (rho_d < 0) | (rho_h < 0)
+    shares = sol.traveler.matrix / np.array([od.demand for od in sc.ods])[:, None]
+    od_keys = [f"{r}-{s}" for r, s in sc.rs_pairs]
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    for name, keys, expected in [
+        ("mode_shares.csv", od_keys, shares),
+        ("prices.csv", od_keys,
+         np.column_stack([eta_d, eta_h, rho_d, rho_h, lam_s, lam_h, subsidized])),
+        ("drivers.csv", [str(n) for n in cs.node_ids],
+         np.column_stack([sol.driver.stock, sol.driver.E_H, lam])),
+    ]:
+        rows = read_csv(csv_dir / name)[1:]
+        assert [row[0] for row in rows] == keys, name
+        cells = [[float(v) for v in row[1:]] for row in rows]
+        np.testing.assert_array_equal(bits(cells), bits(expected), err_msg=name)
+
+    solution = json.loads((json_dir / "solution.json").read_text())
+    metrics_doc = json.loads((json_dir / "metrics.json").read_text())
+    for block in ("rho_direct", "rho_hub", "lambda", "eta_direct", "eta_hub"):
+        assert metrics_doc[block] == solution["prices"][block], block
+    for block in ("stocks", "signout"):
+        assert metrics_doc[block] == solution["flows"][block], block
+    shares_doc = [[metrics_doc["mode_share"][key][m] for m in MODES] for key in od_keys]
+    np.testing.assert_array_equal(bits(shares_doc), bits(shares))
+    assert [metrics_doc["subsidy"][key] for key in od_keys] == subsidized.tolist()
 
 
 class TestValidateCommand:
