@@ -429,6 +429,33 @@ def traveler_flows(sc: Scenario, prices: PriceSystem) -> TravelerFlows:
     return TravelerFlows(cs, q)
 
 
+def _driver_utility_row(
+    sc: Scenario, n: int, prices: PriceSystem
+) -> dict[tuple[int, int] | str, float]:
+    """Utilities of every driver option at node n: the driver pairs in
+    `sc.driver_pairs` order, then SIGN_OUT.
+
+    Written out from the scenario data, not taken from the compiled arrays,
+    so a replay through it audits them. Staying put costs no relocation time
+    (t_nn = 0).
+    """
+    if n not in sc.network.nodes:
+        raise UnknownNode(f"unknown node {n}")
+    dp = sc.driver_params
+    y = prices.y.tolist()
+    # rho is stored in driver column order, so a pair's first column is its market
+    market: dict[tuple[int, int], int] = {}
+    for column, pair in enumerate(compile_scenario(sc).column_pairs):
+        market.setdefault(pair, column)
+    row: dict[tuple[int, int] | str, float] = {}
+    for pair in sc.driver_pairs:
+        r, _ = pair
+        t_nr = 0.0 if n == r else sc.relocation_time(n, r)
+        row[pair] = dp.beta0_at(r) - dp.beta1 * t_nr + dp.beta3 * y[market[pair]]
+    row[SIGN_OUT] = dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n)
+    return row
+
+
 def driver_utilities(
     sc: Scenario,
     n: int,
@@ -437,21 +464,12 @@ def driver_utilities(
 ) -> float:
     """Deterministic utility of one driver option at node n.
 
-    `choice` is a driver OD pair (r, s') or SIGN_OUT. Staying put costs no
-    relocation time (t_nn = 0).
+    `choice` is a driver OD pair (r, s') or SIGN_OUT.
     """
-    if n not in set(sc.network.nodes):
-        raise UnknownNode(f"unknown node {n}")
-    dp = sc.driver_params
-    if choice == SIGN_OUT:
-        return dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n)
-    if not (isinstance(choice, tuple) and choice in set(sc.driver_pairs)):
+    row = _driver_utility_row(sc, n, prices)
+    if not isinstance(choice, (tuple, str)) or choice not in row:
         raise UnknownChoice(f"driver choice {choice!r} not in scenario {sc.name!r}")
-    r, _ = choice
-    t_nr = 0.0 if n == r else sc.relocation_time(n, r)
-    # rho is stored in driver column order, so a pair's first column is its market
-    rho = float(prices.y[compile_scenario(sc).column_pairs.index(choice)])
-    return dp.beta0_at(r) - dp.beta1 * t_nr + dp.beta3 * rho
+    return row[choice]
 
 
 def driver_flows_logit(
@@ -460,10 +478,9 @@ def driver_flows_logit(
     """Logit split of stock Q_n over all driver pairs plus sign-out."""
     if Q_n < 0:
         raise ValueError(f"stock Q_n must be >= 0, got {Q_n}")
-    choices: list[tuple[int, int] | str] = list(sc.driver_pairs) + [SIGN_OUT]
-    U = np.array([driver_utilities(sc, n, c, prices) for c in choices])
-    P, _ = _logit(U)
-    return {c: float(Q_n * P[i]) for i, c in enumerate(choices)}
+    row = _driver_utility_row(sc, n, prices)
+    P, _ = _logit(np.array(list(row.values())))
+    return {c: float(Q_n * p) for c, p in zip(row, P)}
 
 
 def driver_flows_dual(sc: Scenario, prices: PriceSystem) -> DriverFlows:

@@ -21,6 +21,8 @@ import numpy as np
 from . import __version__
 from .analytics import HubStudy, MetricsReport, SweepCell, hub_study, metrics, sweep_cell
 from .equilibrium import (
+    MAX_ITER,
+    TOL,
     EquilibriumSolution,
     NonPositiveFlow,
     NotConverged,
@@ -33,7 +35,7 @@ from .equilibrium import (
 from .netgraph import NetgraphError, parse_tntp
 from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 from .scenario import MODES, ScenarioError, builtin, load, validate
-from .scenario import DriverParams, TravelerParams, params_document
+from .scenario import DriverParams, TravelerParams, network_document, params_document
 from .choice import driver_flows_logit, traveler_utilities
 
 EXIT_OK = 0
@@ -67,11 +69,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict[str, Any]) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace, **resolved: Any) -> None:
+    """Create `out_dir` and write its run manifest. The config records every
+    parsed option, with the values the command resolved itself in their
+    place."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     _write_json(
         out_dir / "run_manifest.json",
-        {"tool": "modal-market", "version": __version__, "command": command,
-         "config": config},
+        {"tool": "modal-market", "version": __version__, "command": args.command,
+         "config": {**config, **resolved}},
     )
 
 
@@ -151,12 +158,7 @@ def _write_metrics_json(out_dir: Path, sc, doc: dict[str, Any], rep: MetricsRepo
 def cmd_solve(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = {
-        "scenario": args.scenario, "tol": args.tol, "max_iter": args.max_iter,
-        "format": args.format, "out": str(out_dir),
-    }
-    _write_manifest(out_dir, "solve", config)
+    _write_manifest(out_dir, args, out=str(out_dir))
 
     exit_code = EXIT_OK
     try:
@@ -199,7 +201,7 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
     """Max relative error of the standalone logit replays of the solution.
 
     Both replays take their utilities from the scenario data
-    (`traveler_utilities`, `driver_utilities`), not from the compiled
+    (`traveler_utilities`, `driver_flows_logit`), not from the compiled
     arrays the solver used.
     """
     traveler = [
@@ -231,8 +233,8 @@ def _audit(sc, args: argparse.Namespace, seed: int,
     checks.append(
         (
             "market_clearing",
-            sol.residual.inf_norm <= 1e-10,
-            f"residual {sol.residual.inf_norm:.3e} (tol 1e-10)",
+            sol.residual.inf_norm <= TOL,
+            f"residual {sol.residual.inf_norm:.3e} (tol {TOL:g})",
         )
     )
     traveler_err, driver_err = _replay_errors(sc, sol)
@@ -263,7 +265,7 @@ def _audit(sc, args: argparse.Namespace, seed: int,
         )
     )
     try:
-        gap = perturbation_probe(sc, sol, samples=100, seed=seed)
+        gap = perturbation_probe(sc, sol, seed=seed)
     except NonPositiveFlow as exc:
         checks.append(("convexity_probe", False, str(exc)))
         return EXIT_CHECK_FAILED
@@ -319,12 +321,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.out is not None and not violations:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out_dir, "validate", {
-            "scenario": args.scenario, "replay_tol": args.replay_tol,
-            "kkt_tol": args.kkt_tol, "uniqueness_starts": args.uniqueness_starts,
-            "seed": seed, "out": str(out_dir),
-        })
+        _write_manifest(out_dir, args, seed=seed, out=str(out_dir))
         _write_json(out_dir / "oracle_report.json", {
             "checks": {
                 name: {"passed": ok, "detail": detail}
@@ -352,10 +349,10 @@ def _sweep_one(payload: tuple) -> SweepCell:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    sc = _load_scenario(args.scenario)
     try:
-        sc = _load_scenario(args.scenario)
         values = [float(v) for v in args.values.split(",") if v]
-    except (ScenarioError, NetgraphError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not values:
@@ -370,12 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cells = [_sweep_one(p) for p in payloads]
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "sweep", {
-        "scenario": args.scenario, "param": args.param, "values": values,
-        "tol": args.tol, "max_iter": args.max_iter, "jobs": args.jobs,
-        "out": str(out_dir),
-    })
+    _write_manifest(out_dir, args, values=values, out=str(out_dir))
     name = args.param.split(".")[-1]
     _write_csv(
         out_dir / f"sweep_{name}.csv",
@@ -400,10 +392,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_hub_study(args: argparse.Namespace) -> int:
     study: HubStudy = hub_study(tol=args.tol, max_iter=args.max_iter)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "hub-study", {
-        "tol": args.tol, "max_iter": args.max_iter, "out": str(out_dir),
-    })
+    _write_manifest(out_dir, args, out=str(out_dir))
     totals_by_scenario = {t.scenario: t for t in study.totals}
     _write_csv(
         out_dir / "hub_study.csv",
@@ -439,29 +428,20 @@ def cmd_hub_study(args: argparse.Namespace) -> int:
 def cmd_import_tntp(args: argparse.Namespace) -> int:
     path = Path(args.net)
     if not path.is_file():
-        print(f"error: network file not found: {args.net}", file=sys.stderr)
-        return EXIT_INPUT
+        raise NetgraphError(f"network file not found: {args.net}")
     net = parse_tntp(path.read_bytes(), name=path.stem)
 
     skeleton = {
         "name": net.name,
-        "network": {
-            "nodes": list(net.nodes),
-            "links": [
-                {"from": l.frm, "to": l.to, "fftt": l.free_flow_time}
-                for l in net.links
-            ],
-        },
+        "network": network_document(net),
         "ods": [],
         "relocation_times": {"auto_shortest_path": True, "overrides": []},
         "signin": {str(n): 0.0 for n in net.nodes},
         **params_document(TravelerParams(), DriverParams()),
     }
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_manifest(out.parent, args)
     _write_json(out, skeleton)
-    _write_manifest(out.parent if out.parent != Path("") else Path("."),
-                    "import-tntp", {"net": args.net, "out": args.out})
     print(
         f"skeleton with {len(net.nodes)} nodes / {len(net.links)} links "
         f"written to {out}"
@@ -488,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_solver(p):
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iter", type=int, default=200)
+        p.add_argument("--tol", type=float, default=TOL)
+        p.add_argument("--max-iter", type=int, default=MAX_ITER)
 
     p_solve = sub.add_parser("solve", help="solve one scenario and write artifacts")
     add_scenario(p_solve)

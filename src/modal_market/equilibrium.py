@@ -356,7 +356,8 @@ def _compiled(sc: Scenario) -> CompiledScenario:
     return compile_scenario(sc)
 
 
-#: Defaults of `solve`; `uniqueness_probe` solves with them too.
+#: Defaults of `solve` and of the CLI's `--tol` and `--max-iter`;
+#: `uniqueness_probe` solves with them too.
 TOL = 1e-10
 MAX_ITER = 200
 

@@ -28,11 +28,12 @@ class ScenarioError(Exception):
 class SchemaViolation(ScenarioError):
     """A scenario document does not conform to the JSON schema.
 
-    `pointer` holds a JSON-pointer-style path to the offending element.
+    `pointer` holds a JSON-pointer-style path to the offending element; it
+    is empty for the document root, whose messages carry no prefix.
     """
 
     def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
 
 
@@ -292,13 +293,9 @@ def _relocation_from_network(
     return dict(sorted(out.items()))
 
 
-def _build_5node(**overrides: float) -> Scenario:
-    cfg = dict(FIVE_NODE_DEFAULTS)
-    bad = set(overrides) - set(cfg)
-    if bad:
-        raise ValueError(f"unknown 5-node parameters: {sorted(bad)}")
-    cfg.update(overrides)
-
+def builtin_5node() -> Scenario:
+    """The symmetric 5-node system: two OD pairs, two hubs, one bystander node."""
+    cfg = FIVE_NODE_DEFAULTS
     net = Network.from_links(
         [
             (1, 2, cfg["main_drive_time"]),
@@ -342,11 +339,6 @@ def _build_5node(**overrides: float) -> Scenario:
         traveler_params=TravelerParams(),
         driver_params=DriverParams(),
     )
-
-
-def builtin_5node() -> Scenario:
-    """The symmetric 5-node system: two OD pairs, two hubs, one bystander node."""
-    return _build_5node()
 
 
 _SIOUX_DEMANDS = {
@@ -641,6 +633,14 @@ def params_document(tp: TravelerParams, dp: DriverParams) -> dict[str, Any]:
     }
 
 
+def network_document(net: Network) -> dict[str, Any]:
+    """The `nodes` and `links` of a scenario document's `network` block."""
+    return {
+        "nodes": list(net.nodes),
+        "links": [{"from": l.frm, "to": l.to, "fftt": l.free_flow_time} for l in net.links],
+    }
+
+
 def to_document(sc: Scenario) -> dict:
     """Canonical JSON document for a Scenario (load(to_document(sc)) == sc).
 
@@ -649,14 +649,7 @@ def to_document(sc: Scenario) -> dict:
     """
     doc: dict[str, Any] = {
         "name": sc.name,
-        "network": {
-            "name": sc.network.name,
-            "nodes": list(sc.network.nodes),
-            "links": [
-                {"from": l.frm, "to": l.to, "fftt": l.free_flow_time}
-                for l in sc.network.links
-            ],
-        },
+        "network": {"name": sc.network.name, **network_document(sc.network)},
         "ods": [
             {fname: getattr(od, fname) for fname, _ in _OD_FIELDS}
             for od in sc.ods

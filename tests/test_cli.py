@@ -1,4 +1,5 @@
 """Exit codes, artifact layout, and byte-determinism of the CLI."""
+import argparse
 import csv
 import json
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from modal_market.choice import compile_scenario
-from modal_market.cli import main
+from modal_market import __version__
+from modal_market.cli import build_parser, main
 from modal_market.equilibrium import solve
 from modal_market.oracle import random_scenario
 from modal_market.scenario import MODES, builtin, builtin_5node, load, save, to_document
@@ -35,12 +37,15 @@ SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
      "error: --uniqueness-starts must be >= 2\n"),
     (["solve", "--scenario", "adir"], "error: scenario file not found: adir\n"),
     (["solve", "--scenario", "latin1.json"],
-     "error: : invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 13: "
+     "error: invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 13: "
      "invalid continuation byte\n"),
     (["import-tntp", "--net", "adir", "--out", "out/s.json"],
      "error: network file not found: adir\n"),
     (["import-tntp", "--net", "latin1.tntp", "--out", "out/s.json"],
      "error: TNTP file is not UTF-8 text: invalid continuation byte at byte 5\n"),
+    (["solve", "--scenario", "truncated.json"],
+     "error: invalid JSON: Expecting ',' delimiter: line 1 column 13 (char 12)\n"),
+    (["solve", "--scenario", "array.json"], "error: expected an object\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
     # every command reports a bad input file as `error: ...` on stderr, exit 2
@@ -52,6 +57,8 @@ def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatc
     (tmp_path / "bad.tntp").write_text("<END OF METADATA>\n")
     (tmp_path / "latin1.tntp").write_bytes("~ café\n".encode("latin-1"))
     (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
+    (tmp_path / "truncated.json").write_text('{"name": "x"')
+    (tmp_path / "array.json").write_text("[]")
     (tmp_path / "adir").mkdir()
     assert main(argv) == 2
     assert capsys.readouterr().err == stderr
@@ -78,13 +85,32 @@ class TestSolveCommand:
         assert set(doc["flows"]) == {"traveler", "driver", "signout", "stocks"}
         assert doc["flows"]["traveler"]["1-2"]["ride"] > 0
 
-    def test_manifest_records_config_and_version(self, tmp_path):
-        main(["solve", "--scenario", "builtin:5node", "--out", str(tmp_path)])
-        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["tool"] == "modal-market"
-        assert manifest["command"] == "solve"
-        assert manifest["config"]["scenario"] == "builtin:5node"
-        assert "version" in manifest
+    def test_manifest_records_config_and_version(self, tmp_path, monkeypatch):
+        # every command's config holds exactly its subparser's parsed options
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.tntp").write_text(resources_text())
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for argv in (
+            ["solve", "--scenario", "builtin:5node", "--out", "solve"],
+            ["validate", "--scenario", "builtin:5node", "--out", "validate"],
+            ["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta2",
+             "--values", "0.5,2", "--out", "sweep"],
+            ["hub-study", "--out", "hub-study"],
+            ["import-tntp", "--net", "net.tntp", "--out", "import-tntp/skeleton.json"],
+        ):
+            assert main(argv) == 0
+            manifest = json.loads((tmp_path / argv[0] / "run_manifest.json").read_text())
+            assert manifest["tool"] == "modal-market"
+            assert manifest["version"] == __version__
+            assert manifest["command"] == argv[0]
+            dests = {
+                a.dest for a in subparsers.choices[argv[0]]._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            assert set(manifest["config"]) == dests
+            assert manifest["config"][argv[1].lstrip("-").replace("-", "_")] == argv[2]
 
     def test_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
