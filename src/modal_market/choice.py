@@ -5,12 +5,21 @@ multinomial logit on deterministic utilities; drivers at every node split
 their stock over all service pairs plus sign-out the same way. Two driver
 evaluations exist on purpose:
 
-* `driver_flows_logit` is the plain logit at a given stock, used to replay
+* `driver_flows_logit` is the plain logit at given stocks, used to replay
   and audit solutions;
 * `driver_flows_dual` is the unnormalized exponential family indexed by the
   dual prices (service price rho plus the locational value lambda scaled by
   the driver price sensitivity), whose per-choice shares coincide with the
   logit. The equilibrium solver iterates on this form.
+
+The replay has the array shape of the results: `traveler_utilities` gives
+the (m, 3) utilities, `driver_utilities` the (n, 2m + 1) utilities of the
+driver columns in compiled order then sign-out, and `driver_flows_logit`
+the (n, 2m + 1) flows from one logit over them. Both utility tables are
+written out from the scenario data (the OD fields, the relocation table
+read once into an n x n_origins array, `beta0_at`, `signout_bonus_at`),
+never from the compiled utilities, so a replay through them audits the
+arrays the solver used.
 
 Results are stored once, as arrays in compiled order: `PriceSystem` holds
 the dual vector y, `TravelerFlows` the (m, 3) flow matrix, `DriverFlows`
@@ -33,8 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .netgraph import UnknownNode
-from .scenario import MODES, SIGN_OUT, Scenario
+from .scenario import MODES, Scenario
 
 #: Largest raw exponent materialized by the dual flow form (natural log units).
 EXP_BOUND = 700.0
@@ -42,14 +50,6 @@ EXP_BOUND = 700.0
 
 class ChoiceError(Exception):
     """Base class for choice-model errors."""
-
-
-class UnknownOD(ChoiceError):
-    """OD pair not present in the scenario."""
-
-
-class UnknownChoice(ChoiceError):
-    """Driver choice is neither a driver OD pair nor sign-out."""
 
 
 class OverflowGuard(ChoiceError):
@@ -133,6 +133,32 @@ class CompiledScenario:
         return dict(zip(self.node_ids, values.tolist()))
 
 
+def _od_fields(sc: Scenario, *names: str) -> list[np.ndarray]:
+    """(m,) array of each named OD field, in od order."""
+    return [np.array([getattr(od, name) for od in sc.ods], dtype=float) for name in names]
+
+
+def _origin_tables(
+    sc: Scenario, node_ids: tuple[int, ...], column_pairs: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, beta0, cols): the (n_nodes, n_origins) relocation minutes from
+    each node to each origin, read once from the scenario (none to the node
+    itself), each origin's attractiveness, and each driver column's origin
+    index. Every column's driver pair starts at its od's origin, so
+    relocation times are needed only towards the distinct origins."""
+    dp = sc.driver_params
+    origin_index = {r: k for k, r in enumerate(sc.origins)}
+    T = np.array(
+        [
+            [0.0 if n == r else sc.relocation_time(n, r) for r in sc.origins]
+            for n in node_ids
+        ]
+    ).reshape(len(node_ids), len(sc.origins))
+    beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
+    cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
+    return T, beta0, cols
+
+
 def _compile(sc: Scenario) -> CompiledScenario:
     tp = sc.traveler_params
     dp = sc.driver_params
@@ -140,46 +166,21 @@ def _compile(sc: Scenario) -> CompiledScenario:
     node_index = {n: i for i, n in enumerate(node_ids)}
     m = len(sc.ods)
 
-    d = np.array([od.demand for od in sc.ods], dtype=float)
     s_idx = np.array([node_index[od.s] for od in sc.ods], dtype=int)
     h_idx = np.array([node_index[od.hub] for od in sc.ods], dtype=int)
-
-    u_drive = np.array(
-        [
-            tp.beta0_drive
-            - tp.beta1_drive * (od.drive_time + od.parking_time)
-            - tp.beta2 * (od.drive_cost + od.parking_cost)
-            for od in sc.ods
-        ]
+    d, dt, pt, dc, pc, at, tt, tw, fare = _od_fields(
+        sc, "demand", "drive_time", "parking_time", "drive_cost", "parking_cost",
+        "hub_access_time", "transit_time", "transit_wait", "transit_fare",
     )
-    u_ride = np.array(
-        [tp.beta0_ride - tp.beta1_ride * od.drive_time for od in sc.ods]
-    )
-    u_multi = np.array(
-        [
-            tp.beta0_multi
-            - tp.beta1_multi * (od.hub_access_time + od.transit_time)
-            - tp.beta1_wait * od.transit_wait
-            - tp.beta2 * od.transit_fare
-            for od in sc.ods
-        ]
-    )
+    u_drive = tp.beta0_drive - tp.beta1_drive * (dt + pt) - tp.beta2 * (dc + pc)
+    u_ride = tp.beta0_ride - tp.beta1_ride * dt
+    u_multi = tp.beta0_multi - tp.beta1_multi * (at + tt) - tp.beta1_wait * tw - tp.beta2 * fare
 
     n_nodes = len(node_ids)
     column_pairs = tuple(
         [(od.r, od.s) for od in sc.ods] + [(od.r, od.hub) for od in sc.ods]
     )
-    # every column's driver pair starts at its od's origin, so relocation
-    # times are needed only towards the distinct origins
-    origin_index = {r: k for k, r in enumerate(sc.origins)}
-    T = np.array(
-        [
-            [0.0 if n == r else sc.relocation_time(n, r) for r in sc.origins]
-            for n in node_ids
-        ]
-    ).reshape(n_nodes, len(sc.origins))
-    beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
-    cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
+    T, beta0, cols = _origin_tables(sc, node_ids, column_pairs)
     reloc = T[:, cols]
     A = beta0[cols] - dp.beta1 * reloc
     a_H = np.array(
@@ -391,35 +392,28 @@ def driver_flow_matrix(
 
 
 # ---------------------------------------------------------------------------
-# public per-OD / per-node operations
+# public operations
 
 
-def traveler_utilities(
-    sc: Scenario, od: tuple[int, int], prices: PriceSystem
-) -> tuple[float, float, float]:
-    """(U_drive, U_ride, U_multi) for one OD at the given prices.
+def traveler_utilities(sc: Scenario, prices: PriceSystem) -> np.ndarray:
+    """(m, 3) utilities of drive, ride and multimodal per OD at the given
+    prices.
 
-    Written out from the OD's data and the traveler parameters, not taken
+    Written out from the OD data and the traveler parameters, not taken
     from the compiled arrays, so a replay through it audits them.
     """
-    if od not in set(sc.rs_pairs):
-        raise UnknownOD(f"OD {od} not in scenario {sc.name!r}")
-    spec, tp = sc.od(*od), sc.traveler_params
-    u_drive = (
-        tp.beta0_drive
-        - tp.beta1_drive * (spec.drive_time + spec.parking_time)
-        - tp.beta2 * (spec.drive_cost + spec.parking_cost)
+    tp = sc.traveler_params
+    dt, pt, dc, pc, at, tt, tw, fare = _od_fields(
+        sc, "drive_time", "parking_time", "drive_cost", "parking_cost",
+        "hub_access_time", "transit_time", "transit_wait", "transit_fare",
     )
-    u_ride = (
-        tp.beta0_ride - tp.beta1_ride * spec.drive_time - tp.beta2 * prices.eta_direct[od]
-    )
-    u_multi = (
-        tp.beta0_multi
-        - tp.beta1_multi * (spec.hub_access_time + spec.transit_time)
-        - tp.beta1_wait * spec.transit_wait
-        - tp.beta2 * (spec.transit_fare + prices.eta_hub[od])
-    )
-    return u_drive, u_ride, u_multi
+    eta_direct, eta_hub = compile_scenario(sc).eta(prices.y)
+    return np.column_stack([
+        tp.beta0_drive - tp.beta1_drive * (dt + pt) - tp.beta2 * (dc + pc),
+        tp.beta0_ride - tp.beta1_ride * dt - tp.beta2 * eta_direct,
+        tp.beta0_multi - tp.beta1_multi * (at + tt) - tp.beta1_wait * tw
+        - tp.beta2 * (fare + eta_hub),
+    ])
 
 
 def traveler_flows(sc: Scenario, prices: PriceSystem) -> TravelerFlows:
@@ -429,58 +423,30 @@ def traveler_flows(sc: Scenario, prices: PriceSystem) -> TravelerFlows:
     return TravelerFlows(cs, q)
 
 
-def _driver_utility_row(
-    sc: Scenario, n: int, prices: PriceSystem
-) -> dict[tuple[int, int] | str, float]:
-    """Utilities of every driver option at node n: the driver pairs in
-    `sc.driver_pairs` order, then SIGN_OUT.
+def driver_utilities(sc: Scenario, prices: PriceSystem) -> np.ndarray:
+    """(n, 2m + 1) utilities of every driver option at every node: the
+    driver columns in compiled order, then sign-out.
 
     Written out from the scenario data, not taken from the compiled arrays,
-    so a replay through it audits them. Staying put costs no relocation time
-    (t_nn = 0).
+    so a replay through it audits them.
     """
-    if n not in sc.network.nodes:
-        raise UnknownNode(f"unknown node {n}")
+    cs = compile_scenario(sc)
     dp = sc.driver_params
-    y = prices.y.tolist()
-    # rho is stored in driver column order, so a pair's first column is its market
-    market: dict[tuple[int, int], int] = {}
-    for column, pair in enumerate(compile_scenario(sc).column_pairs):
-        market.setdefault(pair, column)
-    row: dict[tuple[int, int] | str, float] = {}
-    for pair in sc.driver_pairs:
-        r, _ = pair
-        t_nr = 0.0 if n == r else sc.relocation_time(n, r)
-        row[pair] = dp.beta0_at(r) - dp.beta1 * t_nr + dp.beta3 * y[market[pair]]
-    row[SIGN_OUT] = dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n)
-    return row
+    T, beta0, cols = _origin_tables(sc, cs.node_ids, cs.column_pairs)
+    U = np.empty((cs.n_nodes, 2 * cs.m + 1))
+    U[:, :-1] = beta0[cols] - dp.beta1 * T[:, cols] + dp.beta3 * cs.rho_lam(prices.y)[0]
+    U[:, -1] = [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in cs.node_ids]
+    return U
 
 
-def driver_utilities(
-    sc: Scenario,
-    n: int,
-    choice: tuple[int, int] | str,
-    prices: PriceSystem,
-) -> float:
-    """Deterministic utility of one driver option at node n.
-
-    `choice` is a driver OD pair (r, s') or SIGN_OUT.
-    """
-    row = _driver_utility_row(sc, n, prices)
-    if not isinstance(choice, (tuple, str)) or choice not in row:
-        raise UnknownChoice(f"driver choice {choice!r} not in scenario {sc.name!r}")
-    return row[choice]
-
-
-def driver_flows_logit(
-    sc: Scenario, n: int, Q_n: float, prices: PriceSystem
-) -> dict[tuple[int, int] | str, float]:
-    """Logit split of stock Q_n over all driver pairs plus sign-out."""
-    if Q_n < 0:
-        raise ValueError(f"stock Q_n must be >= 0, got {Q_n}")
-    row = _driver_utility_row(sc, n, prices)
-    P, _ = _logit(np.array(list(row.values())))
-    return {c: float(Q_n * p) for c, p in zip(row, P)}
+def driver_flows_logit(sc: Scenario, stock: np.ndarray, prices: PriceSystem) -> np.ndarray:
+    """(n, 2m + 1) logit split of each node's stock over the driver columns,
+    in compiled order, then sign-out."""
+    stock = np.asarray(stock, dtype=float)
+    if (stock < 0).any():
+        raise ValueError(f"driver stocks must be >= 0, got {stock.min()}")
+    P, _ = _logit(driver_utilities(sc, prices))
+    return stock[:, None] * P
 
 
 def driver_flows_dual(sc: Scenario, prices: PriceSystem) -> DriverFlows:

@@ -1,9 +1,11 @@
 """Command-line entry point: solve, validate, sweep, hub-study, import-tntp.
 
 Exit codes: 0 success, 1 failed verification checks, 2 bad input (missing
-files, schema or validation errors), 3 solver non-convergence. Artifacts are
-deterministic: the same inputs and seed produce byte-identical files, so no
-timestamps or wall times are ever written to disk.
+files, schema or validation errors, unusable option values, unwritable
+output paths), 3 solver non-convergence. Input errors are reported by
+`main` alone, as one `error: ...` line. Artifacts are deterministic: the
+same inputs and seed produce byte-identical files, so no timestamps or wall
+times are ever written to disk.
 """
 from __future__ import annotations
 
@@ -36,12 +38,16 @@ from .netgraph import NetgraphError, parse_tntp
 from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 from .scenario import MODES, ScenarioError, builtin, load, validate
 from .scenario import DriverParams, TravelerParams, network_document, params_document
-from .choice import driver_flows_logit, traveler_utilities
+from .choice import _logit, driver_flows_logit, traveler_utilities
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
+
+
+class InputError(Exception):
+    """An option value the command cannot use."""
 
 
 def _load_scenario(ref: str):
@@ -191,12 +197,6 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / scale).max())
 
 
-def _logit_split(total: float, utilities: tuple[float, ...]) -> np.ndarray:
-    """`total` split over the options by a plain max-shifted logit."""
-    e = np.exp(np.subtract(utilities, max(utilities)))
-    return total * (e / e.sum())
-
-
 def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
     """Max relative error of the standalone logit replays of the solution.
 
@@ -204,18 +204,13 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
     (`traveler_utilities`, `driver_flows_logit`), not from the compiled
     arrays the solver used.
     """
-    traveler = [
-        _logit_split(od.demand, traveler_utilities(sc, (od.r, od.s), sol.prices))
-        for od in sc.ods
-    ]
-    traveler_err = _rel_err(np.array(traveler), sol.traveler.matrix)
-    driver_err = 0.0
-    for k, n in enumerate(sc.network.nodes):
-        # the replay lists the driver pairs in column order, then sign-out
-        replay = driver_flows_logit(sc, n, float(sol.driver.stock[k]), sol.prices)
-        stored = np.append(sol.driver.E[k], sol.driver.E_H[k])
-        driver_err = max(driver_err, _rel_err(np.fromiter(replay.values(), float), stored))
-    return traveler_err, driver_err
+    P, _ = _logit(traveler_utilities(sc, sol.prices))
+    traveler = np.array([od.demand for od in sc.ods])[:, None] * P
+    driver = driver_flows_logit(sc, sol.driver.stock, sol.prices)
+    return (
+        _rel_err(traveler, sol.traveler.matrix),
+        _rel_err(driver, np.column_stack([sol.driver.E, sol.driver.E_H])),
+    )
 
 
 def _audit(sc, args: argparse.Namespace, seed: int,
@@ -300,8 +295,7 @@ def _audit(sc, args: argparse.Namespace, seed: int,
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.uniqueness_starts < 2:
-        print("error: --uniqueness-starts must be >= 2", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--uniqueness-starts must be >= 2")
     sc = _load_scenario(args.scenario)
     seed = args.seed
     if seed is None:
@@ -353,11 +347,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(exc) from None
     if not values:
-        print("error: --values is empty", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--values is empty")
 
     payloads = [(sc, args.param, v, args.tol, args.max_iter) for v in values]
     if args.jobs > 1:
@@ -516,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, NetgraphError, ValidationFailed) as exc:
+    except (ScenarioError, NetgraphError, ValidationFailed, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotConverged as exc:

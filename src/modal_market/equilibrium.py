@@ -22,9 +22,8 @@ diagonal with one 2x2 block per OD. A Newton step eliminates those blocks
 in closed form and solves an n_nodes x n_nodes Schur complement for lambda
 (block elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4):
 O(m n^2 + n^3) work per step for m ODs and n nodes, against O((2m + n)^3)
-for a dense LU. The dense analytic and finite-difference Jacobians remain
-as references for tests. Prices follow from the duals by the additive
-decomposition eta = rho + lambda(drop-off).
+for a dense LU. Prices follow from the duals by the additive decomposition
+eta = rho + lambda(drop-off).
 
 A solution is stored once, as arrays: the dual vector in its `PriceSystem`,
 the flows at it in `TravelerFlows` and `DriverFlows`, the clearing gaps in
@@ -169,39 +168,6 @@ def _residual_of_flows(
     return np.concatenate([E.sum(axis=-2) - served, Q - arrivals - cs.dQ], axis=-1)
 
 
-def _jacobian_analytic(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
-    """Closed-form dense Jacobian of the residual map; symmetric positive
-    definite. The solver never builds it; tests check the structured Newton
-    step against it."""
-    q, P, _, E, _, Q = _flows_at(cs, y)
-    m, dim = cs.m, cs.dim
-    b2, b3 = cs.beta2, cs.beta3
-
-    J = np.zeros((dim, dim))
-    # driver side: flows scale exponentially in their own price and in the
-    # lambda of the node they depart from
-    D = E.sum(axis=0)
-    J[np.arange(2 * m), np.arange(2 * m)] += b3 * D
-    J[: 2 * m, 2 * m :] += b3 * E.T
-    J[2 * m :, : 2 * m] += b3 * E
-    J[2 * m + np.arange(cs.n_nodes), 2 * m + np.arange(cs.n_nodes)] += b3 * Q
-
-    # traveler side: each OD couples its two prices and the lambdas of its
-    # destination and hub through the logit sensitivity matrix
-    for i in range(m):
-        M = cs.d[i] * (np.diag(P[i]) - np.outer(P[i], P[i]))
-        coords = (
-            (i, 1),                        # rho_direct enters U_ride
-            (m + i, 2),                    # rho_hub enters U_multi
-            (2 * m + cs.s_idx[i], 1),      # lambda_s enters U_ride
-            (2 * m + cs.h_idx[i], 2),      # lambda_h enters U_multi
-        )
-        for x, ix in coords:
-            for yy, jy in coords:
-                J[x, yy] += b2 * M[ix, jy]
-    return J
-
-
 def _newton_step(
     cs: CompiledScenario, P: np.ndarray, E: np.ndarray, Q: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
@@ -265,18 +231,6 @@ def _newton_step(
                     pass
         drho = -W[..., n:] - W[..., :n] @ dlam
     return np.concatenate([drho, dlam], axis=-2)
-
-
-def _jacobian_fd(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian, step 1e-7 * max(1, |y_i|) per coordinate."""
-    r0 = _residual_vector(cs, y)
-    J = np.empty((cs.dim, cs.dim))
-    for j in range(cs.dim):
-        h = 1e-7 * max(1.0, abs(y[j]))
-        yj = y.copy()
-        yj[j] += h
-        J[:, j] = (_residual_vector(cs, yj) - r0) / h
-    return J
 
 
 def _dual_vector(cs: CompiledScenario, y: np.ndarray, name: str = "dual vector") -> np.ndarray:

@@ -18,7 +18,6 @@ from typing import Any, Mapping
 from .netgraph import INF, Network, parse_tntp, time_matrix
 
 MODES = ("drive", "ride", "multi")
-SIGN_OUT = "sign_out"
 
 
 class ScenarioError(Exception):

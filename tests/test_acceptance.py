@@ -20,7 +20,6 @@ from modal_market.oracle import (
 )
 from modal_market.scenario import (
     MODES,
-    SIGN_OUT,
     builtin_5node,
     builtin_sioux,
     sioux_network,
@@ -53,20 +52,21 @@ def corpus_solutions(corpus):
 
 def replay_errors(sc, sol):
     traveler_err = 0.0
-    for od in sc.ods:
+    utilities = traveler_utilities(sc, sol.prices)
+    for i, od in enumerate(sc.ods):
         rs = (od.r, od.s)
-        U = traveler_utilities(sc, rs, sol.prices)
+        U = utilities[i]
         e = np.exp(np.subtract(U, max(U)))
         for k, mode in enumerate(MODES):
             a, b = od.demand * (e[k] / e.sum()), sol.traveler.q[rs][mode]
             traveler_err = max(traveler_err, abs(a - b) / max(abs(a), abs(b), 1e-300))
     driver_err = 0.0
-    for n in sc.network.nodes:
-        logit = driver_flows_logit(sc, n, sol.driver.Q[n], sol.prices)
-        for pair in sc.driver_pairs:
-            a, b = logit[pair], sol.driver.q[n][pair]
+    logit = driver_flows_logit(sc, [sol.driver.Q[n] for n in sc.network.nodes], sol.prices)
+    for k, n in enumerate(sc.network.nodes):
+        for c, pair in enumerate(sc.driver_pairs):
+            a, b = logit[k, c], sol.driver.q[n][pair]
             driver_err = max(driver_err, abs(a - b) / max(abs(a), abs(b), 1e-300))
-        a, b = logit[SIGN_OUT], sol.driver.q_H[n]
+        a, b = logit[k, -1], sol.driver.q_H[n]
         driver_err = max(driver_err, abs(a - b) / max(abs(a), abs(b), 1e-300))
     return traveler_err, driver_err
 

@@ -10,8 +10,6 @@ from modal_market.choice import (
     EXP_BOUND,
     OverflowGuard,
     PriceSystem,
-    UnknownChoice,
-    UnknownOD,
     compile_scenario,
     driver_flows_dual,
     driver_flows_logit,
@@ -22,7 +20,6 @@ from modal_market.choice import (
 )
 from modal_market.scenario import (
     MODES,
-    SIGN_OUT,
     DriverParams,
     Network,
     ODSpec,
@@ -67,28 +64,43 @@ def prices_with(sc, eta_direct=0.0, eta_hub=0.0):
     )
 
 
+def traveler_utility_row(sc, od, prices):
+    """(U_drive, U_ride, U_multi) of one OD, from the (m, 3) table."""
+    return tuple(traveler_utilities(sc, prices)[sc.rs_pairs.index(od)])
+
+
+def driver_utility(sc, n, pair, prices):
+    """Utility of driving pair at node n, from the (n, 2m + 1) table."""
+    cs = compile_scenario(sc)
+    return driver_utilities(sc, prices)[cs.node_ids.index(n), cs.column_pairs.index(pair)]
+
+
+def driver_flows_at(sc, n, Q_n, prices):
+    """Logit flows of node n's row when every node holds stock Q_n."""
+    cs = compile_scenario(sc)
+    return driver_flows_logit(sc, np.full(cs.n_nodes, Q_n), prices)[cs.node_ids.index(n)]
+
+
 class TestTravelerUtilities:
     def test_zero_case_returns_intercepts(self):
         sc = zero_everything_scenario()
-        u = traveler_utilities(sc, (1, 2), prices_with(sc))
+        u = traveler_utility_row(sc, (1, 2), prices_with(sc))
         assert u == (4.0, 2.0, 1.0)
 
     def test_5node_ride_utility_arithmetic(self, five_node):
         # beta0_ride - beta1_ride * drive_time - beta2 * eta at eta = 10
         od = five_node.od(1, 2)
-        _, u2, _ = traveler_utilities(five_node, (1, 2), prices_with(five_node, eta_direct=10.0))
+        _, u2, _ = traveler_utility_row(five_node, (1, 2), prices_with(five_node, eta_direct=10.0))
         expected = 2.0 - 0.2 * od.drive_time - 1.0 * 10.0
         assert u2 == pytest.approx(expected, abs=1e-12)
 
     def test_price_linearity(self, five_node):
         beta2 = five_node.traveler_params.beta2
-        _, u2_a, _ = traveler_utilities(five_node, (1, 2), prices_with(five_node, eta_direct=3.0))
-        _, u2_b, _ = traveler_utilities(five_node, (1, 2), prices_with(five_node, eta_direct=3.0 + 2.5))
+        _, u2_a, _ = traveler_utility_row(five_node, (1, 2), prices_with(five_node, eta_direct=3.0))
+        _, u2_b, _ = traveler_utility_row(
+            five_node, (1, 2), prices_with(five_node, eta_direct=3.0 + 2.5)
+        )
         assert u2_a - u2_b == pytest.approx(beta2 * 2.5, abs=1e-12)
-
-    def test_unknown_od(self, five_node):
-        with pytest.raises(UnknownOD):
-            traveler_utilities(five_node, (1, 5), prices_with(five_node))
 
     def test_compiled_utilities_match_traveler_utilities(self, solved_corpus):
         # traveler_utilities is written out from the scenario data and sums
@@ -96,9 +108,8 @@ class TestTravelerUtilities:
         for sc, sol in solved_corpus.values():
             cs = compile_scenario(sc)
             U = traveler_utility_matrix(cs, *cs.eta(sol.y))
-            for i, rs in enumerate(sc.rs_pairs):
-                replay = traveler_utilities(sc, rs, sol.prices)
-                np.testing.assert_allclose(U[i], replay, rtol=1e-13, atol=1e-12, err_msg=sc.name)
+            replay = traveler_utilities(sc, sol.prices)
+            np.testing.assert_allclose(U, replay, rtol=1e-13, atol=1e-12, err_msg=sc.name)
 
 
 class TestTravelerFlows:
@@ -165,10 +176,11 @@ class TestTravelerFlows:
 class TestDriverUtilities:
     def test_stay_put_zero_price_zero_attractiveness(self):
         sc = zero_everything_scenario()
-        assert driver_utilities(sc, 1, (1, 2), prices_with(sc)) == 0.0
+        assert driver_utility(sc, 1, (1, 2), prices_with(sc)) == 0.0
 
     def test_sign_out_is_builtin_attractiveness(self, five_node):
-        assert driver_utilities(five_node, 3, SIGN_OUT, prices_with(five_node)) == 2.0
+        signout = driver_utilities(five_node, prices_with(five_node))[:, -1]
+        assert signout[five_node.network.nodes.index(3)] == 2.0
 
     def test_bystander_relocation_arithmetic(self, five_node):
         # from node 5 toward origin 1 at rho = 12: -0.3*15 + 1.0*12
@@ -178,29 +190,17 @@ class TestDriverUtilities:
             {rs: 0.0 for rs in five_node.rs_pairs},
             {n: 0.0 for n in five_node.network.nodes},
         )
-        u = driver_utilities(five_node, 5, (1, 2), prices)
+        u = driver_utility(five_node, 5, (1, 2), prices)
         assert u == pytest.approx(0.0 - 0.3 * 15.0 + 1.0 * 12.0, abs=1e-12)
         assert u == pytest.approx(7.5, abs=1e-12)
 
     def test_compiled_exponents_match_driver_utilities(self, sioux_scenarios):
-        # the compiled exponent matrix is built from per-origin arrays; each
-        # entry must still be the option's utility at zero prices, bit for bit
+        # each entry of the compiled exponent matrix is the option's utility
+        # at zero prices, bit for bit
         for sc in (sioux_scenarios[3], random_scenario(0), random_scenario(7)):
             cs = compile_scenario(sc)
-            zero = PriceSystem.zero(sc)
-            for i, n in enumerate(cs.node_ids):
-                for c, pair in enumerate(cs.column_pairs):
-                    assert cs.A[i, c] == driver_utilities(sc, n, pair, zero), (sc.name, n, pair)
-
-    def test_unknown_choice(self, five_node):
-        with pytest.raises(UnknownChoice):
-            driver_utilities(five_node, 1, (3, 1), prices_with(five_node))
-
-    def test_unknown_node(self, five_node):
-        from modal_market.netgraph import UnknownNode
-
-        with pytest.raises(UnknownNode):
-            driver_utilities(five_node, 99, (1, 2), prices_with(five_node))
+            U = driver_utilities(sc, PriceSystem.zero(sc))
+            assert np.array_equal(cs.A, U[:, :-1]), sc.name
 
 
 class TestDriverFlowsLogit:
@@ -208,9 +208,9 @@ class TestDriverFlowsLogit:
         sc = zero_everything_scenario()
         sc = dataclasses.replace(sc, driver_params=DriverParams(beta0_H=0.0, beta1=0.0))
         # choices: (1,2), (1,3), sign-out -> all utilities 0 at zero prices
-        flows = driver_flows_logit(sc, 1, 20.0, prices_with(sc))
+        flows = driver_flows_at(sc, 1, 20.0, prices_with(sc))
         assert len(flows) == 3
-        for v in flows.values():
+        for v in flows:
             assert v == pytest.approx(20.0 / 3.0, rel=1e-14)
 
     def test_five_equal_choices_split_four_each(self, five_node):
@@ -220,18 +220,19 @@ class TestDriverFlowsLogit:
             relocation_times={k: 0.0 for k in five_node.relocation_times},
             driver_params=DriverParams(beta0_H=0.0, beta1=0.3, beta3=1.0),
         )
-        flows = driver_flows_logit(flat, 3, 20.0, prices_with(flat))
+        flows = driver_flows_at(flat, 3, 20.0, prices_with(flat))
         assert len(flows) == 5
-        for v in flows.values():
+        for v in flows:
             assert v == pytest.approx(4.0, rel=1e-14)
 
     def test_zero_stock_zero_flows(self, five_node):
-        flows = driver_flows_logit(five_node, 1, 0.0, prices_with(five_node))
-        assert all(v == 0.0 for v in flows.values())
+        flows = driver_flows_at(five_node, 1, 0.0, prices_with(five_node))
+        assert all(v == 0.0 for v in flows)
 
     def test_negative_stock_rejected(self, five_node):
+        stock = np.array([20.0, -1.0, 20.0, 20.0, 20.0])
         with pytest.raises(ValueError):
-            driver_flows_logit(five_node, 1, -1.0, prices_with(five_node))
+            driver_flows_logit(five_node, stock, prices_with(five_node))
 
     def test_shares_match_dual_flows(self, five_node):
         prices = PriceSystem.build(
@@ -241,11 +242,11 @@ class TestDriverFlowsLogit:
             {n: 0.3 * n for n in five_node.network.nodes},
         )
         dual = driver_flows_dual(five_node, prices)
-        for n in five_node.network.nodes:
-            logit = driver_flows_logit(five_node, n, dual.Q[n], prices)
-            for pair in five_node.driver_pairs:
-                assert logit[pair] == pytest.approx(dual.q[n][pair], rel=1e-12)
-            assert logit[SIGN_OUT] == pytest.approx(dual.q_H[n], rel=1e-12)
+        logit = driver_flows_logit(five_node, dual.stock, prices)
+        for k, n in enumerate(five_node.network.nodes):
+            for c, pair in enumerate(five_node.driver_pairs):
+                assert logit[k, c] == pytest.approx(dual.q[n][pair], rel=1e-12)
+            assert logit[k, -1] == pytest.approx(dual.q_H[n], rel=1e-12)
 
 
 class TestDriverFlowsDual:

@@ -46,9 +46,18 @@ SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
     (["solve", "--scenario", "truncated.json"],
      "error: invalid JSON: Expecting ',' delimiter: line 1 column 13 (char 12)\n"),
     (["solve", "--scenario", "array.json"], "error: expected an object\n"),
+    (["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta2",
+      "--values", "", "--out", "out"], "error: --values is empty\n"),
+    (["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta2",
+      "--values", "1,x", "--out", "out"], "error: could not convert string to float: 'x'\n"),
+    (["solve", "--scenario", "builtin:5node", "--out", "afile"],
+     "error: [Errno 17] File exists: 'afile'\n"),
+    (["import-tntp", "--net", "net.tntp", "--out", "adir"],
+     "error: [Errno 21] Is a directory: 'adir'\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
-    # every command reports a bad input file as `error: ...` on stderr, exit 2
+    # every command reports a bad input file, option value or output path
+    # as one `error: ...` line on stderr, exit 2
     monkeypatch.chdir(tmp_path)
     (tmp_path / "schema.json").write_text('{"name": "x"}')
     doc = to_document(builtin_5node())
@@ -59,6 +68,8 @@ def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatc
     (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
     (tmp_path / "truncated.json").write_text('{"name": "x"')
     (tmp_path / "array.json").write_text("[]")
+    (tmp_path / "net.tntp").write_text(resources_text())
+    (tmp_path / "afile").write_text("")
     (tmp_path / "adir").mkdir()
     assert main(argv) == 2
     assert capsys.readouterr().err == stderr
@@ -332,6 +343,46 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL traveler_logit_replay" in out
+
+    def test_driver_replay_audits_compiled_utilities(self, monkeypatch, capsys):
+        # a sign error in the relocation term of the compiled driver
+        # exponents reaches the solve; the replay, built from the scenario
+        # data, must catch it
+        import dataclasses
+
+        from modal_market import choice
+
+        compiled = choice._compile
+
+        def relocation_sign_flipped(sc):
+            cs = compiled(sc)
+            return dataclasses.replace(cs, A=cs.A + 2 * sc.driver_params.beta1 * cs.reloc)
+
+        monkeypatch.setattr(choice, "_compile", relocation_sign_flipped)
+        code = main(["validate", "--scenario", "builtin:5node", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL driver_logit_replay" in out
+
+    def test_replay_reads_each_relocation_time_once(
+        self, sioux_scenarios, sioux_solutions, monkeypatch
+    ):
+        # the driver replay reads the relocation table once per node and
+        # origin, not once per node and driver column
+        from modal_market.cli import _replay_errors
+        from modal_market.scenario import Scenario
+
+        sc, sol = sioux_scenarios[3], sioux_solutions[3]
+        calls = []
+        lookup = Scenario.relocation_time
+
+        def counted(self, n, r):
+            calls.append((n, r))
+            return lookup(self, n, r)
+
+        monkeypatch.setattr(Scenario, "relocation_time", counted)
+        _replay_errors(sc, sol)
+        assert 0 < len(calls) <= len(sc.network.nodes) * len(sc.origins)
 
     def test_solve_nonconvergence_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
         import numpy as np

@@ -22,8 +22,6 @@ from modal_market.equilibrium import (
     NotConverged,
     ValidationFailed,
     _flows_at,
-    _jacobian_analytic,
-    _jacobian_fd,
     _newton,
     _newton_step,
     _potential,
@@ -45,6 +43,51 @@ def newton_step_at(cs, y):
     _, P, _, E, _, Q = _flows_at(cs, y)
     r = _residual_vector(cs, y)
     return _newton_step(cs, P, E, Q, r[..., None])[..., 0], r
+
+
+def jacobian_analytic(cs, y):
+    """Closed-form dense Jacobian of the residual map; symmetric positive
+    definite. The solver never builds it; the structured Newton step is
+    checked against it."""
+    q, P, _, E, _, Q = _flows_at(cs, y)
+    m, dim = cs.m, cs.dim
+    b2, b3 = cs.beta2, cs.beta3
+
+    J = np.zeros((dim, dim))
+    # driver side: flows scale exponentially in their own price and in the
+    # lambda of the node they depart from
+    D = E.sum(axis=0)
+    J[np.arange(2 * m), np.arange(2 * m)] += b3 * D
+    J[: 2 * m, 2 * m :] += b3 * E.T
+    J[2 * m :, : 2 * m] += b3 * E
+    J[2 * m + np.arange(cs.n_nodes), 2 * m + np.arange(cs.n_nodes)] += b3 * Q
+
+    # traveler side: each OD couples its two prices and the lambdas of its
+    # destination and hub through the logit sensitivity matrix
+    for i in range(m):
+        M = cs.d[i] * (np.diag(P[i]) - np.outer(P[i], P[i]))
+        coords = (
+            (i, 1),                        # rho_direct enters U_ride
+            (m + i, 2),                    # rho_hub enters U_multi
+            (2 * m + cs.s_idx[i], 1),      # lambda_s enters U_ride
+            (2 * m + cs.h_idx[i], 2),      # lambda_h enters U_multi
+        )
+        for x, ix in coords:
+            for yy, jy in coords:
+                J[x, yy] += b2 * M[ix, jy]
+    return J
+
+
+def jacobian_fd(cs, y):
+    """Forward-difference Jacobian, step 1e-7 * max(1, |y_i|) per coordinate."""
+    r0 = _residual_vector(cs, y)
+    J = np.empty((cs.dim, cs.dim))
+    for j in range(cs.dim):
+        h = 1e-7 * max(1.0, abs(y[j]))
+        yj = y.copy()
+        yj[j] += h
+        J[:, j] = (_residual_vector(cs, yj) - r0) / h
+    return J
 
 
 class TestResidual:
@@ -119,15 +162,15 @@ class TestJacobian:
         rng = np.random.default_rng(11)
         for _ in range(3):
             y = rng.uniform(-2.0, 2.0, cs.dim)
-            Ja = _jacobian_analytic(cs, y)
-            Jf = _jacobian_fd(cs, y)
+            Ja = jacobian_analytic(cs, y)
+            Jf = jacobian_fd(cs, y)
             assert np.abs(Ja - Jf).max() <= 1e-5 * max(1.0, np.abs(Ja).max())
 
     def test_symmetric_positive_definite(self, five_node):
         cs = compile_scenario(five_node)
         rng = np.random.default_rng(3)
         y = rng.uniform(-3.0, 3.0, cs.dim)
-        J = _jacobian_analytic(cs, y)
+        J = jacobian_analytic(cs, y)
         assert np.abs(J - J.T).max() == 0.0
         assert np.linalg.eigvalsh(J).min() > 0
 
@@ -143,7 +186,7 @@ class TestNewtonStep:
             # at the zero start the step equals the dense LU solution
             y = np.zeros(cs.dim)
             step, r = newton_step_at(cs, y)
-            dense = np.linalg.solve(_jacobian_analytic(cs, y), -r)
+            dense = np.linalg.solve(jacobian_analytic(cs, y), -r)
             assert np.abs(step - dense).max() <= 1e-10 * np.abs(dense).max(), sc.name
             # far starts (the uniqueness-probe range) make J ill-conditioned
             # (condition numbers up to 1e22), where the dense LU step itself
@@ -153,7 +196,7 @@ class TestNewtonStep:
             for _ in range(3):
                 y = rng.uniform(-10.0, 10.0, cs.dim)
                 step, r = newton_step_at(cs, y)
-                J = _jacobian_analytic(cs, y)
+                J = jacobian_analytic(cs, y)
                 scale = np.abs(J).sum(axis=1).max() * np.abs(step).max() + np.abs(r).max()
                 assert np.abs(J @ step + r).max() <= 1e-12 * scale, sc.name
 
@@ -320,7 +363,7 @@ class TestSolve:
         points = [five_node_solution.y] + [rng.uniform(-2.0, 2.0, cs.dim) for _ in range(3)]
         for y in points:
             step, r = newton_step_at(cs, y)
-            fd = np.linalg.solve(_jacobian_fd(cs, y), -r)
+            fd = np.linalg.solve(jacobian_fd(cs, y), -r)
             assert np.abs(step - fd).max() <= 1e-5 * np.abs(fd).max()
 
     def test_far_start_residual_overflow_is_not_a_warning(self, five_node, five_node_solution):
@@ -648,13 +691,12 @@ class TestLemmaReplays:
 
     def test_driver_flows_replay(self, five_node, five_node_solution):
         from modal_market.choice import driver_flows_logit
-        from modal_market.scenario import SIGN_OUT
 
         sol = five_node_solution
-        for n in five_node.network.nodes:
-            logit = driver_flows_logit(five_node, n, sol.driver.Q[n], sol.prices)
-            for pair in five_node.driver_pairs:
-                a, b = logit[pair], sol.driver.q[n][pair]
+        logit = driver_flows_logit(five_node, sol.driver.stock, sol.prices)
+        for k, n in enumerate(five_node.network.nodes):
+            for c, pair in enumerate(five_node.driver_pairs):
+                a, b = logit[k, c], sol.driver.q[n][pair]
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
-            a, b = logit[SIGN_OUT], sol.driver.q_H[n]
+            a, b = logit[k, -1], sol.driver.q_H[n]
             assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
