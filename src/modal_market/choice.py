@@ -17,9 +17,9 @@ the (m, 3) utilities, `driver_utilities` the (n, 2m + 1) utilities of the
 driver columns in compiled order then sign-out, and `driver_flows_logit`
 the (n, 2m + 1) flows from one logit over them. Both utility tables are
 written out from the scenario data (the OD fields, the relocation table
-read once into an n x n_origins array, `beta0_at`, `signout_bonus_at`),
-never from the compiled utilities, so a replay through them audits the
-arrays the solver used.
+read once per node and origin, `beta0_at`, `signout_bonus_at`), never
+from the compiled arrays, so a replay through them audits the arrays the
+solver used.
 
 Results are stored once, as arrays in compiled order: `PriceSystem` holds
 the dual vector y, `TravelerFlows` the (m, 3) flow matrix, `DriverFlows`
@@ -138,27 +138,6 @@ def _od_fields(sc: Scenario, *names: str) -> list[np.ndarray]:
     return [np.array([getattr(od, name) for od in sc.ods], dtype=float) for name in names]
 
 
-def _origin_tables(
-    sc: Scenario, node_ids: tuple[int, ...], column_pairs: tuple[tuple[int, int], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, beta0, cols): the (n_nodes, n_origins) relocation minutes from
-    each node to each origin, read once from the scenario (none to the node
-    itself), each origin's attractiveness, and each driver column's origin
-    index. Every column's driver pair starts at its od's origin, so
-    relocation times are needed only towards the distinct origins."""
-    dp = sc.driver_params
-    origin_index = {r: k for k, r in enumerate(sc.origins)}
-    T = np.array(
-        [
-            [0.0 if n == r else sc.relocation_time(n, r) for r in sc.origins]
-            for n in node_ids
-        ]
-    ).reshape(len(node_ids), len(sc.origins))
-    beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
-    cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
-    return T, beta0, cols
-
-
 def _compile(sc: Scenario) -> CompiledScenario:
     tp = sc.traveler_params
     dp = sc.driver_params
@@ -180,7 +159,17 @@ def _compile(sc: Scenario) -> CompiledScenario:
     column_pairs = tuple(
         [(od.r, od.s) for od in sc.ods] + [(od.r, od.hub) for od in sc.ods]
     )
-    T, beta0, cols = _origin_tables(sc, node_ids, column_pairs)
+    # every column's driver pair starts at its od's origin, so relocation
+    # times are needed only towards the distinct origins
+    origin_index = {r: k for k, r in enumerate(sc.origins)}
+    T = np.array(
+        [
+            [0.0 if n == r else sc.relocation_time(n, r) for r in sc.origins]
+            for n in node_ids
+        ]
+    ).reshape(n_nodes, len(sc.origins))
+    beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
+    cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
     reloc = T[:, cols]
     A = beta0[cols] - dp.beta1 * reloc
     a_H = np.array(
@@ -425,24 +414,37 @@ def traveler_flows(sc: Scenario, prices: PriceSystem) -> TravelerFlows:
 
 def driver_utilities(sc: Scenario, prices: PriceSystem) -> np.ndarray:
     """(n, 2m + 1) utilities of every driver option at every node: the
-    driver columns in compiled order, then sign-out.
+    driver columns in compiled order (each od's direct pair, then each od's
+    hub pair), then sign-out.
 
     Written out from the scenario data, not taken from the compiled arrays,
-    so a replay through it audits them.
+    so a replay through it audits them. Every driver pair starts at its
+    od's origin, so the relocation table is read once per node and origin.
+    Staying put costs no relocation time (t_nn = 0).
     """
-    cs = compile_scenario(sc)
     dp = sc.driver_params
-    T, beta0, cols = _origin_tables(sc, cs.node_ids, cs.column_pairs)
-    U = np.empty((cs.n_nodes, 2 * cs.m + 1))
-    U[:, :-1] = beta0[cols] - dp.beta1 * T[:, cols] + dp.beta3 * cs.rho_lam(prices.y)[0]
-    U[:, -1] = [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in cs.node_ids]
+    nodes = sc.network.nodes
+    minutes = np.array(
+        [[0.0 if n == r else sc.relocation_time(n, r) for n in nodes] for r in sc.origins]
+    ).reshape(len(sc.origins), len(nodes))
+    row = {r: k for k, r in enumerate(sc.origins)}
+    origins = [od.r for od in sc.ods] * 2
+    reloc = minutes[[row[r] for r in origins]].T
+    beta0 = np.array([dp.beta0_at(r) for r in origins])
+    U = np.empty((len(nodes), len(origins) + 1))
+    U[:, :-1] = beta0 - dp.beta1 * reloc + dp.beta3 * compile_scenario(sc).rho_lam(prices.y)[0]
+    U[:, -1] = [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in nodes]
     return U
 
 
 def driver_flows_logit(sc: Scenario, stock: np.ndarray, prices: PriceSystem) -> np.ndarray:
     """(n, 2m + 1) logit split of each node's stock over the driver columns,
-    in compiled order, then sign-out."""
+    in compiled order, then sign-out. `stock` holds one value per node, in
+    node order."""
     stock = np.asarray(stock, dtype=float)
+    n_nodes = len(sc.network.nodes)
+    if stock.shape != (n_nodes,):
+        raise ValueError(f"driver stocks must have shape ({n_nodes},), got {stock.shape}")
     if (stock < 0).any():
         raise ValueError(f"driver stocks must be >= 0, got {stock.min()}")
     P, _ = _logit(driver_utilities(sc, prices))

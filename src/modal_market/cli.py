@@ -79,7 +79,10 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, **resolved: Any) ->
     """Create `out_dir` and write its run manifest. The config records every
     parsed option, with the values the command resolved itself in their
     place."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(exc) from None
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     _write_json(
         out_dir / "run_manifest.json",
@@ -432,6 +435,8 @@ def cmd_import_tntp(args: argparse.Namespace) -> int:
         **params_document(TravelerParams(), DriverParams()),
     }
     out = Path(args.out)
+    if out.is_dir():
+        raise InputError(f"--out is a directory: {out}")
     _write_manifest(out.parent, args)
     _write_json(out, skeleton)
     print(
@@ -508,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, NetgraphError, ValidationFailed, InputError, OSError) as exc:
+    except (ScenarioError, NetgraphError, ValidationFailed, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotConverged as exc:

@@ -195,8 +195,9 @@ class TestDriverUtilities:
         assert u == pytest.approx(7.5, abs=1e-12)
 
     def test_compiled_exponents_match_driver_utilities(self, sioux_scenarios):
-        # each entry of the compiled exponent matrix is the option's utility
-        # at zero prices, bit for bit
+        # the compiled exponent matrix is built from per-origin arrays; each
+        # entry must still be the option's utility at zero prices, written
+        # out from the scenario data on its own, bit for bit
         for sc in (sioux_scenarios[3], random_scenario(0), random_scenario(7)):
             cs = compile_scenario(sc)
             U = driver_utilities(sc, PriceSystem.zero(sc))
@@ -231,7 +232,13 @@ class TestDriverFlowsLogit:
 
     def test_negative_stock_rejected(self, five_node):
         stock = np.array([20.0, -1.0, 20.0, 20.0, 20.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 0"):
+            driver_flows_logit(five_node, stock, prices_with(five_node))
+
+    @pytest.mark.parametrize("stock", [20.0, [20.0], [20.0] * 4, [[20.0] * 5]])
+    def test_stock_per_node_required(self, five_node, stock):
+        # one stock per node: a scalar or a wrong-length array is not broadcast
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
             driver_flows_logit(five_node, stock, prices_with(five_node))
 
     def test_shares_match_dual_flows(self, five_node):

@@ -53,7 +53,7 @@ SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
     (["solve", "--scenario", "builtin:5node", "--out", "afile"],
      "error: [Errno 17] File exists: 'afile'\n"),
     (["import-tntp", "--net", "net.tntp", "--out", "adir"],
-     "error: [Errno 21] Is a directory: 'adir'\n"),
+     "error: --out is a directory: adir\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
     # every command reports a bad input file, option value or output path
@@ -474,6 +474,14 @@ class TestImportTntp:
         code = main(["import-tntp", "--net", str(tmp_path / "nope.tntp"),
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
+
+    def test_directory_out_writes_nothing(self, tmp_path):
+        # a directory as --out is refused before the manifest is written
+        net_file = tmp_path / "net.tntp"
+        net_file.write_text(resources_text())
+        (tmp_path / "adir").mkdir()
+        assert main(["import-tntp", "--net", str(net_file), "--out", str(tmp_path / "adir")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "net.tntp"]
 
 
 def resources_text():
