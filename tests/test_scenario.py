@@ -1,7 +1,10 @@
 """Builtin instances, validation, and the JSON schema round-trips."""
 import dataclasses
 import json
+import math
+from typing import Any
 
+import numpy as np
 import pytest
 
 from modal_market.netgraph import shortest_time
@@ -262,3 +265,203 @@ class TestWithParam:
     def test_non_scalar_target(self, five_node):
         with pytest.raises(ValueError):
             with_param(five_node, "network", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# schema errors: the exact pointer and message of every field's faults
+
+LINK_FIELDS = (("from", "int"), ("to", "int"), ("fftt", "num"))
+OD_FIELDS = (
+    ("r", "int"), ("s", "int"), ("hub", "int"), ("demand", "num"),
+    ("drive_time", "nonneg"), ("hub_access_time", "nonneg"),
+    ("transit_time", "nonneg"), ("transit_wait", "nonneg"),
+    ("transit_fare", "nonneg"), ("drive_cost", "nonneg"),
+    ("parking_time", "nonneg"), ("parking_cost", "nonneg"),
+)
+OVERRIDE_FIELDS = (("n", "int"), ("r", "int"), ("minutes", "nonneg"))
+#: (path to the table, entry index faulted, fields of an entry)
+TABLES = (
+    (("network", "links"), 2, LINK_FIELDS),
+    (("ods",), 1, OD_FIELDS),
+    (("relocation_times", "overrides"), 3, OVERRIDE_FIELDS),
+)
+#: (path to the node map, nonneg)
+NODE_MAPS = ((("signin",), True), (("driver_params", "beta0_r"), False),
+             (("signout_bonus",), False))
+WRONG_TYPES = (True, "7", None)
+
+
+def _schema_doc() -> dict:
+    doc = to_document(builtin("5node"))
+    doc["driver_params"]["beta0_r"] = {"1": 0.5, "2": 0.25}
+    doc["signout_bonus"] = {"1": 1.0, "2": 2.0}
+    return doc
+
+
+MISSING = object()
+
+
+def _at(doc: dict, path: tuple) -> Any:
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _pointer(path: tuple) -> str:
+    return "".join(f"/{key}" for key in path)
+
+
+def _edit(doc: dict, path: tuple, value: Any) -> None:
+    """Set the element at `path` to `value`, or delete it if `value` is MISSING."""
+    *head, last = path
+    parent = _at(doc, tuple(head))
+    if value is MISSING:
+        del parent[last]
+    else:
+        parent[last] = value
+
+
+def _field_faults():
+    """(path edited, value put there, message) for every field fault; the
+    error's pointer is the path."""
+    wanted = {"int": "expected an integer", "num": "expected a number",
+              "nonneg": "expected a number"}
+    for table, index, fields in TABLES:
+        entry = (*table, index)
+        for fname, kind in fields:
+            path = (*entry, fname)
+            yield path, MISSING, "required key missing"
+            for value in WRONG_TYPES:
+                yield path, value, wanted[kind]
+            if kind == "int":
+                yield path, 2.0, "expected an integer"
+            if kind == "nonneg":
+                for value in (-1.5, -3):
+                    yield path, value, f"must be >= 0, got {value}"
+        for value in ([], 3.0, "x", None):
+            yield entry, value, "expected an object"
+    for node_map, nonneg in NODE_MAPS:
+        for value in WRONG_TYPES:
+            yield (*node_map, "2"), value, "expected a number"
+        if nonneg:
+            yield (*node_map, "2"), -1.5, "must be >= 0, got -1.5"
+        yield (*node_map, "x"), 1.0, "key must be an integer node id"
+    for value in ([], "x", None):
+        yield ("signin",), value, "expected an object keyed by node id"
+        yield ("signout_bonus",), value, "expected an object keyed by node id"
+        yield ("driver_params", "beta0_r"), value, "expected a number"
+    yield ("signin",), MISSING, "required key missing"
+
+
+FIELD_FAULTS = list(_field_faults())
+
+
+@pytest.mark.parametrize(
+    "path,value,message", FIELD_FAULTS,
+    ids=[f"{_pointer(path)}={'missing' if value is MISSING else json.dumps(value)}"
+         for path, value, _ in FIELD_FAULTS],
+)
+def test_schema_error_names_pointer_and_message(path, value, message):
+    doc = _schema_doc()
+    _edit(doc, path, value)
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert err.value.pointer == _pointer(path)
+    assert str(err.value) == f"{_pointer(path)}: {message}"
+
+
+def test_optional_node_maps_may_be_missing(five_node):
+    doc = _schema_doc()
+    del doc["signout_bonus"]
+    del doc["driver_params"]["beta0_r"]
+    sc = load(json.dumps(doc))
+    assert sc.signout_bonus == {}
+    assert sc.driver_params.beta0_r == {} and sc.driver_params.beta0_r_default == 0.0
+
+
+@pytest.mark.parametrize(
+    "faults,pointer",
+    [
+        # two entries of one table: the earlier entry is named
+        ({("ods", 1, "demand"): "x", ("ods", 0, "parking_cost"): -1.0}, "/ods/0/parking_cost"),
+        # an entry the quick path would refuse but the walk accepts comes
+        # before the fault; the fault is still named
+        ({("ods", 0, "drive_time"): float("nan"), ("ods", 1, "r"): True}, "/ods/1/r"),
+        # different tables: the loader reads links, then ods, then overrides
+        ({("relocation_times", "overrides", 0, "n"): "1", ("ods", 1, "hub"): None},
+         "/ods/1/hub"),
+        ({("ods", 0, "r"): 1.0, ("network", "links", 9, "to"): False},
+         "/network/links/9/to"),
+        ({("signin", "3"): "x", ("relocation_times", "overrides", 7, "minutes"): -2.0},
+         "/relocation_times/overrides/7/minutes"),
+    ],
+)
+def test_schema_error_names_the_first_fault(faults, pointer):
+    doc = _schema_doc()
+    for path, value in faults.items():
+        _edit(doc, path, value)
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert err.value.pointer == pointer
+
+
+# ---------------------------------------------------------------------------
+# loaded values: round trips and types
+
+
+def _assert_value_types(sc) -> None:
+    for link in sc.network.links:
+        assert (type(link.frm), type(link.to), type(link.free_flow_time)) == (int, int, float)
+    for od in sc.ods:
+        for fname, kind in OD_FIELDS:
+            assert type(getattr(od, fname)) is (int if kind == "int" else float), fname
+    for (n, r), minutes in sc.relocation_times.items():
+        assert (type(n), type(r), type(minutes)) == (int, int, float)
+    for mapping in (sc.signin, sc.signout_bonus, sc.driver_params.beta0_r):
+        for n, value in mapping.items():
+            assert (type(n), type(value)) == (int, float)
+
+
+def test_round_trip_keeps_values_and_types(sioux_scenarios):
+    from modal_market.oracle import random_scenario
+
+    scenarios = [builtin("5node"), *sioux_scenarios.values()]
+    scenarios += [random_scenario(seed) for seed in range(100)]
+    for sc in scenarios:
+        text = save(sc)
+        back = load(text)
+        assert back == sc, sc.name
+        assert save(back) == text, sc.name
+        _assert_value_types(back)
+
+
+def test_numpy_floats_load_as_floats(five_node):
+    doc = to_document(five_node)
+    for link in doc["network"]["links"]:
+        link["fftt"] = np.float64(link["fftt"])
+    for od in doc["ods"]:
+        for fname, kind in OD_FIELDS:
+            if kind != "int":
+                od[fname] = np.float64(od[fname])
+    for entry in doc["relocation_times"]["overrides"]:
+        entry["minutes"] = np.float64(entry["minutes"])
+    sc = load(doc)
+    assert sc == five_node
+    _assert_value_types(sc)
+
+
+def test_nan_and_infinity_in_nonneg_fields_load():
+    doc = _schema_doc()
+    doc["ods"][0]["drive_time"] = float("nan")
+    doc["ods"][1]["transit_fare"] = float("inf")
+    doc["relocation_times"]["overrides"][4]["minutes"] = float("nan")
+    doc["signin"]["3"] = float("inf")
+    text = json.dumps(doc)
+    assert "NaN" in text and "Infinity" in text
+    sc = load(text)
+    assert math.isnan(sc.ods[0].drive_time)
+    assert sc.ods[1].transit_fare == math.inf
+    (n, r), _ = sorted(sc.relocation_times.items())[4]
+    assert math.isnan(sc.relocation_times[(n, r)])
+    assert sc.signin[3] == math.inf
+    assert validate(sc)
