@@ -33,10 +33,12 @@ from .equilibrium import (
     solution_at,
     solve,
     uniqueness_probe,
+    violations,
 )
 from .netgraph import NetgraphError, parse_tntp
 from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
-from .scenario import MODES, ScenarioError, builtin, load, validate
+# `validate` stays importable here: bench/tracing.py wraps cli.validate
+from .scenario import MODES, ScenarioError, builtin, load, validate  # noqa: F401
 from .scenario import DriverParams, TravelerParams, network_document, params_document
 from .choice import _logit, driver_flows_logit, traveler_utilities
 
@@ -166,9 +168,6 @@ def _write_metrics_json(out_dir: Path, sc, doc: dict[str, Any], rep: MetricsRepo
 
 def cmd_solve(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, args, out=str(out_dir))
-
     exit_code = EXIT_OK
     try:
         sol = solve(sc, tol=args.tol, max_iter=args.max_iter)
@@ -178,6 +177,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"not converged: {exc}", file=sys.stderr)
         exit_code = EXIT_NOT_CONVERGED
 
+    # written after the solve, so a scenario that fails validation leaves
+    # no manifest behind
+    out_dir = Path(args.out)
+    _write_manifest(out_dir, args, out=str(out_dir))
     doc = _solution_document(sc, sol)
     _write_json(out_dir / "solution.json", doc)
     rep = metrics(sc, sol)
@@ -304,19 +307,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if seed is None:
         seed = int(os.environ.get("MODAL_MARKET_SEED", "0"))
 
-    violations = validate(sc)
+    found = violations(sc)
     checks: list[tuple[str, bool, str]] = [
-        ("scenario_valid", not violations, f"{len(violations)} violations")
+        ("scenario_valid", not found, f"{len(found)} violations")
     ]
     figures: dict[str, Any] = {}
-    if violations:
-        for v in violations:
+    if found:
+        for v in found:
             print(f"  violation: {v}", file=sys.stderr)
         exit_code = EXIT_INPUT
     else:
         exit_code = _audit(sc, args, seed, checks, figures)
 
-    if args.out is not None and not violations:
+    if args.out is not None and not found:
         out_dir = Path(args.out)
         _write_manifest(out_dir, args, seed=seed, out=str(out_dir))
         _write_json(out_dir / "oracle_report.json", {

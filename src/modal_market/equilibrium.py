@@ -302,11 +302,21 @@ def _potential(cs: CompiledScenario, y: np.ndarray):
     return phi, _ALLOWANCE * size, (q, P, E, E_H, Q)
 
 
+def violations(sc: Scenario) -> tuple[str, ...]:
+    """`validate(sc)`, run once per Scenario instance: the verdict rides
+    along on it, as the compiled scenario does."""
+    cached = sc.__dict__.get("_violations")
+    if cached is None:
+        cached = tuple(validate(sc))
+        sc.__dict__["_violations"] = cached
+    return cached
+
+
 def _compiled(sc: Scenario) -> CompiledScenario:
     """The compiled scenario, after validation (ValidationFailed otherwise)."""
-    violations = validate(sc)
-    if violations:
-        raise ValidationFailed(violations)
+    found = violations(sc)
+    if found:
+        raise ValidationFailed(list(found))
     return compile_scenario(sc)
 
 

@@ -13,6 +13,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import repeat
+from operator import ge, itemgetter
 from typing import Any, Mapping
 
 from .netgraph import INF, Network, parse_tntp, time_matrix
@@ -476,6 +478,8 @@ def _node_map(doc: Any, pointer: str, nonneg: bool = False) -> dict[int, float]:
     return out
 
 
+#: The fields of an entry of each schema table, in the order they are checked.
+_LINK_FIELDS = (("from", "int"), ("to", "int"), ("fftt", "num"))
 _OD_FIELDS = (
     ("r", "int"), ("s", "int"), ("hub", "int"),
     ("demand", "num"),
@@ -484,12 +488,67 @@ _OD_FIELDS = (
     ("transit_fare", "nonneg"), ("drive_cost", "nonneg"),
     ("parking_time", "nonneg"), ("parking_cost", "nonneg"),
 )
+_OVERRIDE_FIELDS = (("n", "int"), ("r", "int"), ("minutes", "nonneg"))
 
 _TRAVELER_FIELDS = (
     "beta0_drive", "beta0_ride", "beta0_multi",
     "beta1_drive", "beta1_ride", "beta1_multi",
     "beta1_wait", "beta2",
 )
+
+
+def _walk_entry(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> tuple:
+    """One table entry's values in field order, checked field by field: the
+    first fault raises the SchemaViolation that names it."""
+    obj = _want(doc, pointer, dict, "an object")
+    values = []
+    for fname, kind in fields:
+        value = _want_key(obj, fname, pointer)
+        fp = f"{pointer}/{fname}"
+        if kind == "int":
+            values.append(_want_int(value, fp))
+        else:
+            values.append(_want_number(value, fp, nonneg=(kind == "nonneg")))
+    return tuple(values)
+
+
+def _quick_table(doc: Any, fields: tuple[tuple[str, str], ...]) -> list[tuple] | None:
+    """Every entry's values as `_walk_entry` returns them, or None unless the
+    whole table passes one quick test: an exact list of exact dicts holding
+    every field, ids exact ints, numbers exact ints or floats and nonneg
+    numbers >= 0. The test accepts a subset of what the walk accepts (a
+    float subclass or a NaN goes to the walk), so it never decides whether
+    a document loads, only how fast."""
+    if type(doc) is not list or not set(map(type, doc)) <= {dict}:
+        return None
+    try:
+        rows = list(map(itemgetter(*(fname for fname, _ in fields)), doc))
+    except KeyError:
+        return None
+    columns = []
+    for (_, kind), column in zip(fields, zip(*rows)):
+        types = set(map(type, column))
+        if kind == "int":
+            if types != {int}:
+                return None
+        elif not types <= {int, float} or (
+            kind == "nonneg" and not all(map(ge, column, repeat(0)))
+        ):
+            return None
+        else:
+            column = map(float, column)
+        columns.append(column)
+    return list(zip(*columns))
+
+
+def _table(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> list[tuple]:
+    """The values of every entry of the schema table at `pointer`. A table
+    that fails the quick test is walked from its first entry, so a fault is
+    named exactly as the walk alone would name it."""
+    rows = _quick_table(doc, fields)
+    if rows is None:
+        rows = [_walk_entry(entry, f"{pointer}/{i}", fields) for i, entry in enumerate(doc)]
+    return rows
 
 
 def load(doc: bytes | str | dict) -> Scenario:
@@ -512,51 +571,28 @@ def load(doc: bytes | str | dict) -> Scenario:
     nodes = tuple(_want_int(n, f"/network/nodes/{i}") for i, n in enumerate(nodes_doc))
     links_doc = _want(_want_key(net_doc, "links", "/network"), "/network/links",
                       list, "an array")
-    links = []
-    for i, link in enumerate(links_doc):
-        p = f"/network/links/{i}"
-        obj = _want(link, p, dict, "an object")
-        links.append(
-            (
-                _want_int(_want_key(obj, "from", p), f"{p}/from"),
-                _want_int(_want_key(obj, "to", p), f"{p}/to"),
-                _want_number(_want_key(obj, "fftt", p), f"{p}/fftt"),
-            )
-        )
+    links = _table(links_doc, "/network/links", _LINK_FIELDS)
     try:
         network = Network.from_links(links, nodes=nodes, name=net_name)
     except Exception as exc:
         raise SchemaViolation("/network", str(exc)) from None
 
     ods_doc = _want(_want_key(root, "ods", ""), "/ods", list, "an array")
-    ods = []
-    for i, od_doc in enumerate(ods_doc):
-        p = f"/ods/{i}"
-        obj = _want(od_doc, p, dict, "an object")
-        kwargs: dict[str, Any] = {}
-        for fname, kind in _OD_FIELDS:
-            value = _want_key(obj, fname, p)
-            fp = f"{p}/{fname}"
-            if kind == "int":
-                kwargs[fname] = _want_int(value, fp)
-            else:
-                kwargs[fname] = _want_number(value, fp, nonneg=(kind == "nonneg"))
-        ods.append(ODSpec(**kwargs))
-    ods_tuple = tuple(ods)
+    ods_tuple = tuple(
+        ODSpec(r, s, demand, hub, *rest)  # _OD_FIELDS checks hub before demand
+        for r, s, hub, demand, *rest in _table(ods_doc, "/ods", _OD_FIELDS)
+    )
 
     reloc_doc = _want(_want_key(root, "relocation_times", ""),
                       "/relocation_times", dict, "an object")
     auto = _want_key(reloc_doc, "auto_shortest_path", "/relocation_times")
     if not isinstance(auto, bool):
         raise SchemaViolation("/relocation_times/auto_shortest_path", "expected a boolean")
-    overrides: dict[tuple[int, int], float] = {}
-    for i, entry in enumerate(reloc_doc.get("overrides", [])):
-        p = f"/relocation_times/overrides/{i}"
-        obj = _want(entry, p, dict, "an object")
-        n = _want_int(_want_key(obj, "n", p), f"{p}/n")
-        r = _want_int(_want_key(obj, "r", p), f"{p}/r")
-        minutes = _want_number(_want_key(obj, "minutes", p), f"{p}/minutes", nonneg=True)
-        overrides[(n, r)] = minutes
+    overrides = {
+        (n, r): minutes
+        for n, r, minutes in _table(reloc_doc.get("overrides", []),
+                                    "/relocation_times/overrides", _OVERRIDE_FIELDS)
+    }
     origins = tuple(sorted({od.r for od in ods_tuple}))
     if auto:
         relocation = _relocation_from_network(network, origins, overrides)

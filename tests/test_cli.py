@@ -2,6 +2,7 @@
 import argparse
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +74,7 @@ def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatc
     (tmp_path / "adir").mkdir()
     assert main(argv) == 2
     assert capsys.readouterr().err == stderr
+    assert not list(tmp_path.rglob("run_manifest.json"))
 
 
 class TestSolveCommand:
@@ -241,6 +243,23 @@ class TestValidateCommand:
                       "driver_logit_replay", "kkt_stationarity",
                       "convexity_probe", "uniqueness"):
             assert f"PASS {check}" in out
+
+    def test_scenario_is_validated_once(self, monkeypatch, capsys):
+        # cmd_validate, solve and uniqueness_probe share one verdict
+        from modal_market import scenario
+
+        real = scenario.validate
+        calls = []
+
+        def counting(sc):
+            calls.append(sc.name)
+            return real(sc)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "modal_market" and getattr(module, "validate", None) is real:
+                monkeypatch.setattr(module, "validate", counting)
+        assert main(["validate", "--scenario", "builtin:5node", "--seed", "1"]) == 0
+        assert calls == ["5node"]
 
     def test_unreachable_tolerance_fails_clearly(self, capsys):
         code = main(["validate", "--scenario", "builtin:5node",
