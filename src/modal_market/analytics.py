@@ -1,8 +1,9 @@
 """Scenario experiments and summary metrics over equilibrium solutions.
 
 Everything here is a pure function of (scenario, solution): metrics can be
-recomputed bit-identically, sweeps solve each cell independently, and the
-hub study compares the three Sioux Falls builtins.
+recomputed bit-identically, a sweep solves its cells as one stacked Newton
+run (`solve_each`), each cell bit-identical to its own solve, and the hub
+study compares the three Sioux Falls builtins.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .choice import CompiledScenario, compile_scenario
-from .equilibrium import EquilibriumError, EquilibriumSolution, solve
+from .equilibrium import MAX_ITER, TOL, EquilibriumSolution, solve, solve_each
 from .scenario import MODES, Scenario, builtin_sioux, with_param
 
 
@@ -109,28 +110,47 @@ def _cell_from_solution(value: float, sc: Scenario, sol: EquilibriumSolution) ->
     )
 
 
-def sweep_cell(sc: Scenario, param: str, value: float, **solve_opts: Any) -> SweepCell:
-    try:
-        cell_sc = with_param(sc, param, value)
-        sol = solve(cell_sc, **solve_opts)
-    except (EquilibriumError, ValueError) as exc:
-        return SweepCell(
-            value=value, converged=False, error=str(exc), iterations=0,
-            residual_inf=_NAN, total_drive=_NAN, total_ride=_NAN,
-            total_multi=_NAN, winner="", min_rho_direct=_NAN,
-            min_rho_hub=_NAN, min_eta_direct=_NAN, min_eta_hub=_NAN,
-        )
-    return _cell_from_solution(value, cell_sc, sol)
+def _failed_cell(value: float, error: Exception) -> SweepCell:
+    return SweepCell(
+        value=value, converged=False, error=str(error), iterations=0,
+        residual_inf=_NAN, total_drive=_NAN, total_ride=_NAN,
+        total_multi=_NAN, winner="", min_rho_direct=_NAN,
+        min_rho_hub=_NAN, min_eta_direct=_NAN, min_eta_hub=_NAN,
+    )
 
 
 def sweep(
     sc: Scenario,
     param: str,
     values: Sequence[float],
-    **solve_opts: Any,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
 ) -> list[SweepCell]:
-    """One independent solve per value; failed cells carry their error."""
-    return [sweep_cell(sc, param, v, **solve_opts) for v in values]
+    """One cell per value, in input order: `with_param(sc, param, value)`
+    solved from the zero start. Every cell whose parameter can be set is
+    solved in one stacked Newton run (`solve_each`), and each equals its own
+    `solve` bit for bit. A cell whose parameter cannot be set, whose
+    scenario fails validation or whose solve fails carries its error."""
+    scenarios: list[Scenario | ValueError] = []
+    for value in values:
+        try:
+            scenarios.append(with_param(sc, param, value))
+        except ValueError as exc:
+            scenarios.append(exc)
+    solved = iter(solve_each([s for s in scenarios if isinstance(s, Scenario)], tol, max_iter))
+    cells = []
+    for value, cell_sc in zip(values, scenarios):
+        outcome = cell_sc if isinstance(cell_sc, ValueError) else next(solved)
+        cells.append(
+            _failed_cell(value, outcome) if isinstance(outcome, Exception)
+            else _cell_from_solution(value, cell_sc, outcome)
+        )
+    return cells
+
+
+def sweep_cell(sc: Scenario, param: str, value: float, **solve_opts: Any) -> SweepCell:
+    """The sweep of one value."""
+    return sweep(sc, param, [value], **solve_opts)[0]
 
 
 @dataclass(frozen=True)

@@ -33,16 +33,18 @@ form caps raw exponents at EXP_BOUND and raises OverflowGuard beyond it,
 which signals a divergent dual iterate rather than a modeling error. The
 array kernels (`traveler_flow_matrix`, `driver_flow_matrix`) broadcast over
 leading axes, so the solver evaluates a stack of dual points in one call.
+The points may share one scenario's coefficients or, for the cells of a
+parameter sweep (`stack_cells`), each use its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .scenario import MODES, Scenario
+from .scenario import MODES, Scenario, same_data
 
 #: Largest raw exponent materialized by the dual flow form (natural log units).
 EXP_BOUND = 700.0
@@ -56,6 +58,12 @@ class OverflowGuard(ChoiceError):
     """An exponent exceeded EXP_BOUND; the dual iterate is divergent."""
 
 
+#: The coefficients a traveler or driver parameter enters. In a stack of
+#: sweep cells (`stack_cells`) each has a leading cell axis; the index
+#: arrays, demands, sign-in rates and relocation times are shared.
+CELL_COEFFICIENTS = ("u_drive", "u_ride", "u_multi", "beta2", "A", "a_H", "beta3", "phi_weights")
+
+
 # ---------------------------------------------------------------------------
 # compiled arrays
 
@@ -66,7 +74,10 @@ class CompiledScenario:
 
     Dual vector layout: y[:m] = rho_direct (od order), y[m:2m] = rho_hub
     (od order), y[2m:2m+n_nodes] = lambda (node order). The accessors below
-    read the last axis, so they also take a stack of dual vectors.
+    read the last axis, so they also take a stack of dual vectors. A stack
+    of k sweep cells (`stack_cells`) holds the CELL_COEFFICIENTS of cell i
+    at index i of a leading axis, beta2 and beta3 as (k, 1) columns, and is
+    evaluated on a (k, dim) stack of dual vectors, one per cell.
     """
 
     sc: Scenario
@@ -103,6 +114,13 @@ class CompiledScenario:
     def dim(self) -> int:
         return 2 * self.m + self.n_nodes
 
+    def cells(self, index: np.ndarray) -> "CompiledScenario":
+        """The cells at `index` of a stack of sweep cells; a scenario
+        without a cell axis serves every row of a stack as it is."""
+        if np.ndim(self.beta2) == 0:
+            return self
+        return replace(self, **{name: getattr(self, name)[index] for name in CELL_COEFFICIENTS})
+
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho_direct, rho_hub, lambda) parts of a vector in dual layout."""
         m = self.m
@@ -138,22 +156,45 @@ def _od_fields(sc: Scenario, *names: str) -> list[np.ndarray]:
     return [np.array([getattr(od, name) for od in sc.ods], dtype=float) for name in names]
 
 
-def _compile(sc: Scenario) -> CompiledScenario:
+def _coefficients(
+    sc: Scenario,
+    node_ids: tuple[int, ...],
+    column_pairs: tuple[tuple[int, int], ...],
+    reloc: np.ndarray,
+    d: np.ndarray,
+    dQ: np.ndarray,
+) -> dict[str, Any]:
+    """The CELL_COEFFICIENTS of sc, from its parameters and the arrays of
+    its compiled form that do not depend on them."""
     tp = sc.traveler_params
     dp = sc.driver_params
+    dt, pt, dc, pc, at, tt, tw, fare = _od_fields(
+        sc, "drive_time", "parking_time", "drive_cost", "parking_cost",
+        "hub_access_time", "transit_time", "transit_wait", "transit_fare",
+    )
+    beta0 = np.array([dp.beta0_at(r) for r, _ in column_pairs])
+    return dict(
+        u_drive=tp.beta0_drive - tp.beta1_drive * (dt + pt) - tp.beta2 * (dc + pc),
+        u_ride=tp.beta0_ride - tp.beta1_ride * dt,
+        u_multi=(
+            tp.beta0_multi - tp.beta1_multi * (at + tt) - tp.beta1_wait * tw - tp.beta2 * fare
+        ),
+        beta2=tp.beta2,
+        beta3=dp.beta3,
+        A=beta0 - dp.beta1 * reloc,
+        a_H=np.array([dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in node_ids]),
+        phi_weights=np.concatenate([np.full(len(node_ids), 1.0 / dp.beta3), d / tp.beta2, -dQ]),
+    )
+
+
+def _compile(sc: Scenario) -> CompiledScenario:
     node_ids = tuple(sc.network.nodes)
     node_index = {n: i for i, n in enumerate(node_ids)}
     m = len(sc.ods)
 
     s_idx = np.array([node_index[od.s] for od in sc.ods], dtype=int)
     h_idx = np.array([node_index[od.hub] for od in sc.ods], dtype=int)
-    d, dt, pt, dc, pc, at, tt, tw, fare = _od_fields(
-        sc, "demand", "drive_time", "parking_time", "drive_cost", "parking_cost",
-        "hub_access_time", "transit_time", "transit_wait", "transit_fare",
-    )
-    u_drive = tp.beta0_drive - tp.beta1_drive * (dt + pt) - tp.beta2 * (dc + pc)
-    u_ride = tp.beta0_ride - tp.beta1_ride * dt
-    u_multi = tp.beta0_multi - tp.beta1_multi * (at + tt) - tp.beta1_wait * tw - tp.beta2 * fare
+    (d,) = _od_fields(sc, "demand")
 
     n_nodes = len(node_ids)
     column_pairs = tuple(
@@ -168,13 +209,8 @@ def _compile(sc: Scenario) -> CompiledScenario:
             for n in node_ids
         ]
     ).reshape(n_nodes, len(sc.origins))
-    beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
     cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
     reloc = T[:, cols]
-    A = beta0[cols] - dp.beta1 * reloc
-    a_H = np.array(
-        [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in node_ids]
-    )
     dQ = np.array([sc.signin_at(n) for n in node_ids], dtype=float)
 
     ride_row, multi_row = np.arange(m), m + np.arange(m)
@@ -205,20 +241,45 @@ def _compile(sc: Scenario) -> CompiledScenario:
         s_idx=s_idx,
         h_idx=h_idx,
         drop_idx=np.concatenate([s_idx, h_idx]),
-        u_drive=u_drive,
-        u_ride=u_ride,
-        u_multi=u_multi,
-        beta2=tp.beta2,
-        beta3=dp.beta3,
-        A=A,
-        a_H=a_H,
         dQ=dQ,
         column_pairs=column_pairs,
         reloc=reloc,
         rho_lam_flat=rho_lam_flat,
         lam_lam_flat=lam_lam_flat,
-        phi_weights=np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ]),
+        **_coefficients(sc, node_ids, column_pairs, reloc, d, dQ),
     )
+
+
+def compile_cell(sc: Scenario, like: CompiledScenario) -> CompiledScenario:
+    """`compile_scenario(sc)`, with like's parameter-free arrays when sc
+    shares its data with like.sc (`same_data`), as the cells of a sweep do:
+    then only the CELL_COEFFICIENTS are computed anew."""
+    if "_compiled" not in sc.__dict__ and same_data(sc, like.sc):
+        sc.__dict__["_compiled"] = replace(
+            like, sc=sc, **_coefficients(sc, like.node_ids, like.column_pairs,
+                                         like.reloc, like.d, like.dQ)
+        )
+    return compile_scenario(sc)
+
+
+def stack_cells(cells: Sequence[CompiledScenario]) -> CompiledScenario:
+    """The stack of sweep cells: each of CELL_COEFFICIENTS stacked along a
+    new leading axis, the first cell's scenario and arrays for the rest.
+    Raises ValueError if the cells differ in any of the rest."""
+    first = cells[0]
+    shared = [f.name for f in fields(first) if f.name not in ("sc", *CELL_COEFFICIENTS)]
+    for cs in cells[1:]:
+        differ = [
+            n for n in shared
+            if getattr(cs, n) is not getattr(first, n)
+            and not np.array_equal(getattr(cs, n), getattr(first, n))
+        ]
+        if differ:
+            raise ValueError(f"sweep cells differ in {', '.join(differ)}")
+    stacked = {name: np.stack([getattr(cs, name) for cs in cells]) for name in CELL_COEFFICIENTS}
+    stacked["beta2"] = stacked["beta2"][:, None]
+    stacked["beta3"] = stacked["beta3"][:, None]
+    return replace(first, **stacked)
 
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:
@@ -364,8 +425,9 @@ def driver_flow_matrix(
     +inf; OverflowGuard is raised when every point has one, so a single
     divergent point always raises.
     """
-    expo = cs.A + cs.beta3 * (rho[..., None, :] + lam[..., :, None])
-    expo_H = cs.a_H + cs.beta3 * lam
+    b3 = np.asarray(cs.beta3)  # a (k, 1) column for a stack of cells
+    expo = cs.A + b3[..., None] * (rho[..., None, :] + lam[..., :, None])
+    expo_H = cs.a_H + b3 * lam
     worst = np.maximum(expo.max(axis=-1, initial=-np.inf), expo_H).max(axis=-1, initial=-np.inf)
     within = worst <= EXP_BOUND  # False for NaN too
     if not within.all():

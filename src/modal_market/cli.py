@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 failed verification checks, 2 bad input (missing
 files, schema or validation errors, unusable option values, unwritable
-output paths), 3 solver non-convergence. Input errors are reported by
-`main` alone, as one `error: ...` line. Artifacts are deterministic: the
-same inputs and seed produce byte-identical files, so no timestamps or wall
-times are ever written to disk.
+output paths), 3 solver non-convergence, a start whose driver flows
+overflow included. Input errors are reported by `main` alone, as one
+`error: ...` line. Artifacts are deterministic: the same inputs and seed
+produce byte-identical files, so no timestamps or wall times are ever
+written to disk.
 """
 from __future__ import annotations
 
@@ -14,14 +15,14 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .analytics import HubStudy, MetricsReport, SweepCell, hub_study, metrics, sweep_cell
+# `sweep_cell` stays importable here: bench/tracing.py wraps cli.sweep_cell
+from .analytics import HubStudy, MetricsReport, hub_study, metrics, sweep, sweep_cell  # noqa: F401
 from .equilibrium import (
     MAX_ITER,
     TOL,
@@ -40,7 +41,7 @@ from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 # `validate` stays importable here: bench/tracing.py wraps cli.validate
 from .scenario import MODES, ScenarioError, builtin, load, validate  # noqa: F401
 from .scenario import DriverParams, TravelerParams, network_document, params_document
-from .choice import _logit, driver_flows_logit, traveler_utilities
+from .choice import OverflowGuard, _logit, driver_flows_logit, traveler_utilities
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -222,13 +223,13 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
 def _audit(sc, args: argparse.Namespace, seed: int,
            checks: list[tuple[str, bool, str]], figures: dict[str, Any]) -> int:
     """Solve, then run the replay and oracle checks; append a row per check
-    to `checks` and the measured figures to `figures`. A non-convergence, or
-    a flow that is not strictly positive where a check needs one, is
-    recorded as a FAIL row of the check it interrupted. Returns the exit
-    code."""
+    to `checks` and the measured figures to `figures`. A non-convergence (an
+    overflowing start included), or a flow that is not strictly positive
+    where a check needs one, is recorded as a FAIL row of the check it
+    interrupted. Returns the exit code."""
     try:
         sol = solve(sc)
-    except NotConverged as exc:
+    except (NotConverged, OverflowGuard) as exc:
         checks.append(("market_clearing", False, str(exc)))
         return EXIT_NOT_CONVERGED
     checks.append(
@@ -285,7 +286,7 @@ def _audit(sc, args: argparse.Namespace, seed: int,
     })
     try:
         dev = uniqueness_probe(sc, k=args.uniqueness_starts, seed=seed)
-    except NotConverged as exc:
+    except (NotConverged, OverflowGuard) as exc:
         checks.append(("uniqueness", False, str(exc)))
         return EXIT_NOT_CONVERGED
     checks.append(
@@ -343,11 +344,6 @@ def _print_checks(checks: list[tuple[str, bool, str]]) -> None:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
-def _sweep_one(payload: tuple) -> SweepCell:
-    sc, param, value, tol, max_iter = payload
-    return sweep_cell(sc, param, value, tol=tol, max_iter=max_iter)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
     try:
@@ -357,12 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise InputError("--values is empty")
 
-    payloads = [(sc, args.param, v, args.tol, args.max_iter) for v in values]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            cells = list(pool.map(_sweep_one, payloads))
-    else:
-        cells = [_sweep_one(p) for p in payloads]
+    cells = sweep(sc, args.param, values, tol=args.tol, max_iter=args.max_iter)
 
     out_dir = Path(args.out)
     _write_manifest(out_dir, args, values=values, out=str(out_dir))
@@ -497,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dotted path, e.g. traveler_params.beta2")
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_sweep.add_argument("--out", default=".", help="artifact directory")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted and ignored: a sweep is one stacked solve")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_hub = sub.add_parser("hub-study", help="compare the Sioux Falls hub scenarios")
@@ -519,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, NetgraphError, ValidationFailed, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NotConverged as exc:
+    except (NotConverged, OverflowGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

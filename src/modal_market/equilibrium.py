@@ -11,11 +11,13 @@ phi (`_potential`), hence its Jacobian is symmetric positive definite;
 `solve` runs damped Newton on it with Armijo backtracking on phi, its one
 merit function, and stops once the residual and the Newton step (the
 first-order error of the duals) are both small. The Newton core (`_newton`)
-works on a stack of dual vectors: `solve` runs it on one start and
-`uniqueness_probe` on all of its starts at once, each row stepping exactly
-as it would alone. Its line search has one path: the full-step trial stack
-becomes the next state, and the rows that backtrack overwrite their own
-rows of it with the trial they accept. The Jacobian is never formed: each
+works on a stack of dual vectors: `solve` runs it on one start,
+`uniqueness_probe` on all of its starts at once and `solve_each` on the
+cells of a parameter sweep, one zero start per cell, each row stepping
+exactly as it would alone and ending in its own result or failure. Its
+line search has one path: the full-step trial stack becomes the next
+state, and the rows that backtrack overwrite their own rows of it with the
+trial they accept. The Jacobian is never formed: each
 OD's logit couples only its own two rho coordinates and two lambdas, and
 each driver flow one rho and one lambda, so the rho-rho block is block
 diagonal with one 2x2 block per OD. A Newton step eliminates those blocks
@@ -36,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -46,14 +48,16 @@ from .choice import (
     OverflowGuard,
     PriceSystem,
     TravelerFlows,
+    compile_cell,
     compile_scenario,
     driver_flow_matrix,
     driver_flows_dual,
+    stack_cells,
     traveler_flow_matrix,
     traveler_flows,
     traveler_utility_matrix,
 )
-from .scenario import Scenario, validate
+from .scenario import Scenario, data_violations, parameter_violations, same_data, validate
 
 _EPS = float(np.finfo(float).eps)
 #: phi's rounding allowance per unit of the size of its terms
@@ -190,7 +194,7 @@ def _newton_step(
     iterates of the stack are unaffected.
     """
     m, n = cs.m, cs.n_nodes
-    b3 = cs.beta3
+    b3 = np.asarray(cs.beta3)  # a (k, 1) column for a stack of cells
     bd = cs.beta2 * cs.d
     p0, p1, p2 = P[..., 0], P[..., 1], P[..., 2]
     # traveler sensitivities over (ride, multi); p0 + p2 = 1 - p1 without
@@ -200,7 +204,7 @@ def _newton_step(
     c = -bp1 * p2
     e = bp2 * (p0 + p1)
     sens = np.concatenate([a, c, c, e], axis=-1)
-    C = b3 * E.swapaxes(-1, -2) + _scatter(cs.rho_lam_flat, sens, (2 * m, n))
+    C = b3[..., None] * E.swapaxes(-1, -2) + _scatter(cs.rho_lam_flat, sens, (2 * m, n))
     L = _scatter(cs.lam_lam_flat, np.concatenate([b3 * Q, sens], axis=-1), (n, n))
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -328,7 +332,7 @@ MAX_ITER = 200
 
 def _newton(
     cs: CompiledScenario, Y: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, list[list[float]], list[tuple[np.ndarray, ...]]]:
+) -> tuple[np.ndarray, list[list[float]], list[tuple[np.ndarray, ...] | Exception]]:
     """Damped Newton from every row of Y (k, dim) at once; see `solve`.
 
     The rows advance in lockstep, one Newton iteration per pass, so numpy's
@@ -339,26 +343,31 @@ def _newton(
     and that trial stack is the next state; the rows that backtrack share
     the halved step length, and each of their trials overwrites its own
     rows of the state, so a row leaves the line search holding the trial it
-    accepted. A row that finishes, or fails, leaves the stack. Returns
-    the final dual vectors (k, dim), the inf-norm history of each row and,
-    per row, the flows (q, E, E_H, Q) and residual r at its final vector; if
-    any row failed, raises the failure of the lowest-index one instead,
-    which is what running the rows one by one in index order would raise.
+    accepted. A row that finishes, or fails, leaves the stack.
+
+    cs is one scenario shared by every row, or a stack of k sweep cells
+    (`stack_cells`), row i solved with cell i's coefficients; a stack's
+    coefficients are subset with the rows it keeps and with the rows each
+    backtracking trial re-evaluates. Returns the final dual vectors (k, dim),
+    the inf-norm history of each row and, per row, the flows (q, E, E_H, Q)
+    and residual r at its final vector, or the exception that ended the row
+    (NotConverged, or OverflowGuard when the driver flows overflow at its
+    start), whose final vector is then NaN. A failure ends its own row only.
     """
     k = len(Y)
-    finals = np.empty_like(Y)
+    finals = np.full_like(Y, np.nan)
     histories: list[list[float]] = [[] for _ in range(k)]
     iterates: list[list[np.ndarray]] = [[] for _ in range(k)]
-    ends: list[tuple[np.ndarray, ...]] = [() for _ in range(k)]
-    failures: dict[int, Exception] = {}
-    rows = np.arange(k)
+    ends: list[tuple[np.ndarray, ...] | Exception] = [() for _ in range(k)]
+    rows, cs_rows = np.arange(k), cs
     phi, allowance, flows = _potential(cs, Y)
     if not np.isfinite(phi).all():
         for i in np.flatnonzero(~np.isfinite(phi)):
-            failures[int(i)] = OverflowGuard("initial dual vector overflows the driver flows")
+            ends[i] = OverflowGuard("initial dual vector overflows the driver flows")
         keep = np.flatnonzero(np.isfinite(phi))
         rows, Y, phi, allowance = rows[keep], Y[keep], phi[keep], allowance[keep]
         flows = tuple(f[keep] for f in flows) if keep.size else None
+        cs_rows = cs.cells(keep)
 
     def fail(positions: np.ndarray, why) -> None:
         """Fail the rows at these positions of the stack; `why` maps the
@@ -367,16 +376,16 @@ def _newton(
             i = int(rows[p])
             history = histories[i]
             best = int(np.argmin(history))  # the first, on ties
-            failures[i] = NotConverged(why(inf_norm[p], history[best]), iterates[i][best], history)
+            ends[i] = NotConverged(why(inf_norm[p], history[best]), iterates[i][best], history)
 
     while rows.size:
         q, P, E, E_H, Q = flows
-        r = _residual_of_flows(cs, q, E, Q)
+        r = _residual_of_flows(cs_rows, q, E, Q)
         inf_norm = np.abs(r).max(axis=-1)
         for i, x, y in zip(rows.tolist(), inf_norm.tolist(), Y):
             histories[i].append(x)
             iterates[i].append(y)
-        step = _newton_step(cs, P, E, Q, r[..., None])[..., 0]
+        step = _newton_step(cs_rows, P, E, Q, r[..., None])[..., 0]
         with np.errstate(over="ignore", invalid="ignore"):
             slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
         go = np.isfinite(slope)
@@ -411,6 +420,7 @@ def _newton(
             )
             if not rows.size:
                 break
+            cs_rows = cs_rows.cells(keep)
 
         # Armijo backtracking on phi, row by row: the first t = 1, 1/2, ...
         # with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
@@ -422,7 +432,7 @@ def _newton(
         # once the step is formed, stand in for them, and a later one writes
         # none, since all its rows are rejected.
         trial = Y + step
-        phi_t, allowance_t, flows_t = _potential(cs, trial)
+        phi_t, allowance_t, flows_t = _potential(cs_rows, trial)
         state = (trial, phi_t, allowance_t, *(flows_t or flows))
         at = np.flatnonzero(~(phi_t <= phi + slope + allowance))
         if at.size:
@@ -440,17 +450,34 @@ def _newton(
                     if not at.size:
                         break
                 trial = Y[at] + t * step[at]
-                phi_t, allowance_t, flows_t = _potential(cs, trial)
+                phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at), trial)
                 for whole, part in zip(state, (trial, phi_t, allowance_t, *(flows_t or ()))):
                     whole[at] = part
                 at = at[~(phi_t <= phi[at] + t * slope[at] + allowance[at])]
             if not live.all():
                 rows, *state = (a[live] for a in (rows, *state))
+                cs_rows = cs_rows.cells(live)
         Y, phi, allowance, *flows = state
 
-    if failures:
-        raise failures[min(failures)]
     return finals, histories, ends
+
+
+def _solution(
+    cs: CompiledScenario, y: np.ndarray, history: list[float],
+    end: tuple[np.ndarray, ...], wall_time: float,
+) -> EquilibriumSolution:
+    """The solution record from a `_newton` row: its final vector, history
+    and the solver's own flows and residual there, the closed forms
+    `solution_at` would redo."""
+    q, E, E_H, Q, r = end
+    return EquilibriumSolution(
+        prices=PriceSystem(cs, y),
+        traveler=TravelerFlows(cs, q),
+        driver=DriverFlows(cs, E, E_H, Q),
+        residual=ResidualReport(cs, r),
+        wall_time=wall_time,
+        residual_history=tuple(history),
+    )
 
 
 def solve(
@@ -468,7 +495,8 @@ def solve(
     allowance, is accepted; trials whose driver flows overflow, or where phi
     is not finite, are rejected. The solve stops when the inf-norm of r is at
     most `tol` and the step, the first-order error of y, is at most
-    1e-9 max(1, |y|_inf) in the inf-norm.
+    1e-9 max(1, |y|_inf) in the inf-norm. It is `_newton` on a stack of one
+    row, whose failure it raises.
 
     Raises NotConverged, with the iterate of lowest inf-norm and the inf-norm
     history, if that does not happen within `max_iter` iterations, if the
@@ -479,16 +507,59 @@ def solve(
     cs = _compiled(sc)
     started = time.perf_counter()
     y = np.zeros(cs.dim) if y0 is None else _dual_vector(cs, y0, "y0")
-    (y,), (history,), ((q, E, E_H, Q, r),) = _newton(cs, y[None], tol, max_iter)
-    # the solver's own flows at y: the closed forms `solution_at` would redo
-    return EquilibriumSolution(
-        prices=PriceSystem(cs, y),
-        traveler=TravelerFlows(cs, q),
-        driver=DriverFlows(cs, E, E_H, Q),
-        residual=ResidualReport(cs, r),
-        wall_time=time.perf_counter() - started,
-        residual_history=tuple(history),
-    )
+    (y,), (history,), (end,) = _newton(cs, y[None], tol, max_iter)
+    if isinstance(end, Exception):
+        raise end
+    return _solution(cs, y, history, end, time.perf_counter() - started)
+
+
+#: Most driver-flow entries (rows times n x 2m) in one stacked Newton run of
+#: `solve_each`: a stack's arrays grow with them, so a long list of large
+#: scenarios is solved in several stacks, each of at least one row. A row's
+#: result does not depend on its stack.
+STACK_ENTRIES = 1 << 18
+
+
+def solve_each(
+    scenarios: Sequence[Scenario], tol: float = TOL, max_iter: int = MAX_ITER
+) -> list[EquilibriumSolution | Exception]:
+    """`solve(sc, tol, max_iter)` for each scenario, as stacked Newton runs
+    from the zero start (`_newton` on `stack_cells`).
+
+    The scenarios are the cells of a parameter sweep: they may differ only
+    in their traveler and driver parameters (ValueError otherwise). Each
+    entry is what `solve` returns on its own scenario, bit for bit in y,
+    flows, residual and history, or the exception it raises: ValidationFailed
+    for a scenario that fails validation, which never enters a stack, and
+    NotConverged or OverflowGuard for one that does. A solution's wall time
+    is that of its whole stack.
+    """
+    outcomes: list = [None] * len(scenarios)
+    valid: list[tuple[int, CompiledScenario]] = []
+    # the cells share their data, so it is validated once
+    data = data_violations(scenarios[0]) if scenarios else []
+    for i, sc in enumerate(scenarios):
+        if same_data(sc, scenarios[0]):
+            found = data + parameter_violations(sc)
+        else:
+            found = list(violations(sc))
+        if found:
+            outcomes[i] = ValidationFailed(found)
+        else:
+            valid.append((i, compile_cell(sc, valid[0][1]) if valid else compile_scenario(sc)))
+    rows = max(1, STACK_ENTRIES // (2 * valid[0][1].m * valid[0][1].n_nodes)) if valid else 1
+    for first in range(0, len(valid), rows):
+        chunk = valid[first : first + rows]
+        started = time.perf_counter()
+        cs = stack_cells([cell for _, cell in chunk])
+        ys, histories, ends = _newton(cs, np.zeros((len(chunk), cs.dim)), tol, max_iter)
+        wall_time = time.perf_counter() - started
+        for (i, cell), y, history, end in zip(chunk, ys, histories, ends):
+            outcomes[i] = (
+                end if isinstance(end, Exception)
+                else _solution(cell, y, history, end, wall_time)
+            )
+    return outcomes
 
 
 def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
@@ -504,7 +575,10 @@ def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
     cs = _compiled(sc)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-10.0, 10.0, size=(k, cs.dim))
-    ys, _, _ = _newton(cs, starts, TOL, MAX_ITER)
+    ys, _, ends = _newton(cs, starts, TOL, MAX_ITER)
+    for end in ends:
+        if isinstance(end, Exception):
+            raise end
     return float(np.abs(ys[:, None] - ys).max())
 
 

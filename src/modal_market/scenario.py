@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import repeat
@@ -167,7 +167,27 @@ class Scenario:
 
 
 def validate(sc: Scenario) -> list[str]:
-    """Collect every invariant violation; empty list means solvable input."""
+    """Collect every invariant violation; empty list means solvable input.
+    Those of the data come first, then those of the parameters."""
+    return data_violations(sc) + parameter_violations(sc)
+
+
+#: The Scenario fields a parameter path of `with_param` can reach.
+PARAMETERS = ("traveler_params", "driver_params")
+
+
+def same_data(sc: Scenario, other: Scenario) -> bool:
+    """Whether sc shares every field but its parameters with other, object
+    for object, as the scenarios `with_param` makes from one scenario do."""
+    return all(
+        getattr(sc, f.name) is getattr(other, f.name)
+        for f in fields(Scenario) if f.name not in PARAMETERS
+    )
+
+
+def data_violations(sc: Scenario) -> list[str]:
+    """The violations of `validate` in the network, ODs, relocation times
+    and sign-in rates."""
     out: list[str] = []
     nodes = set(sc.network.nodes)
 
@@ -234,7 +254,12 @@ def validate(sc: Scenario) -> list[str]:
                 f"/signin/{n}: node {n} receives no drop-offs, so a zero "
                 "sign-in rate leaves its driver stock equation unsatisfiable"
             )
+    return out
 
+
+def parameter_violations(sc: Scenario) -> list[str]:
+    """The violations of `validate` in the traveler and driver parameters."""
+    out: list[str] = []
     tp = sc.traveler_params
     if not tp.beta2 > 0:
         out.append(f"/traveler_params/beta2: {tp.beta2} must be > 0")
@@ -448,9 +473,13 @@ def _want(doc: Any, pointer: str, typ: type, what: str) -> Any:
 def _want_number(doc: Any, pointer: str, nonneg: bool = False) -> float:
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         raise SchemaViolation(pointer, "expected a number")
-    if nonneg and doc < 0:
+    try:
+        value = float(doc)
+    except OverflowError:  # an integer literal beyond float range
+        raise SchemaViolation(pointer, "number out of float range") from None
+    if nonneg and value < 0:
         raise SchemaViolation(pointer, f"must be >= 0, got {doc}")
-    return float(doc)
+    return value
 
 
 def _want_int(doc: Any, pointer: str) -> int:
@@ -515,10 +544,10 @@ def _walk_entry(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> 
 def _quick_table(doc: Any, fields: tuple[tuple[str, str], ...]) -> list[tuple] | None:
     """Every entry's values as `_walk_entry` returns them, or None unless the
     whole table passes one quick test: an exact list of exact dicts holding
-    every field, ids exact ints, numbers exact ints or floats and nonneg
-    numbers >= 0. The test accepts a subset of what the walk accepts (a
-    float subclass or a NaN goes to the walk), so it never decides whether
-    a document loads, only how fast."""
+    every field, ids exact ints, numbers exact ints or floats within float
+    range and nonneg numbers >= 0. The test accepts a subset of what the
+    walk accepts (a float subclass or a NaN goes to the walk), so it never
+    decides whether a document loads, only how fast."""
     if type(doc) is not list or not set(map(type, doc)) <= {dict}:
         return None
     try:
@@ -538,13 +567,17 @@ def _quick_table(doc: Any, fields: tuple[tuple[str, str], ...]) -> list[tuple] |
         else:
             column = map(float, column)
         columns.append(column)
-    return list(zip(*columns))
+    try:
+        return list(zip(*columns))
+    except OverflowError:
+        return None
 
 
 def _table(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> list[tuple]:
-    """The values of every entry of the schema table at `pointer`. A table
-    that fails the quick test is walked from its first entry, so a fault is
-    named exactly as the walk alone would name it."""
+    """The values of every entry of the schema table, an array, at
+    `pointer`. A table that fails the quick test is walked from its first
+    entry, so a fault is named exactly as the walk alone would name it."""
+    _want(doc, pointer, list, "an array")
     rows = _quick_table(doc, fields)
     if rows is None:
         rows = [_walk_entry(entry, f"{pointer}/{i}", fields) for i, entry in enumerate(doc)]
@@ -569,18 +602,15 @@ def load(doc: bytes | str | dict) -> Scenario:
     nodes_doc = _want(_want_key(net_doc, "nodes", "/network"), "/network/nodes",
                       list, "an array")
     nodes = tuple(_want_int(n, f"/network/nodes/{i}") for i, n in enumerate(nodes_doc))
-    links_doc = _want(_want_key(net_doc, "links", "/network"), "/network/links",
-                      list, "an array")
-    links = _table(links_doc, "/network/links", _LINK_FIELDS)
+    links = _table(_want_key(net_doc, "links", "/network"), "/network/links", _LINK_FIELDS)
     try:
         network = Network.from_links(links, nodes=nodes, name=net_name)
     except Exception as exc:
         raise SchemaViolation("/network", str(exc)) from None
 
-    ods_doc = _want(_want_key(root, "ods", ""), "/ods", list, "an array")
     ods_tuple = tuple(
         ODSpec(r, s, demand, hub, *rest)  # _OD_FIELDS checks hub before demand
-        for r, s, hub, demand, *rest in _table(ods_doc, "/ods", _OD_FIELDS)
+        for r, s, hub, demand, *rest in _table(_want_key(root, "ods", ""), "/ods", _OD_FIELDS)
     )
 
     reloc_doc = _want(_want_key(root, "relocation_times", ""),
@@ -721,7 +751,7 @@ def with_param(sc: Scenario, path: str, value: float) -> Scenario:
 
     def rebuild(obj: Any, remaining: list[str]) -> Any:
         attr = remaining[0]
-        if not hasattr(obj, attr):
+        if not is_dataclass(obj) or not hasattr(obj, attr):
             raise ValueError(f"{type(obj).__name__} has no parameter {attr!r}")
         if len(remaining) == 1:
             current = getattr(obj, attr)

@@ -5,16 +5,53 @@ import math
 import numpy as np
 import pytest
 
+from modal_market import equilibrium
 from modal_market.analytics import (
+    _cell_from_solution,
+    _failed_cell,
     hub_study,
     metrics,
     sweep,
     total_relocation_time,
 )
-from modal_market.choice import compile_scenario
-from modal_market.equilibrium import solve
+from modal_market.choice import OverflowGuard, compile_scenario
+from modal_market.equilibrium import (
+    EquilibriumError,
+    NotConverged,
+    ValidationFailed,
+    solve,
+    solve_each,
+)
 from modal_market.oracle import random_scenario
-from modal_market.scenario import MODES
+from modal_market.scenario import MODES, builtin, with_param
+
+BUILTINS = ("5node", "sioux1", "sioux2", "sioux3")
+#: The sweep grids of the cli-builtins benchmark workload.
+GRIDS = {
+    "traveler_params.beta2": (0.3, 0.5, 1.0, 2.0, 3.0),
+    "driver_params.beta0_H": (0.5, 1.0, 2.0, 3.0, 4.0),
+    "driver_params.beta3": (0.5, 0.75, 1.0, 1.5, 2.0),
+}
+
+
+def solo_cell(sc, param, value, **solve_opts):
+    """The sweep cell of one value, from `solve` on its scenario alone."""
+    try:
+        cell_sc = with_param(sc, param, value)
+        return _cell_from_solution(value, cell_sc, solve(cell_sc, **solve_opts))
+    except (EquilibriumError, OverflowGuard, ValueError) as exc:
+        return _failed_cell(value, exc)
+
+
+def assert_same_solution(stacked, alone):
+    assert np.array_equal(stacked.y, alone.y)
+    assert stacked.residual_history == alone.residual_history
+    assert stacked.iterations == alone.iterations
+    assert np.array_equal(stacked.residual.vector, alone.residual.vector)
+    assert np.array_equal(stacked.traveler.matrix, alone.traveler.matrix)
+    assert np.array_equal(stacked.driver.E, alone.driver.E)
+    assert np.array_equal(stacked.driver.E_H, alone.driver.E_H)
+    assert np.array_equal(stacked.driver.stock, alone.driver.stock)
 
 
 class TestMetrics:
@@ -108,6 +145,59 @@ class TestSweep:
         cells = sweep(five_node, "traveler_params.nope", [1.0])
         assert not cells[0].converged
         assert "nope" in cells[0].error
+
+    def test_stacked_cells_equal_solo_solves(self):
+        # every cell of a bench grid, solved in one stack, is its own solve
+        # bit for bit, on every builtin
+        for name in BUILTINS:
+            sc = builtin(name)
+            for param, grid in GRIDS.items():
+                stacked = solve_each([with_param(sc, param, v) for v in grid])
+                for value, solution in zip(grid, stacked):
+                    assert_same_solution(solution, solve(with_param(sc, param, value)))
+                cells = sweep(sc, param, grid)
+                assert list(map(repr, cells)) == [repr(solo_cell(sc, param, v)) for v in grid]
+
+    def test_stack_limit_does_not_change_a_cell(self, monkeypatch):
+        sc = builtin("sioux2")
+        grid = GRIDS["driver_params.beta3"]
+        stacks = []
+        newton = equilibrium._newton
+
+        def counted(cs, Y, *args):
+            stacks.append(len(Y))
+            return newton(cs, Y, *args)
+
+        monkeypatch.setattr(equilibrium, "_newton", counted)
+        whole = list(map(repr, sweep(sc, "driver_params.beta3", grid)))
+        # sioux2 has 24 nodes and 14 driver columns: two cells per stack
+        monkeypatch.setattr(equilibrium, "STACK_ENTRIES", 2 * 24 * 14 + 1)
+        assert list(map(repr, sweep(sc, "driver_params.beta3", grid))) == whole
+        assert stacks == [5, 2, 2, 1]
+
+    def test_failed_cells_keep_their_solo_messages(self, five_node):
+        # with a sign-out bonus at node 5, beta3 = 800 overflows the driver
+        # flows at the zero start, beta3 = -1 fails validation and beta3 = 3
+        # needs 8 iterations; the other cells converge in 7
+        sc = dataclasses.replace(five_node, signout_bonus={5: 1.0})
+        grid = [0.5, -1.0, 800.0, 3.0, 1.0]
+        cells = sweep(sc, "driver_params.beta3", grid, max_iter=7)
+        assert list(map(repr, cells)) == [
+            repr(solo_cell(sc, "driver_params.beta3", v, max_iter=7)) for v in grid
+        ]
+        outcomes = solve_each([with_param(sc, "driver_params.beta3", v) for v in grid],
+                              max_iter=7)
+        assert [type(o).__name__ for o in outcomes] == [
+            "EquilibriumSolution", ValidationFailed.__name__, OverflowGuard.__name__,
+            NotConverged.__name__, "EquilibriumSolution",
+        ]
+        assert cells[2].error == "initial dual vector overflows the driver flows"
+        assert cells[3].error.startswith("no convergence to 1e-10 within 7 iterations")
+
+    def test_cells_that_differ_beyond_parameters_are_refused(self, sioux_scenarios):
+        # sioux1 and sioux2 have the same dimensions but different hubs
+        with pytest.raises(ValueError, match="sweep cells differ in .*h_idx"):
+            solve_each([sioux_scenarios[1], sioux_scenarios[2]])
 
 
 class TestHubStudy:

@@ -55,6 +55,10 @@ SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
      "error: [Errno 17] File exists: 'afile'\n"),
     (["import-tntp", "--net", "net.tntp", "--out", "adir"],
      "error: --out is a directory: adir\n"),
+    (["solve", "--scenario", "huge_demand.json"],
+     "error: /ods/0/demand: number out of float range\n"),
+    (["validate", "--scenario", "scalar_overrides.json"],
+     "error: /relocation_times/overrides: expected an array\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
     # every command reports a bad input file, option value or output path
@@ -64,6 +68,11 @@ def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatc
     doc = to_document(builtin_5node())
     doc["ods"][0]["demand"] = 0.0  # loads fine, fails validation
     (tmp_path / "zero_demand.json").write_text(json.dumps(doc))
+    doc["ods"][0]["demand"] = 10**400  # a JSON integer no float holds
+    (tmp_path / "huge_demand.json").write_text(json.dumps(doc))
+    doc["ods"][0]["demand"] = 100.0
+    doc["relocation_times"]["overrides"] = 5
+    (tmp_path / "scalar_overrides.json").write_text(json.dumps(doc))
     (tmp_path / "bad.tntp").write_text("<END OF METADATA>\n")
     (tmp_path / "latin1.tntp").write_bytes("~ café\n".encode("latin-1"))
     (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
@@ -424,6 +433,60 @@ class TestValidateCommand:
         assert set(report["checks"]) == {"scenario_valid", "market_clearing"}
 
 
+OVERFLOW = "initial dual vector overflows the driver flows"
+
+
+def five_node_file(path, **driver_params):
+    """A 5node scenario document with these driver parameters, at path."""
+    doc = to_document(builtin_5node())
+    doc["driver_params"].update(driver_params)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestOverflowingStart:
+    """Driver flows that overflow at a start are a non-convergence."""
+
+    def test_solve_exits_3_with_one_error_line(self, tmp_path, capsys):
+        # beta0_r = 800 puts driver exponents beyond the bound at zero prices
+        scenario = five_node_file(tmp_path / "s.json", beta0_r=800.0)
+        assert main(["solve", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {OVERFLOW}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_records_a_market_clearing_fail_row(self, tmp_path, capsys):
+        scenario = five_node_file(tmp_path / "s.json", beta0_r=800.0)
+        assert main(["validate", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS scenario_valid: 0 violations",
+            f"FAIL market_clearing: {OVERFLOW}",
+        ]
+        report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
+        assert report["checks"]["market_clearing"] == {"passed": False, "detail": OVERFLOW}
+
+    def test_validate_records_a_uniqueness_fail_row(self, tmp_path, capsys):
+        # beta3 = 80: the zero start converges, but a probe start in
+        # [-10, 10] puts a driver exponent beyond the bound
+        scenario = five_node_file(tmp_path / "s.json", beta3=80.0)
+        assert main(["validate", "--scenario", scenario]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("PASS market_clearing")
+        assert lines[-1] == f"FAIL uniqueness: {OVERFLOW}"
+
+    def test_sweep_cell_carries_the_message(self, tmp_path, capsys):
+        code = main(["sweep", "--scenario", "builtin:5node",
+                     "--param", "driver_params.beta0_r_default", "--values", "0,800",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        rows = read_csv(tmp_path / "sweep_beta0_r_default.csv")
+        assert [row[1] for row in rows[1:]] == ["1", "0"]
+        assert rows[2][-1] == OVERFLOW
+        out = capsys.readouterr().out
+        assert f"driver_params.beta0_r_default=800.0: FAILED ({OVERFLOW}) winner=-" in out
+
+
 class TestSweepCommand:
     def test_three_rows(self, tmp_path):
         code = main(["sweep", "--scenario", "builtin:5node", "--param",
@@ -435,6 +498,7 @@ class TestSweepCommand:
         assert rows[0][0] == "value"
 
     def test_jobs_flag_gives_same_result(self, tmp_path):
+        # --jobs is accepted and ignored: a sweep is one stacked solve
         a, b = tmp_path / "a", tmp_path / "b"
         main(["sweep", "--scenario", "builtin:5node", "--param",
               "traveler_params.beta2", "--values", "0.5,2", "--out", str(a)])

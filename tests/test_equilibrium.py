@@ -400,14 +400,22 @@ def probe_corpus(five_node, sioux_scenarios):
         yield sc, np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(5, dim))
 
 
+def solve_alone(sc, start, **kwargs):
+    """What `solve` gives from this start alone: its solution or the
+    exception it raises."""
+    try:
+        return solve(sc, y0=start, **kwargs)
+    except (NotConverged, OverflowGuard) as exc:
+        return exc
+
+
 def first_failure_one_by_one(sc, starts, **kwargs):
     """The exception of the first start, in index order, that `solve` cannot
     solve alone; None when all converge."""
     for start in starts:
-        try:
-            solve(sc, y0=start, **kwargs)
-        except (NotConverged, OverflowGuard) as exc:
-            return exc
+        alone = solve_alone(sc, start, **kwargs)
+        if isinstance(alone, Exception):
+            return alone
     return None
 
 
@@ -417,6 +425,24 @@ def assert_same_failure(stacked, alone):
     if isinstance(alone, NotConverged):
         assert np.array_equal(stacked.best_y, alone.best_y)
         assert stacked.residual_history == alone.residual_history
+
+
+def assert_rows_match_one_by_one(sc, starts, tol=TOL, max_iter=MAX_ITER):
+    """Every row of a `_newton` stack returns what `solve` gives from its
+    start alone, bit for bit; returns the stack's outcomes."""
+    ys, histories, ends = _newton(compile_scenario(sc), starts, tol, max_iter)
+    for i, start in enumerate(starts):
+        alone = solve_alone(sc, start, tol=tol, max_iter=max_iter)
+        if isinstance(alone, Exception):
+            assert_same_failure(ends[i], alone)
+            assert np.isnan(ys[i]).all(), (sc.name, i)
+            continue
+        assert np.array_equal(ys[i], alone.y), (sc.name, i)
+        assert histories[i] == list(alone.residual_history), (sc.name, i)
+        flows = (alone.traveler.matrix, alone.driver.E, alone.driver.E_H,
+                 alone.driver.stock, alone.residual.vector)
+        assert all(map(np.array_equal, ends[i], flows)), (sc.name, i)
+    return ends
 
 
 class TestStackedNewton:
@@ -460,17 +486,16 @@ class TestStackedNewton:
 
     def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
         # a cap between the fastest and the slowest start: some rows
-        # converge, the others fail, and the lowest-index failure is raised
+        # converge, the others fail, each as it does alone
         for sc, starts in probe_corpus(five_node, sioux_scenarios):
             cs = compile_scenario(sc)
             counts = sorted(len(h) - 1 for h in _newton(cs, starts, TOL, MAX_ITER)[1])
             if counts[0] == counts[-1]:
                 continue
             max_iter = counts[2] - 1 if counts[2] > counts[0] else counts[0]
-            alone = first_failure_one_by_one(sc, starts, max_iter=max_iter)
-            with pytest.raises(NotConverged) as err:
-                _newton(cs, starts, TOL, max_iter)
-            assert_same_failure(err.value, alone)
+            ends = assert_rows_match_one_by_one(sc, starts, max_iter=max_iter)
+            failed = [isinstance(end, NotConverged) for end in ends]
+            assert any(failed) and not all(failed), sc.name
 
     def test_mixed_failures_match_one_by_one(self):
         # converging starts around a slope overflow (random_scenario(6),
@@ -495,12 +520,41 @@ class TestStackedNewton:
                 np.stack([good[0], good[1], overflow, bad]),
                 np.stack([bad, overflow, good[0]]),
             ):
-                alone = first_failure_one_by_one(sc, starts)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    with pytest.raises((NotConverged, OverflowGuard)) as err:
-                        _newton(cs, starts, TOL, MAX_ITER)
-                assert_same_failure(err.value, alone)
+                    ends = assert_rows_match_one_by_one(sc, starts)
+                assert sum(isinstance(end, Exception) for end in ends) >= 1
+
+    def test_middle_row_failure_leaves_the_other_rows(self):
+        # the stalled start between two converging ones: both keep their
+        # own results, and the failure stays in its row
+        sc = random_scenario(0)
+        bad = np.random.default_rng(7).uniform(-100.0, 100.0, (10, 11))[4]
+        good = np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(2, 11))
+        ends = assert_rows_match_one_by_one(sc, np.stack([good[0], bad, good[1]]))
+        assert isinstance(ends[1], NotConverged)
+        assert "line search stalled" in str(ends[1])
+        assert not isinstance(ends[0], Exception) and not isinstance(ends[2], Exception)
+
+    def test_uniqueness_probe_raises_the_lowest_index_failure(self, monkeypatch):
+        # two failing starts of different kinds among converging ones: the
+        # probe raises the failure of the lower-index one, as solving the
+        # starts one by one in index order would
+        sc = random_scenario(0)
+        stall = np.random.default_rng(7).uniform(-100.0, 100.0, (10, 11))[4]
+        good = np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(2, 11))
+        overflow = np.full(11, EXP_BOUND)
+        newton = equilibrium._newton
+        for starts in (np.stack([good[0], stall, good[1], overflow]),
+                       np.stack([good[0], overflow, stall, good[1]])):
+            alone = first_failure_one_by_one(sc, starts)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    equilibrium, "_newton", lambda cs, _, *args: newton(cs, starts, *args)
+                )
+                with pytest.raises((NotConverged, OverflowGuard)) as err:
+                    uniqueness_probe(sc, k=len(starts))
+            assert_same_failure(err.value, alone)
 
     def test_singular_schur_complement_is_attributed_to_its_row(self, monkeypatch):
         # the singular row makes the stacked linear solve fail for the whole
@@ -520,15 +574,12 @@ class TestStackedNewton:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", recorded)
-        # the singular row last: a good row failed with it would be raised
-        starts = np.stack([good[0], good[1], bad])
-        alone = first_failure_one_by_one(sc, starts)
-        assert "Newton step failed" in str(alone)
+        starts = np.stack([good[0], bad, good[1]])
+        assert "Newton step failed" in str(first_failure_one_by_one(sc, starts))
         solves.clear()
-        with pytest.raises(NotConverged) as err:
-            _newton(cs, starts, TOL, MAX_ITER)
+        ends = assert_rows_match_one_by_one(sc, starts)
         assert (3, cs.n_nodes, cs.n_nodes) in solves
-        assert_same_failure(err.value, alone)
+        assert [isinstance(end, NotConverged) for end in ends] == [False, True, False]
 
 
 class TestSolutionArrays:

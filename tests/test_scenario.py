@@ -266,6 +266,11 @@ class TestWithParam:
         with pytest.raises(ValueError):
             with_param(five_node, "network", 1.0)
 
+    def test_path_into_a_scalar(self, five_node):
+        # a float has attributes, but no parameters
+        with pytest.raises(ValueError, match="float has no parameter 'real'"):
+            with_param(five_node, "traveler_params.beta2.real", 1.0)
+
 
 # ---------------------------------------------------------------------------
 # schema errors: the exact pointer and message of every field's faults
@@ -368,6 +373,37 @@ def test_schema_error_names_pointer_and_message(path, value, message):
         load(json.dumps(doc))
     assert err.value.pointer == _pointer(path)
     assert str(err.value) == f"{_pointer(path)}: {message}"
+
+
+#: Every number field kind: table fields, node maps and parameters.
+NUMBER_FIELDS = (
+    ("network", "links", 2, "fftt"), ("ods", 1, "demand"), ("ods", 1, "drive_time"),
+    ("relocation_times", "overrides", 3, "minutes"), ("signin", "2"),
+    ("driver_params", "beta0_r", "2"), ("signout_bonus", "2"),
+    ("traveler_params", "beta2"), ("driver_params", "beta3"),
+)
+
+
+@pytest.mark.parametrize("sign", (1, -1), ids=("positive", "negative"))
+@pytest.mark.parametrize("path", NUMBER_FIELDS, ids=list(map(_pointer, NUMBER_FIELDS)))
+def test_integer_beyond_float_range_is_a_schema_error(path, sign):
+    # JSON integers have no range; one that no float holds is named like
+    # any other fault of its field
+    doc = _schema_doc()
+    _edit(doc, path, sign * 10**400)
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert str(err.value) == f"{_pointer(path)}: number out of float range"
+
+
+@pytest.mark.parametrize("value", ({}, {"0": {}}, 5, "x", None), ids=json.dumps)
+@pytest.mark.parametrize("table", [t for t, _, _ in TABLES], ids=_pointer)
+def test_table_must_be_an_array(table, value):
+    doc = _schema_doc()
+    _edit(doc, table, value)
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert str(err.value) == f"{_pointer(table)}: expected an array"
 
 
 def test_optional_node_maps_may_be_missing(five_node):
