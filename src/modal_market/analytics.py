@@ -1,8 +1,8 @@
 """Scenario experiments and summary metrics over equilibrium solutions.
 
 Everything here is a pure function of (scenario, solution): metrics can be
-recomputed bit-identically, a sweep solves its cells as one stacked Newton
-run (`solve_each`), each cell bit-identical to its own solve, and the hub
+recomputed bit-identically, a sweep solves its cells as stacked Newton
+runs (`solve_sweep`), each cell bit-identical to its own solve, and the hub
 study compares the three Sioux Falls builtins.
 """
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .choice import CompiledScenario, compile_scenario
-from .equilibrium import MAX_ITER, TOL, EquilibriumSolution, solve, solve_each
-from .scenario import MODES, Scenario, builtin_sioux, with_param
+from .equilibrium import MAX_ITER, TOL, EquilibriumSolution, solve, solve_sweep
+from .scenario import MODES, Scenario, builtin_sioux
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +88,8 @@ class SweepCell:
 _NAN = float("nan")
 
 
-def _cell_from_solution(value: float, sc: Scenario, sol: EquilibriumSolution) -> SweepCell:
-    cs = compile_scenario(sc)
+def _cell_from_solution(value: float, sol: EquilibriumSolution) -> SweepCell:
+    cs = sol.prices.cs
     totals = _mode_totals(sol)
     rho_d, rho_h, _ = cs.split(sol.y)
     eta_d, eta_h = cs.eta(sol.y)
@@ -127,25 +127,15 @@ def sweep(
     max_iter: int = MAX_ITER,
 ) -> list[SweepCell]:
     """One cell per value, in input order: `with_param(sc, param, value)`
-    solved from the zero start. Every cell whose parameter can be set is
-    solved in one stacked Newton run (`solve_each`), and each equals its own
-    `solve` bit for bit. A cell whose parameter cannot be set, whose
-    scenario fails validation or whose solve fails carries its error."""
-    scenarios: list[Scenario | ValueError] = []
-    for value in values:
-        try:
-            scenarios.append(with_param(sc, param, value))
-        except ValueError as exc:
-            scenarios.append(exc)
-    solved = iter(solve_each([s for s in scenarios if isinstance(s, Scenario)], tol, max_iter))
-    cells = []
-    for value, cell_sc in zip(values, scenarios):
-        outcome = cell_sc if isinstance(cell_sc, ValueError) else next(solved)
-        cells.append(
-            _failed_cell(value, outcome) if isinstance(outcome, Exception)
-            else _cell_from_solution(value, cell_sc, outcome)
-        )
-    return cells
+    solved from the zero start. The cells are solved as stacked Newton runs
+    (`solve_sweep`), and each equals its own `solve` bit for bit. A cell
+    whose parameter cannot be set, whose scenario fails validation or whose
+    solve fails carries its error."""
+    return [
+        _failed_cell(value, outcome) if isinstance(outcome, Exception)
+        else _cell_from_solution(value, outcome)
+        for value, outcome in zip(values, solve_sweep(sc, param, values, tol, max_iter))
+    ]
 
 
 def sweep_cell(sc: Scenario, param: str, value: float, **solve_opts: Any) -> SweepCell:

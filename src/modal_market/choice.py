@@ -38,13 +38,13 @@ parameter sweep (`stack_cells`), each use its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .scenario import MODES, Scenario, same_data
+from .scenario import MODES, Scenario
 
 #: Largest raw exponent materialized by the dual flow form (natural log units).
 EXP_BOUND = 700.0
@@ -156,45 +156,22 @@ def _od_fields(sc: Scenario, *names: str) -> list[np.ndarray]:
     return [np.array([getattr(od, name) for od in sc.ods], dtype=float) for name in names]
 
 
-def _coefficients(
-    sc: Scenario,
-    node_ids: tuple[int, ...],
-    column_pairs: tuple[tuple[int, int], ...],
-    reloc: np.ndarray,
-    d: np.ndarray,
-    dQ: np.ndarray,
-) -> dict[str, Any]:
-    """The CELL_COEFFICIENTS of sc, from its parameters and the arrays of
-    its compiled form that do not depend on them."""
+def _compile(sc: Scenario) -> CompiledScenario:
     tp = sc.traveler_params
     dp = sc.driver_params
-    dt, pt, dc, pc, at, tt, tw, fare = _od_fields(
-        sc, "drive_time", "parking_time", "drive_cost", "parking_cost",
-        "hub_access_time", "transit_time", "transit_wait", "transit_fare",
-    )
-    beta0 = np.array([dp.beta0_at(r) for r, _ in column_pairs])
-    return dict(
-        u_drive=tp.beta0_drive - tp.beta1_drive * (dt + pt) - tp.beta2 * (dc + pc),
-        u_ride=tp.beta0_ride - tp.beta1_ride * dt,
-        u_multi=(
-            tp.beta0_multi - tp.beta1_multi * (at + tt) - tp.beta1_wait * tw - tp.beta2 * fare
-        ),
-        beta2=tp.beta2,
-        beta3=dp.beta3,
-        A=beta0 - dp.beta1 * reloc,
-        a_H=np.array([dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in node_ids]),
-        phi_weights=np.concatenate([np.full(len(node_ids), 1.0 / dp.beta3), d / tp.beta2, -dQ]),
-    )
-
-
-def _compile(sc: Scenario) -> CompiledScenario:
     node_ids = tuple(sc.network.nodes)
     node_index = {n: i for i, n in enumerate(node_ids)}
     m = len(sc.ods)
 
     s_idx = np.array([node_index[od.s] for od in sc.ods], dtype=int)
     h_idx = np.array([node_index[od.hub] for od in sc.ods], dtype=int)
-    (d,) = _od_fields(sc, "demand")
+    d, dt, pt, dc, pc, at, tt, tw, fare = _od_fields(
+        sc, "demand", "drive_time", "parking_time", "drive_cost", "parking_cost",
+        "hub_access_time", "transit_time", "transit_wait", "transit_fare",
+    )
+    u_drive = tp.beta0_drive - tp.beta1_drive * (dt + pt) - tp.beta2 * (dc + pc)
+    u_ride = tp.beta0_ride - tp.beta1_ride * dt
+    u_multi = tp.beta0_multi - tp.beta1_multi * (at + tt) - tp.beta1_wait * tw - tp.beta2 * fare
 
     n_nodes = len(node_ids)
     column_pairs = tuple(
@@ -209,8 +186,13 @@ def _compile(sc: Scenario) -> CompiledScenario:
             for n in node_ids
         ]
     ).reshape(n_nodes, len(sc.origins))
+    beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
     cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
     reloc = T[:, cols]
+    A = beta0[cols] - dp.beta1 * reloc
+    a_H = np.array(
+        [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in node_ids]
+    )
     dQ = np.array([sc.signin_at(n) for n in node_ids], dtype=float)
 
     ride_row, multi_row = np.arange(m), m + np.arange(m)
@@ -241,45 +223,31 @@ def _compile(sc: Scenario) -> CompiledScenario:
         s_idx=s_idx,
         h_idx=h_idx,
         drop_idx=np.concatenate([s_idx, h_idx]),
+        u_drive=u_drive,
+        u_ride=u_ride,
+        u_multi=u_multi,
+        beta2=tp.beta2,
+        beta3=dp.beta3,
+        A=A,
+        a_H=a_H,
         dQ=dQ,
         column_pairs=column_pairs,
         reloc=reloc,
         rho_lam_flat=rho_lam_flat,
         lam_lam_flat=lam_lam_flat,
-        **_coefficients(sc, node_ids, column_pairs, reloc, d, dQ),
+        phi_weights=np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ]),
     )
 
 
-def compile_cell(sc: Scenario, like: CompiledScenario) -> CompiledScenario:
-    """`compile_scenario(sc)`, with like's parameter-free arrays when sc
-    shares its data with like.sc (`same_data`), as the cells of a sweep do:
-    then only the CELL_COEFFICIENTS are computed anew."""
-    if "_compiled" not in sc.__dict__ and same_data(sc, like.sc):
-        sc.__dict__["_compiled"] = replace(
-            like, sc=sc, **_coefficients(sc, like.node_ids, like.column_pairs,
-                                         like.reloc, like.d, like.dQ)
-        )
-    return compile_scenario(sc)
-
-
 def stack_cells(cells: Sequence[CompiledScenario]) -> CompiledScenario:
-    """The stack of sweep cells: each of CELL_COEFFICIENTS stacked along a
-    new leading axis, the first cell's scenario and arrays for the rest.
-    Raises ValueError if the cells differ in any of the rest."""
-    first = cells[0]
-    shared = [f.name for f in fields(first) if f.name not in ("sc", *CELL_COEFFICIENTS)]
-    for cs in cells[1:]:
-        differ = [
-            n for n in shared
-            if getattr(cs, n) is not getattr(first, n)
-            and not np.array_equal(getattr(cs, n), getattr(first, n))
-        ]
-        if differ:
-            raise ValueError(f"sweep cells differ in {', '.join(differ)}")
+    """The stack of a sweep's cells, the compiled `with_param` copies of one
+    scenario, so they differ only in CELL_COEFFICIENTS: each of those
+    stacked along a new leading axis, the first cell's scenario and arrays
+    for the rest."""
     stacked = {name: np.stack([getattr(cs, name) for cs in cells]) for name in CELL_COEFFICIENTS}
     stacked["beta2"] = stacked["beta2"][:, None]
     stacked["beta3"] = stacked["beta3"][:, None]
-    return replace(first, **stacked)
+    return replace(cells[0], **stacked)
 
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:

@@ -12,7 +12,7 @@ phi (`_potential`), hence its Jacobian is symmetric positive definite;
 merit function, and stops once the residual and the Newton step (the
 first-order error of the duals) are both small. The Newton core (`_newton`)
 works on a stack of dual vectors: `solve` runs it on one start,
-`uniqueness_probe` on all of its starts at once and `solve_each` on the
+`uniqueness_probe` on all of its starts at once and `solve_sweep` on the
 cells of a parameter sweep, one zero start per cell, each row stepping
 exactly as it would alone and ending in its own result or failure. Its
 line search has one path: the full-step trial stack becomes the next
@@ -48,7 +48,6 @@ from .choice import (
     OverflowGuard,
     PriceSystem,
     TravelerFlows,
-    compile_cell,
     compile_scenario,
     driver_flow_matrix,
     driver_flows_dual,
@@ -57,7 +56,7 @@ from .choice import (
     traveler_flows,
     traveler_utility_matrix,
 )
-from .scenario import Scenario, data_violations, parameter_violations, same_data, validate
+from .scenario import Scenario, validate, with_param
 
 _EPS = float(np.finfo(float).eps)
 #: phi's rounding allowance per unit of the size of its terms
@@ -513,43 +512,36 @@ def solve(
     return _solution(cs, y, history, end, time.perf_counter() - started)
 
 
-#: Most driver-flow entries (rows times n x 2m) in one stacked Newton run of
-#: `solve_each`: a stack's arrays grow with them, so a long list of large
-#: scenarios is solved in several stacks, each of at least one row. A row's
-#: result does not depend on its stack.
-STACK_ENTRIES = 1 << 18
+#: Most cells in one stacked Newton run of `solve_sweep`; a longer grid is
+#: solved in several stacks, so the Newton temporaries, cells x n x 2m
+#: entries each, stop growing with the grid. A row's result does not
+#: depend on its stack.
+STACK_CELLS = 32
 
 
-def solve_each(
-    scenarios: Sequence[Scenario], tol: float = TOL, max_iter: int = MAX_ITER
+def solve_sweep(
+    sc: Scenario, param: str, values: Sequence[float],
+    tol: float = TOL, max_iter: int = MAX_ITER,
 ) -> list[EquilibriumSolution | Exception]:
-    """`solve(sc, tol, max_iter)` for each scenario, as stacked Newton runs
-    from the zero start (`_newton` on `stack_cells`).
+    """`solve(with_param(sc, param, value), tol, max_iter)` for each value,
+    as stacked Newton runs from the zero start (`_newton` on `stack_cells`).
 
-    The scenarios are the cells of a parameter sweep: they may differ only
-    in their traveler and driver parameters (ValueError otherwise). Each
-    entry is what `solve` returns on its own scenario, bit for bit in y,
-    flows, residual and history, or the exception it raises: ValidationFailed
-    for a scenario that fails validation, which never enters a stack, and
+    Each entry is what that solve returns, bit for bit in y, flows, residual
+    and history, or the exception it raises: ValueError from `with_param`
+    and ValidationFailed, for a cell that never enters a stack, and
     NotConverged or OverflowGuard for one that does. A solution's wall time
     is that of its whole stack.
     """
-    outcomes: list = [None] * len(scenarios)
+    outcomes: list = []
     valid: list[tuple[int, CompiledScenario]] = []
-    # the cells share their data, so it is validated once
-    data = data_violations(scenarios[0]) if scenarios else []
-    for i, sc in enumerate(scenarios):
-        if same_data(sc, scenarios[0]):
-            found = data + parameter_violations(sc)
-        else:
-            found = list(violations(sc))
-        if found:
-            outcomes[i] = ValidationFailed(found)
-        else:
-            valid.append((i, compile_cell(sc, valid[0][1]) if valid else compile_scenario(sc)))
-    rows = max(1, STACK_ENTRIES // (2 * valid[0][1].m * valid[0][1].n_nodes)) if valid else 1
-    for first in range(0, len(valid), rows):
-        chunk = valid[first : first + rows]
+    for i, value in enumerate(values):
+        try:
+            valid.append((i, _compiled(with_param(sc, param, value))))
+            outcomes.append(None)
+        except (ValueError, ValidationFailed) as exc:
+            outcomes.append(exc)
+    for first in range(0, len(valid), STACK_CELLS):
+        chunk = valid[first : first + STACK_CELLS]
         started = time.perf_counter()
         cs = stack_cells([cell for _, cell in chunk])
         ys, histories, ends = _newton(cs, np.zeros((len(chunk), cs.dim)), tol, max_iter)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import repeat
@@ -167,27 +167,7 @@ class Scenario:
 
 
 def validate(sc: Scenario) -> list[str]:
-    """Collect every invariant violation; empty list means solvable input.
-    Those of the data come first, then those of the parameters."""
-    return data_violations(sc) + parameter_violations(sc)
-
-
-#: The Scenario fields a parameter path of `with_param` can reach.
-PARAMETERS = ("traveler_params", "driver_params")
-
-
-def same_data(sc: Scenario, other: Scenario) -> bool:
-    """Whether sc shares every field but its parameters with other, object
-    for object, as the scenarios `with_param` makes from one scenario do."""
-    return all(
-        getattr(sc, f.name) is getattr(other, f.name)
-        for f in fields(Scenario) if f.name not in PARAMETERS
-    )
-
-
-def data_violations(sc: Scenario) -> list[str]:
-    """The violations of `validate` in the network, ODs, relocation times
-    and sign-in rates."""
+    """Collect every invariant violation; empty list means solvable input."""
     out: list[str] = []
     nodes = set(sc.network.nodes)
 
@@ -254,12 +234,7 @@ def data_violations(sc: Scenario) -> list[str]:
                 f"/signin/{n}: node {n} receives no drop-offs, so a zero "
                 "sign-in rate leaves its driver stock equation unsatisfiable"
             )
-    return out
 
-
-def parameter_violations(sc: Scenario) -> list[str]:
-    """The violations of `validate` in the traveler and driver parameters."""
-    out: list[str] = []
     tp = sc.traveler_params
     if not tp.beta2 > 0:
         out.append(f"/traveler_params/beta2: {tp.beta2} must be > 0")

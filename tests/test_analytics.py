@@ -20,7 +20,7 @@ from modal_market.equilibrium import (
     NotConverged,
     ValidationFailed,
     solve,
-    solve_each,
+    solve_sweep,
 )
 from modal_market.oracle import random_scenario
 from modal_market.scenario import MODES, builtin, with_param
@@ -38,7 +38,7 @@ def solo_cell(sc, param, value, **solve_opts):
     """The sweep cell of one value, from `solve` on its scenario alone."""
     try:
         cell_sc = with_param(sc, param, value)
-        return _cell_from_solution(value, cell_sc, solve(cell_sc, **solve_opts))
+        return _cell_from_solution(value, solve(cell_sc, **solve_opts))
     except (EquilibriumError, OverflowGuard, ValueError) as exc:
         return _failed_cell(value, exc)
 
@@ -152,7 +152,7 @@ class TestSweep:
         for name in BUILTINS:
             sc = builtin(name)
             for param, grid in GRIDS.items():
-                stacked = solve_each([with_param(sc, param, v) for v in grid])
+                stacked = solve_sweep(sc, param, grid)
                 for value, solution in zip(grid, stacked):
                     assert_same_solution(solution, solve(with_param(sc, param, value)))
                 cells = sweep(sc, param, grid)
@@ -170,8 +170,7 @@ class TestSweep:
 
         monkeypatch.setattr(equilibrium, "_newton", counted)
         whole = list(map(repr, sweep(sc, "driver_params.beta3", grid)))
-        # sioux2 has 24 nodes and 14 driver columns: two cells per stack
-        monkeypatch.setattr(equilibrium, "STACK_ENTRIES", 2 * 24 * 14 + 1)
+        monkeypatch.setattr(equilibrium, "STACK_CELLS", 2)
         assert list(map(repr, sweep(sc, "driver_params.beta3", grid))) == whole
         assert stacks == [5, 2, 2, 1]
 
@@ -185,19 +184,13 @@ class TestSweep:
         assert list(map(repr, cells)) == [
             repr(solo_cell(sc, "driver_params.beta3", v, max_iter=7)) for v in grid
         ]
-        outcomes = solve_each([with_param(sc, "driver_params.beta3", v) for v in grid],
-                              max_iter=7)
+        outcomes = solve_sweep(sc, "driver_params.beta3", grid, max_iter=7)
         assert [type(o).__name__ for o in outcomes] == [
             "EquilibriumSolution", ValidationFailed.__name__, OverflowGuard.__name__,
             NotConverged.__name__, "EquilibriumSolution",
         ]
         assert cells[2].error == "initial dual vector overflows the driver flows"
         assert cells[3].error.startswith("no convergence to 1e-10 within 7 iterations")
-
-    def test_cells_that_differ_beyond_parameters_are_refused(self, sioux_scenarios):
-        # sioux1 and sioux2 have the same dimensions but different hubs
-        with pytest.raises(ValueError, match="sweep cells differ in .*h_idx"):
-            solve_each([sioux_scenarios[1], sioux_scenarios[2]])
 
 
 class TestHubStudy:
