@@ -41,7 +41,9 @@ class MetricsReport:
 
 
 def total_relocation_time(sc: Scenario, solution: EquilibriumSolution) -> float:
-    """Flow-weighted relocation minutes; staying put (n == r) costs zero.
+    """Flow-weighted relocation minutes, each driver flow weighted by the
+    relocation table's time from its node to its column's origin (t_rr, the
+    time of staying put, included; shortest paths make it zero).
 
     Summed sequentially in row-major (node, driver column) order, so the
     total is reproducible to the bit rather than subject to numpy's pairwise

@@ -28,10 +28,11 @@ mapping attributes (`eta_direct[(r, s)]`, `q[(r, s)][mode]`, `Q[n]`, ...)
 are views built on first access by `CompiledScenario`'s view methods, the
 one place that decides the keyed result format.
 
-All exponentials are max-shift stabilized where shares are formed; the dual
-form caps raw exponents at EXP_BOUND and raises OverflowGuard beyond it,
-which signals a divergent dual iterate rather than a modeling error. The
-array kernels (`traveler_flow_matrix`, `driver_flow_matrix`) broadcast over
+All exponentials are max-shift stabilized where shares are formed. The dual
+form caps raw exponents at EXP_BOUND: at a dual point with an exponent
+beyond it every driver flow is +inf, a value rather than an error, which
+marks a divergent dual iterate rather than a modeling error. The array
+kernels (`traveler_flow_matrix`, `driver_flow_matrix`) broadcast over
 leading axes, so the solver evaluates a stack of dual points in one call.
 The points may share one scenario's coefficients or, for the cells of a
 parameter sweep (`stack_cells`), each use its own.
@@ -48,14 +49,6 @@ from .scenario import MODES, Scenario
 
 #: Largest raw exponent materialized by the dual flow form (natural log units).
 EXP_BOUND = 700.0
-
-
-class ChoiceError(Exception):
-    """Base class for choice-model errors."""
-
-
-class OverflowGuard(ChoiceError):
-    """An exponent exceeded EXP_BOUND; the dual iterate is divergent."""
 
 
 #: The coefficients a traveler or driver parameter enters. In a stack of
@@ -181,10 +174,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
     # times are needed only towards the distinct origins
     origin_index = {r: k for k, r in enumerate(sc.origins)}
     T = np.array(
-        [
-            [0.0 if n == r else sc.relocation_time(n, r) for r in sc.origins]
-            for n in node_ids
-        ]
+        [[sc.relocation_time(n, r) for r in sc.origins] for n in node_ids]
     ).reshape(n_nodes, len(sc.origins))
     beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
     cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
@@ -389,9 +379,8 @@ def driver_flow_matrix(
 
     E[n, c] = exp(A[n, c] + beta3*(rho_c + lambda_n)), E_H[n] the sign-out
     column, Q the row sums. Leading axes of rho and lam index a stack of
-    dual points. A point with an exponent beyond EXP_BOUND has all its flows
-    +inf; OverflowGuard is raised when every point has one, so a single
-    divergent point always raises.
+    dual points. A point with an exponent beyond EXP_BOUND, or a NaN one,
+    has all its flows +inf, without a RuntimeWarning.
     """
     b3 = np.asarray(cs.beta3)  # a (k, 1) column for a stack of cells
     expo = cs.A + b3[..., None] * (rho[..., None, :] + lam[..., :, None])
@@ -399,10 +388,6 @@ def driver_flow_matrix(
     worst = np.maximum(expo.max(axis=-1, initial=-np.inf), expo_H).max(axis=-1, initial=-np.inf)
     within = worst <= EXP_BOUND  # False for NaN too
     if not within.all():
-        if not within.any():
-            raise OverflowGuard(
-                f"driver flow exponent {worst.max():.3g} exceeds bound {EXP_BOUND:g}"
-            )
         expo[~within] = np.inf
         expo_H[~within] = np.inf
     E = np.exp(expo)
@@ -449,13 +434,13 @@ def driver_utilities(sc: Scenario, prices: PriceSystem) -> np.ndarray:
 
     Written out from the scenario data, not taken from the compiled arrays,
     so a replay through it audits them. Every driver pair starts at its
-    od's origin, so the relocation table is read once per node and origin.
-    Staying put costs no relocation time (t_nn = 0).
+    od's origin, so the relocation table is read once per node and origin;
+    the time of staying put at an origin, t_rr, is read from it too.
     """
     dp = sc.driver_params
     nodes = sc.network.nodes
     minutes = np.array(
-        [[0.0 if n == r else sc.relocation_time(n, r) for n in nodes] for r in sc.origins]
+        [[sc.relocation_time(n, r) for n in nodes] for r in sc.origins]
     ).reshape(len(sc.origins), len(nodes))
     row = {r: k for k, r in enumerate(sc.origins)}
     origins = [od.r for od in sc.ods] * 2
@@ -486,7 +471,8 @@ def driver_flows_dual(sc: Scenario, prices: PriceSystem) -> DriverFlows:
 
     Shares per node coincide exactly with `driver_flows_logit` at the
     resulting stock: the lambda factor is common to every choice at a node
-    and cancels in the normalization.
+    and cancels in the normalization. At prices whose driver exponents
+    exceed EXP_BOUND every flow and stock is +inf.
     """
     cs = compile_scenario(sc)
     return DriverFlows(cs, *driver_flow_matrix(cs, *cs.rho_lam(prices.y)))

@@ -2,16 +2,17 @@
 
 Exit codes: 0 success, 1 failed verification checks, 2 bad input (missing
 files, schema or validation errors, unusable option values, unwritable
-output paths), 3 solver non-convergence, a start whose driver flows
-overflow included. Input errors are reported by `main` alone, as one
-`error: ...` line. Artifacts are deterministic: the same inputs and seed
-produce byte-identical files, so no timestamps or wall times are ever
-written to disk.
+output paths), 3 solver non-convergence (`NotConverged`), a start whose
+driver flows overflow included. Input errors are reported by `main` alone,
+as one `error: ...` line. Artifacts are deterministic: the same inputs
+and seed produce byte-identical files, so no timestamps or wall times are
+ever written to disk.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -41,7 +42,7 @@ from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 # `validate` stays importable here: bench/tracing.py wraps cli.validate
 from .scenario import MODES, ScenarioError, builtin, load, validate  # noqa: F401
 from .scenario import DriverParams, TravelerParams, network_document, params_document
-from .choice import OverflowGuard, _logit, driver_flows_logit, traveler_utilities
+from .choice import _logit, driver_flows_logit, traveler_utilities
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -173,6 +174,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         sol = solve(sc, tol=args.tol, max_iter=args.max_iter)
     except NotConverged as exc:
+        if not exc.residual_history:  # no iterate: the start overflows
+            raise
         # keep the best iterate for diagnosis, explicitly flagged
         sol = solution_at(sc, exc.best_y, exc.residual_history, converged=False)
         print(f"not converged: {exc}", file=sys.stderr)
@@ -229,7 +232,7 @@ def _audit(sc, args: argparse.Namespace, seed: int,
     interrupted. Returns the exit code."""
     try:
         sol = solve(sc)
-    except (NotConverged, OverflowGuard) as exc:
+    except NotConverged as exc:
         checks.append(("market_clearing", False, str(exc)))
         return EXIT_NOT_CONVERGED
     checks.append(
@@ -286,7 +289,7 @@ def _audit(sc, args: argparse.Namespace, seed: int,
     })
     try:
         dev = uniqueness_probe(sc, k=args.uniqueness_starts, seed=seed)
-    except (NotConverged, OverflowGuard) as exc:
+    except NotConverged as exc:
         checks.append(("uniqueness", False, str(exc)))
         return EXIT_NOT_CONVERGED
     checks.append(
@@ -444,7 +447,10 @@ def cmd_import_tntp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="modal-market",
         description="Equilibrium prices and flows for a multimodal mobility market.",
@@ -511,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, NetgraphError, ValidationFailed, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotConverged, OverflowGuard) as exc:
+    except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

@@ -45,7 +45,6 @@ import numpy as np
 from .choice import (
     CompiledScenario,
     DriverFlows,
-    OverflowGuard,
     PriceSystem,
     TravelerFlows,
     compile_scenario,
@@ -237,15 +236,20 @@ def _newton_step(
 
 
 def _dual_vector(cs: CompiledScenario, y: np.ndarray, name: str = "dual vector") -> np.ndarray:
-    """Float copy of y, checked to have the dual dimension."""
+    """Float copy of y, checked to have the dual dimension and finite entries."""
     y = np.array(y, dtype=float)
     if y.shape != (cs.dim,):
         raise ValueError(f"{name} must have shape ({cs.dim},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"{name} must have finite entries")
     return y
 
 
 def residual(sc: Scenario, y: np.ndarray) -> ResidualReport:
-    """Evaluate the clearing residual at dual vector y (pure, deterministic)."""
+    """Evaluate the clearing residual at dual vector y (pure, deterministic).
+
+    At a y whose driver exponents exceed EXP_BOUND the driver flows are
+    +inf, and so is every clearing gap they enter."""
     cs = compile_scenario(sc)
     return ResidualReport(cs, _residual_vector(cs, _dual_vector(cs, y)))
 
@@ -282,9 +286,9 @@ def solution_at(
 
 def _potential(cs: CompiledScenario, y: np.ndarray):
     """(phi, allowance, (q, P, E, E_H, Q)) at y, or at each row of a stack of
-    dual vectors; phi is infinite at a point whose driver flows overflow, and
-    the flows are None when every point's do. Every returned array is its
-    own, so a caller may write into any of them.
+    dual vectors. At a point whose driver flows overflow, its +inf stock
+    makes phi and the allowance +inf. Every returned array is its own, so a
+    caller may write into any of them.
 
     phi(y) = sum_n Q_n / beta3 + sum_i (d_i/beta2) LSE_i(U) - dQ . lambda,
     with Q_n the driver stock (sign-out included) and LSE_i the log-sum-exp
@@ -294,10 +298,7 @@ def _potential(cs: CompiledScenario, y: np.ndarray):
     traveler flows and probabilities and the driver flows and stocks phi was
     formed from.
     """
-    try:
-        q, P, lse, E, E_H, Q = _flows_at(cs, y)
-    except OverflowGuard:
-        return np.full(y.shape[:-1], np.inf), np.full(y.shape[:-1], np.inf), None
+    q, P, lse, E, E_H, Q = _flows_at(cs, y)
     terms = np.concatenate([Q, lse, cs.rho_lam(y)[1]], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.vecdot(terms, cs.phi_weights)
@@ -349,23 +350,25 @@ def _newton(
     coefficients are subset with the rows it keeps and with the rows each
     backtracking trial re-evaluates. Returns the final dual vectors (k, dim),
     the inf-norm history of each row and, per row, the flows (q, E, E_H, Q)
-    and residual r at its final vector, or the exception that ended the row
-    (NotConverged, or OverflowGuard when the driver flows overflow at its
-    start), whose final vector is then NaN. A failure ends its own row only.
+    and residual r at its final vector, or the NotConverged that ended the
+    row, whose final vector is then NaN. A failure ends its own row only; a
+    start whose phi is not finite (its driver flows overflow) ends its row
+    at once, with the start as the best iterate and an empty history.
     """
     k = len(Y)
     finals = np.full_like(Y, np.nan)
     histories: list[list[float]] = [[] for _ in range(k)]
     iterates: list[list[np.ndarray]] = [[] for _ in range(k)]
-    ends: list[tuple[np.ndarray, ...] | Exception] = [() for _ in range(k)]
+    ends: list[tuple[np.ndarray, ...] | NotConverged] = [() for _ in range(k)]
     rows, cs_rows = np.arange(k), cs
     phi, allowance, flows = _potential(cs, Y)
     if not np.isfinite(phi).all():
         for i in np.flatnonzero(~np.isfinite(phi)):
-            ends[i] = OverflowGuard("initial dual vector overflows the driver flows")
+            ends[i] = NotConverged(
+                "initial dual vector overflows the driver flows", Y[i].copy(), histories[i]
+            )
         keep = np.flatnonzero(np.isfinite(phi))
-        rows, Y, phi, allowance = rows[keep], Y[keep], phi[keep], allowance[keep]
-        flows = tuple(f[keep] for f in flows) if keep.size else None
+        rows, Y, phi, allowance, *flows = (a[keep] for a in (rows, Y, phi, allowance, *flows))
         cs_rows = cs.cells(keep)
 
     def fail(positions: np.ndarray, why) -> None:
@@ -426,13 +429,10 @@ def _newton(
         # allowance; a row stalls once t d is below the float resolution of
         # y. The t = 1 trial stack is the next state. Rows still searching
         # share the halved t, and each trial overwrites the rows that made
-        # it, so a row keeps the trial it accepted. A trial whose every row
-        # overflows has no flows: at t = 1 the current flows, no longer read
-        # once the step is formed, stand in for them, and a later one writes
-        # none, since all its rows are rejected.
+        # it, so a row keeps the trial it accepted.
         trial = Y + step
         phi_t, allowance_t, flows_t = _potential(cs_rows, trial)
-        state = (trial, phi_t, allowance_t, *(flows_t or flows))
+        state = (trial, phi_t, allowance_t, *flows_t)
         at = np.flatnonzero(~(phi_t <= phi + slope + allowance))
         if at.size:
             with np.errstate(divide="ignore"):
@@ -450,7 +450,7 @@ def _newton(
                         break
                 trial = Y[at] + t * step[at]
                 phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at), trial)
-                for whole, part in zip(state, (trial, phi_t, allowance_t, *(flows_t or ()))):
+                for whole, part in zip(state, (trial, phi_t, allowance_t, *flows_t)):
                     whole[at] = part
                 at = at[~(phi_t <= phi[at] + t * slope[at] + allowance[at])]
             if not live.all():
@@ -501,7 +501,9 @@ def solve(
     history, if that does not happen within `max_iter` iterations, if the
     step cannot be formed (singular Schur complement or non-finite step) or
     its slope r.d is not finite, or if t d falls below the float resolution
-    of y. Raises OverflowGuard if the driver flows overflow at y0.
+    of y; it is the one way a solve of a valid scenario fails. If the driver
+    flows overflow at y0 already, its best iterate is y0 and its history is
+    empty. Raises ValueError if y0 has the wrong shape or a non-finite entry.
     """
     cs = _compiled(sc)
     started = time.perf_counter()
@@ -529,8 +531,8 @@ def solve_sweep(
     Each entry is what that solve returns, bit for bit in y, flows, residual
     and history, or the exception it raises: ValueError from `with_param`
     and ValidationFailed, for a cell that never enters a stack, and
-    NotConverged or OverflowGuard for one that does. A solution's wall time
-    is that of its whole stack.
+    NotConverged for one that does. A solution's wall time is that of its
+    whole stack.
     """
     outcomes: list = []
     valid: list[tuple[int, CompiledScenario]] = []
@@ -559,8 +561,8 @@ def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
 
     Starts are uniform in [-10, 10] per coordinate. All k starts are solved
     as one stack (`_newton`), each exactly as `solve` would solve it alone;
-    if any fails, the failure `solve` raises for the lowest-index failing
-    start is raised, not hidden.
+    if any fails, the NotConverged `solve` raises for the lowest-index
+    failing start is raised, not hidden.
     """
     if k < 2:
         raise ValueError("uniqueness probe needs k >= 2 starts")

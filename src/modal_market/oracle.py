@@ -169,8 +169,7 @@ def _micro_terms(sc: Scenario):
     # columns: 0 = direct leg (r -> s), 1 = hub leg (r -> hub)
     base = np.empty((len(nodes), 2))
     for i, n in enumerate(nodes):
-        t_nr = 0.0 if n == od.r else sc.relocation_time(n, od.r)
-        base[i, :] = dp.beta0_at(od.r) - dp.beta1 * t_nr
+        base[i, :] = dp.beta0_at(od.r) - dp.beta1 * sc.relocation_time(n, od.r)
     a_H = np.array(
         [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in nodes]
     )

@@ -9,6 +9,7 @@ readable violations so callers can report all problems at once.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, is_dataclass, replace
 from functools import cached_property, lru_cache
@@ -235,22 +236,30 @@ def validate(sc: Scenario) -> list[str]:
                 "sign-in rate leaves its driver stock equation unsatisfiable"
             )
 
-    tp = sc.traveler_params
-    if not tp.beta2 > 0:
-        out.append(f"/traveler_params/beta2: {tp.beta2} must be > 0")
-    for label, value in (
-        ("beta1_drive", tp.beta1_drive),
-        ("beta1_ride", tp.beta1_ride),
-        ("beta1_multi", tp.beta1_multi),
-        ("beta1_wait", tp.beta1_wait),
-    ):
-        if value < 0:
-            out.append(f"/traveler_params/{label}: {value} must be >= 0")
-    dp = sc.driver_params
-    if not dp.beta3 > 0:
-        out.append(f"/driver_params/beta3: {dp.beta3} must be > 0")
-    if dp.beta1 < 0:
-        out.append(f"/driver_params/beta1: {dp.beta1} must be >= 0")
+    for n in sc.signout_bonus:
+        if n not in nodes:
+            out.append(f"/signout_bonus/{n}: node absent from network")
+
+    tp, dp = sc.traveler_params, sc.driver_params
+    coefficients = {
+        **{f"/traveler_params/{name}": getattr(tp, name) for name in _TRAVELER_FIELDS},
+        **{f"/driver_params/{name}": getattr(dp, name) for name in _DRIVER_FIELDS},
+        **{f"/driver_params/beta0_r/{n}": value for n, value in dp.beta0_r.items()},
+        **{f"/signout_bonus/{n}": value for n, value in sc.signout_bonus.items()},
+    }
+    # a coefficient is reported once: by its range if it has one and fails
+    # it, else if it is not finite (NaN and +inf pass the `>= 0` test, and
+    # +inf the `> 0` test)
+    ranges = [("/traveler_params/beta2", "> 0")]
+    ranges += [(f"/traveler_params/beta1_{x}", ">= 0") for x in ("drive", "ride", "multi", "wait")]
+    ranges += [("/driver_params/beta3", "> 0"), ("/driver_params/beta1", ">= 0")]
+    for pointer, need in ranges:
+        value = coefficients[pointer]
+        if value < 0 or (need == "> 0" and not value > 0):
+            out.append(f"{pointer}: {coefficients.pop(pointer)} must be {need}")
+    for pointer, value in coefficients.items():
+        if not math.isfinite(value):
+            out.append(f"{pointer}: {value} must be finite")
 
     return out
 
@@ -499,6 +508,8 @@ _TRAVELER_FIELDS = (
     "beta1_drive", "beta1_ride", "beta1_multi",
     "beta1_wait", "beta2",
 )
+#: The scalar driver parameters; `beta0_r` also maps nodes to values.
+_DRIVER_FIELDS = ("beta0_H", "beta1", "beta3", "beta0_r_default")
 
 
 def _walk_entry(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> tuple:

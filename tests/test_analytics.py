@@ -14,7 +14,7 @@ from modal_market.analytics import (
     sweep,
     total_relocation_time,
 )
-from modal_market.choice import OverflowGuard, compile_scenario
+from modal_market.choice import compile_scenario
 from modal_market.equilibrium import (
     EquilibriumError,
     NotConverged,
@@ -39,7 +39,7 @@ def solo_cell(sc, param, value, **solve_opts):
     try:
         cell_sc = with_param(sc, param, value)
         return _cell_from_solution(value, solve(cell_sc, **solve_opts))
-    except (EquilibriumError, OverflowGuard, ValueError) as exc:
+    except (EquilibriumError, ValueError) as exc:
         return _failed_cell(value, exc)
 
 
@@ -186,7 +186,7 @@ class TestSweep:
         ]
         outcomes = solve_sweep(sc, "driver_params.beta3", grid, max_iter=7)
         assert [type(o).__name__ for o in outcomes] == [
-            "EquilibriumSolution", ValidationFailed.__name__, OverflowGuard.__name__,
+            "EquilibriumSolution", ValidationFailed.__name__, NotConverged.__name__,
             NotConverged.__name__, "EquilibriumSolution",
         ]
         assert cells[2].error == "initial dual vector overflows the driver flows"

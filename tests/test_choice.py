@@ -1,5 +1,6 @@
 """Logit closed forms: utilities, flows, and dual/logit consistency."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from modal_market.choice import (
     EXP_BOUND,
-    OverflowGuard,
     PriceSystem,
     compile_scenario,
     driver_flows_dual,
@@ -306,6 +306,8 @@ class TestDriverFlowsDual:
         assert supply_hi > supply_lo
 
     def test_overflow_guard(self, five_node):
+        # exponents beyond the bound: every flow and stock is +inf, a value,
+        # without a RuntimeWarning
         lam = {n: EXP_BOUND + 10 for n in five_node.network.nodes}
         prices = PriceSystem.build(
             five_node,
@@ -313,8 +315,11 @@ class TestDriverFlowsDual:
             {rs: 0.0 for rs in five_node.rs_pairs},
             lam,
         )
-        with pytest.raises(OverflowGuard):
-            driver_flows_dual(five_node, prices)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flows = driver_flows_dual(five_node, prices)
+        for values in (flows.E, flows.E_H, flows.stock):
+            assert (values == np.inf).all()
 
 
 class TestPriceSystem:

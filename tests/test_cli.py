@@ -2,7 +2,9 @@
 import argparse
 import csv
 import json
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ def read_csv(path):
 
 
 SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
+
+
+def write_coefficient(path, block, field, value):
+    """A 5node scenario document with one coefficient set, at path."""
+    doc = to_document(builtin_5node())
+    doc[block][field] = value
+    path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize("argv, stderr", [
@@ -59,6 +68,10 @@ SWEEP = ["--param", "traveler_params.beta2", "--values", "1", "--out", "out"]
      "error: /ods/0/demand: number out of float range\n"),
     (["validate", "--scenario", "scalar_overrides.json"],
      "error: /relocation_times/overrides: expected an array\n"),
+    (["solve", "--scenario", "nan_beta0_drive.json"],
+     "error: scenario failed validation:\n  /traveler_params/beta0_drive: nan must be finite\n"),
+    (["solve", "--scenario", "inf_beta1.json"],
+     "error: scenario failed validation:\n  /driver_params/beta1: inf must be finite\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
     # every command reports a bad input file, option value or output path
@@ -73,6 +86,8 @@ def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatc
     doc["ods"][0]["demand"] = 100.0
     doc["relocation_times"]["overrides"] = 5
     (tmp_path / "scalar_overrides.json").write_text(json.dumps(doc))
+    write_coefficient(tmp_path / "nan_beta0_drive.json", "traveler_params", "beta0_drive", math.nan)
+    write_coefficient(tmp_path / "inf_beta1.json", "driver_params", "beta1", math.inf)
     (tmp_path / "bad.tntp").write_text("<END OF METADATA>\n")
     (tmp_path / "latin1.tntp").write_bytes("~ café\n".encode("latin-1"))
     (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
@@ -485,6 +500,35 @@ class TestOverflowingStart:
         assert rows[2][-1] == OVERFLOW
         out = capsys.readouterr().out
         assert f"driver_params.beta0_r_default=800.0: FAILED ({OVERFLOW}) winner=-" in out
+
+
+@pytest.mark.parametrize("block, field, value", [
+    ("traveler_params", "beta0_drive", math.nan), ("driver_params", "beta1", math.inf),
+])
+def test_validate_reports_a_non_finite_coefficient(block, field, value, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    write_coefficient(path, block, field, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL scenario_valid: 1 violations\n"
+    assert captured.err == f"  violation: /{block}/{field}: {value} must be finite\n"
+
+
+def test_own_origin_relocation_time_is_read(tmp_path, capsys):
+    # t_11 = 50 in the table: the duals move, and the replays, which read
+    # the table themselves, still agree with the solver
+    doc = to_document(builtin_5node())
+    for override in doc["relocation_times"]["overrides"]:
+        if (override["n"], override["r"]) == (1, 1):
+            override["minutes"] = 50.0
+    path = tmp_path / "t11.json"
+    path.write_text(json.dumps(doc))
+    assert np.abs(solve(load(path.read_text())).y - solve(builtin_5node()).y).max() > 0.1
+    assert main(["validate", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS traveler_logit_replay" in out and "PASS driver_logit_replay" in out
 
 
 class TestSweepCommand:

@@ -9,7 +9,6 @@ import pytest
 from modal_market import equilibrium
 from modal_market.choice import (
     EXP_BOUND,
-    OverflowGuard,
     PriceSystem,
     compile_scenario,
     driver_flows_dual,
@@ -127,6 +126,23 @@ class TestResidual:
         assert cs.dim == 2 * 2 + 5
         with pytest.raises(ValueError):
             residual(five_node, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=str)
+    def test_non_finite_dual_vector_is_refused(self, five_node, bad):
+        y = np.zeros(compile_scenario(five_node).dim)
+        y[4] = bad
+        for call in (lambda: residual(five_node, y), lambda: extract_prices(y, five_node)):
+            with pytest.raises(ValueError, match="^dual vector must have finite entries$"):
+                call()
+        with pytest.raises(ValueError, match="^y0 must have finite entries$"):
+            solve(five_node, y0=y)
+
+    def test_overflowing_point_has_infinite_gaps(self, five_node):
+        # every gap has a driver flow in it, and those are +inf there
+        y = np.full(compile_scenario(five_node).dim, EXP_BOUND)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (residual(five_node, y).vector == np.inf).all()
 
     def test_report_inf_norm_matches_vector(self, five_node):
         y = np.full(compile_scenario(five_node).dim, -0.2)
@@ -344,6 +360,17 @@ class TestSolve:
         assert np.all(np.isfinite(err.value.best_y))
         assert np.abs(residual(sc, err.value.best_y).vector).max() == min(history)
 
+    def test_overflowing_start_is_not_converged(self, five_node):
+        # the start is the best iterate, and no iteration is recorded
+        y0 = np.full(compile_scenario(five_node).dim, EXP_BOUND)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged) as err:
+                solve(five_node, y0=y0)
+        assert str(err.value) == "initial dual vector overflows the driver flows"
+        assert np.array_equal(err.value.best_y, y0)
+        assert err.value.residual_history == []
+
     def test_not_converged_carries_diagnostics(self, five_node):
         with pytest.raises(NotConverged) as err:
             solve(five_node, max_iter=1)
@@ -405,7 +432,7 @@ def solve_alone(sc, start, **kwargs):
     exception it raises."""
     try:
         return solve(sc, y0=start, **kwargs)
-    except (NotConverged, OverflowGuard) as exc:
+    except NotConverged as exc:
         return exc
 
 
@@ -552,7 +579,7 @@ class TestStackedNewton:
                 patch.setattr(
                     equilibrium, "_newton", lambda cs, _, *args: newton(cs, starts, *args)
                 )
-                with pytest.raises((NotConverged, OverflowGuard)) as err:
+                with pytest.raises(NotConverged) as err:
                     uniqueness_probe(sc, k=len(starts))
             assert_same_failure(err.value, alone)
 

@@ -108,6 +108,16 @@ class TestGridSolveMicro:
                     a, b = df.q[n][pair], sol.driver.q[n][pair]
                     assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1.0)
 
+    def test_own_origin_relocation_time_is_read(self, micros):
+        # a nonzero t_rr moves the duals, and the grid oracle, written out
+        # from the scenario data, moves with the solver
+        sc = micros[0]
+        r = sc.ods[0].r
+        moved = dataclasses.replace(sc, relocation_times={**sc.relocation_times, (r, r): 4.0})
+        y = solve(moved).y
+        assert np.abs(y - solve(sc).y).max() > 0.1
+        assert np.abs(grid_solve_micro(moved) - y).max() <= 1e-6
+
     def test_dimension_cap(self, five_node):
         with pytest.raises(DimensionTooLarge):
             grid_solve_micro(five_node)

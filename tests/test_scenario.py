@@ -189,6 +189,46 @@ class TestValidate:
         sc = dataclasses.replace(five_node, relocation_times=reloc)
         assert any("relocation_times/5/1" in v for v in validate(sc))
 
+    def test_signout_bonus_at_absent_node(self, five_node):
+        sc = dataclasses.replace(five_node, signout_bonus={9: 1.0})
+        assert validate(sc) == ["/signout_bonus/9: node absent from network"]
+
+
+#: Every utility coefficient, as a dotted path into the Scenario; the last
+#: two are entries of node maps.
+COEFFICIENTS = (
+    *(f"traveler_params.{name}" for name in (
+        "beta0_drive", "beta0_ride", "beta0_multi", "beta1_drive", "beta1_ride",
+        "beta1_multi", "beta1_wait", "beta2")),
+    *(f"driver_params.{name}" for name in ("beta0_H", "beta1", "beta3", "beta0_r_default")),
+    "driver_params.beta0_r.2", "signout_bonus.2",
+)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=str)
+@pytest.mark.parametrize("path", COEFFICIENTS)
+def test_non_finite_coefficient_is_one_violation(five_node, path, value):
+    # a coefficient with a range that the value fails keeps that message;
+    # every other non-finite coefficient must be finite
+    beta0_r, bonus = {1: 0.5, 2: 0.25}, {1: 1.0, 2: 2.0}
+    if path == "driver_params.beta0_r.2":
+        beta0_r[2] = value
+    elif path == "signout_bonus.2":
+        bonus[2] = value
+    sc = dataclasses.replace(
+        five_node, signout_bonus=bonus,
+        driver_params=dataclasses.replace(five_node.driver_params, beta0_r=beta0_r),
+    )
+    if not path.endswith(".2"):
+        sc = with_param(sc, path, value)
+    last = path.split(".")[-1]
+    need = "finite"
+    if last in ("beta2", "beta3") and not value > 0:
+        need = "> 0"
+    elif last.startswith("beta1") and value < 0:
+        need = ">= 0"
+    assert validate(sc) == [f"/{path.replace('.', '/')}: {value} must be {need}"]
+
 
 class TestJsonSchema:
     def test_round_trip_5node(self, five_node):
