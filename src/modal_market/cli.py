@@ -34,9 +34,11 @@ from .equilibrium import (
     objective_value,
     solution_at,
     solve,
-    uniqueness_probe,
+    solve_and_probe,
     violations,
 )
+# `uniqueness_probe` stays importable here: bench/tracing.py wraps cli.uniqueness_probe
+from .equilibrium import uniqueness_probe  # noqa: F401
 from .netgraph import NetgraphError, parse_tntp
 from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 # `validate` stays importable here: bench/tracing.py wraps cli.validate
@@ -226,12 +228,14 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
 def _audit(sc, args: argparse.Namespace, seed: int,
            checks: list[tuple[str, bool, str]], figures: dict[str, Any]) -> int:
     """Solve, then run the replay and oracle checks; append a row per check
-    to `checks` and the measured figures to `figures`. A non-convergence (an
-    overflowing start included), or a flow that is not strictly positive
+    to `checks` and the measured figures to `figures`. The solve and the
+    uniqueness probe are one stacked Newton run (`solve_and_probe`); the
+    probe's outcome is read only when its row is reached. A non-convergence
+    (an overflowing start included), or a flow that is not strictly positive
     where a check needs one, is recorded as a FAIL row of the check it
     interrupted. Returns the exit code."""
     try:
-        sol = solve(sc)
+        sol, dev = solve_and_probe(sc, k=args.uniqueness_starts, seed=seed)
     except NotConverged as exc:
         checks.append(("market_clearing", False, str(exc)))
         return EXIT_NOT_CONVERGED
@@ -287,10 +291,8 @@ def _audit(sc, args: argparse.Namespace, seed: int,
             "combined", sc, traveler=sol.traveler, driver=sol.driver
         ),
     })
-    try:
-        dev = uniqueness_probe(sc, k=args.uniqueness_starts, seed=seed)
-    except NotConverged as exc:
-        checks.append(("uniqueness", False, str(exc)))
+    if isinstance(dev, NotConverged):
+        checks.append(("uniqueness", False, str(dev)))
         return EXIT_NOT_CONVERGED
     checks.append(
         (

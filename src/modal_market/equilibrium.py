@@ -12,9 +12,11 @@ phi (`_potential`), hence its Jacobian is symmetric positive definite;
 merit function, and stops once the residual and the Newton step (the
 first-order error of the duals) are both small. The Newton core (`_newton`)
 works on a stack of dual vectors: `solve` runs it on one start,
-`uniqueness_probe` on all of its starts at once and `solve_sweep` on the
-cells of a parameter sweep, one zero start per cell, each row stepping
-exactly as it would alone and ending in its own result or failure. Its
+`uniqueness_probe` on all of its starts at once, `solve_and_probe` (the CLI's
+`validate`) on the zero start and the probe's starts together, and
+`solve_sweep` on the cells of a parameter sweep, one zero start per cell,
+each row stepping exactly as it would alone and ending in its own result or
+failure; a solution from a stack carries the whole stack's wall time. Its
 line search has one path: the full-step trial stack becomes the next
 state, and the rows that backtrack overwrite their own rows of it with the
 trial they accept. The Jacobian is never formed: each
@@ -556,6 +558,24 @@ def solve_sweep(
     return outcomes
 
 
+def _probe_starts(sc: Scenario, k: int, seed: int) -> tuple[CompiledScenario, np.ndarray]:
+    """The compiled scenario and the uniqueness probe's k starts, uniform in
+    [-10, 10] per coordinate."""
+    if k < 2:
+        raise ValueError("uniqueness probe needs k >= 2 starts")
+    cs = _compiled(sc)
+    return cs, np.random.default_rng(seed).uniform(-10.0, 10.0, size=(k, cs.dim))
+
+
+def _deviation(ys: np.ndarray, ends: list) -> float | NotConverged:
+    """The max pairwise inf-norm gap of the probe's final vectors, or the
+    NotConverged of its lowest-index failing start."""
+    for end in ends:
+        if isinstance(end, Exception):
+            return end
+    return float(np.abs(ys[:, None] - ys).max())
+
+
 def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
     """Solve from k random dual starts; return max pairwise inf-norm gap.
 
@@ -564,16 +584,33 @@ def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
     if any fails, the NotConverged `solve` raises for the lowest-index
     failing start is raised, not hidden.
     """
-    if k < 2:
-        raise ValueError("uniqueness probe needs k >= 2 starts")
-    cs = _compiled(sc)
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(-10.0, 10.0, size=(k, cs.dim))
+    cs, starts = _probe_starts(sc, k, seed)
     ys, _, ends = _newton(cs, starts, TOL, MAX_ITER)
-    for end in ends:
-        if isinstance(end, Exception):
-            raise end
-    return float(np.abs(ys[:, None] - ys).max())
+    deviation = _deviation(ys, ends)
+    if isinstance(deviation, Exception):
+        raise deviation
+    return deviation
+
+
+def solve_and_probe(
+    sc: Scenario, k: int = 5, seed: int = 0
+) -> tuple[EquilibriumSolution, float | NotConverged]:
+    """`solve(sc)` and `uniqueness_probe(sc, k, seed)` as one stacked Newton
+    run, with the zero start as row 0 of the probe's stack.
+
+    Returns the solution, bit for bit what `solve` returns, and the probe's
+    deviation, or as a value the NotConverged `uniqueness_probe` would
+    raise. If the zero start fails, its NotConverged is raised, as `solve`
+    raises it; the probe's rows still ran to their own end. The solution's
+    wall time is that of the whole stack. Raises ValueError if k < 2.
+    """
+    cs, starts = _probe_starts(sc, k, seed)
+    started = time.perf_counter()
+    ys, histories, ends = _newton(cs, np.vstack([np.zeros(cs.dim), starts]), TOL, MAX_ITER)
+    wall_time = time.perf_counter() - started
+    if isinstance(ends[0], Exception):
+        raise ends[0]
+    return _solution(cs, ys[0], histories[0], ends[0], wall_time), _deviation(ys[1:], ends[1:])
 
 
 # ---------------------------------------------------------------------------

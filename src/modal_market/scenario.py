@@ -188,6 +188,8 @@ def validate(sc: Scenario) -> list[str]:
                 out.append(f"{p}/{label}: node {node} absent from network")
         if not od.demand > 0:
             out.append(f"{p}/demand: OD ({od.r},{od.s}) demand {od.demand} must be > 0")
+        elif not od.demand < INF:
+            out.append(f"{p}/demand: OD ({od.r},{od.s}) demand {od.demand} must be finite")
         for label in ("drive_time", "hub_access_time", "transit_time", "transit_wait",
                       "parking_time", "transit_fare", "drive_cost", "parking_cost"):
             value = getattr(od, label)

@@ -269,7 +269,7 @@ class TestValidateCommand:
             assert f"PASS {check}" in out
 
     def test_scenario_is_validated_once(self, monkeypatch, capsys):
-        # cmd_validate, solve and uniqueness_probe share one verdict
+        # cmd_validate and solve_and_probe share one verdict
         from modal_market import scenario
 
         real = scenario.validate
@@ -284,6 +284,22 @@ class TestValidateCommand:
                 monkeypatch.setattr(module, "validate", counting)
         assert main(["validate", "--scenario", "builtin:5node", "--seed", "1"]) == 0
         assert calls == ["5node"]
+
+    def test_one_newton_run(self, monkeypatch, capsys):
+        # the solve rides in the uniqueness probe's stack: one run of
+        # 1 + --uniqueness-starts rows
+        from modal_market import equilibrium
+
+        newton = equilibrium._newton
+        stacks = []
+
+        def counted(cs, Y, *args):
+            stacks.append(len(Y))
+            return newton(cs, Y, *args)
+
+        monkeypatch.setattr(equilibrium, "_newton", counted)
+        assert main(["validate", "--scenario", "builtin:5node", "--seed", "1"]) == 0
+        assert stacks == [6]
 
     def test_unreachable_tolerance_fails_clearly(self, capsys):
         code = main(["validate", "--scenario", "builtin:5node",
@@ -317,9 +333,11 @@ class TestValidateCommand:
         from modal_market.scenario import save
 
         def stalled(sc, **_):
-            raise NotConverged("line search stalled at inf-norm 1", np.zeros(9), [1.0])
+            # the solve succeeds; the probe's failure comes back as a value
+            stall = NotConverged("line search stalled at inf-norm 1", np.zeros(9), [1.0])
+            return cli.solve(sc), stall
 
-        monkeypatch.setattr(cli, "uniqueness_probe", stalled)
+        monkeypatch.setattr(cli, "solve_and_probe", stalled)
         path = tmp_path / "random-3.json"
         path.write_bytes(save(random_scenario(3)))
         out_dir = tmp_path / "out"
@@ -436,7 +454,7 @@ class TestValidateCommand:
         def stalled(sc, **_):
             raise NotConverged("line search stalled at inf-norm 1", np.zeros(9), [1.0])
 
-        monkeypatch.setattr(cli, "solve", stalled)
+        monkeypatch.setattr(cli, "solve_and_probe", stalled)
         code = main(["validate", "--scenario", "builtin:5node", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 3
@@ -514,6 +532,23 @@ def test_validate_reports_a_non_finite_coefficient(block, field, value, tmp_path
     captured = capsys.readouterr()
     assert captured.out == "FAIL scenario_valid: 1 violations\n"
     assert captured.err == f"  violation: /{block}/{field}: {value} must be finite\n"
+
+
+def test_infinite_demand_is_an_input_error(tmp_path, capsys):
+    # +inf passes the `> 0` demand test; it is reported, not solved
+    doc = to_document(builtin_5node())
+    doc["ods"][0]["demand"] = math.inf
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    violation = "/ods/0/demand: OD (1,2) demand inf must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: scenario failed validation:\n  {violation}\n"
+        assert main(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL scenario_valid: 1 violations\n"
+    assert captured.err == f"  violation: {violation}\n"
 
 
 def test_own_origin_relocation_time_is_read(tmp_path, capsys):

@@ -30,6 +30,7 @@ from modal_market.equilibrium import (
     objective_value,
     residual,
     solve,
+    solve_and_probe,
     uniqueness_probe,
 )
 from modal_market.oracle import random_scenario
@@ -664,6 +665,55 @@ class TestUniquenessProbe:
     def test_requires_two_starts(self, five_node):
         with pytest.raises(ValueError):
             uniqueness_probe(five_node, k=1)
+
+
+def arrays(sol):
+    """A solution's residual and flow arrays."""
+    return (sol.residual.vector, sol.traveler.matrix, sol.driver.E, sol.driver.E_H,
+            sol.driver.stock)
+
+
+class TestSolveAndProbe:
+    """`solve_and_probe` against `solve` and `uniqueness_probe` run apart."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_solve_and_probe_run_apart(self, five_node, sioux_scenarios, seed):
+        corpus = [five_node, *sioux_scenarios.values()]
+        corpus += [random_scenario(i) for i in range(30)]
+        for sc in corpus:
+            sol, deviation = solve_and_probe(sc, 5, seed)
+            alone = solve(sc)
+            assert np.array_equal(sol.y, alone.y), sc.name
+            assert sol.residual_history == alone.residual_history, sc.name
+            assert all(map(np.array_equal, arrays(sol), arrays(alone))), sc.name
+            try:
+                expected = uniqueness_probe(sc, 5, seed)
+            except NotConverged as exc:
+                assert_same_failure(deviation, exc)
+            else:
+                assert deviation == expected, sc.name
+
+    def test_probe_failure_is_returned(self, five_node):
+        # beta3 = 80: every probe start overflows, the zero start converges
+        sc = with_param(five_node, "driver_params.beta3", 80.0)
+        sol, deviation = solve_and_probe(sc)
+        assert np.array_equal(sol.y, solve(sc).y)
+        with pytest.raises(NotConverged) as err:
+            uniqueness_probe(sc)
+        assert_same_failure(deviation, err.value)
+
+    def test_zero_start_failure_is_raised(self, five_node):
+        # beta0_r = 800 overflows the driver flows at the zero start
+        sc = with_param(five_node, "driver_params.beta0_r_default", 800.0)
+        with pytest.raises(NotConverged) as alone:
+            solve(sc)
+        with pytest.raises(NotConverged) as err:
+            solve_and_probe(sc)
+        assert_same_failure(err.value, alone.value)
+
+    def test_requires_two_starts(self, five_node):
+        with pytest.raises(ValueError):
+            solve_and_probe(five_node, k=1)
 
 
 class TestObjectiveValue:

@@ -147,6 +147,16 @@ class TestValidate:
         assert len(violations) == 1
         assert "(2,1)" in violations[0] and "demand" in violations[0]
 
+    @pytest.mark.parametrize(
+        "demand, need", [(math.inf, "finite"), (-math.inf, "> 0"), (math.nan, "> 0")], ids=str
+    )
+    def test_non_finite_demand_is_one_violation(self, five_node, demand, need):
+        # +inf passes the `> 0` test, so it is reported as not finite
+        ods = list(five_node.ods)
+        ods[1] = dataclasses.replace(ods[1], demand=demand)
+        sc = dataclasses.replace(five_node, ods=tuple(ods))
+        assert validate(sc) == [f"/ods/1/demand: OD (2,1) demand {demand} must be {need}"]
+
     def test_absent_hub_node(self, five_node):
         ods = list(five_node.ods)
         ods[0] = dataclasses.replace(ods[0], hub=9)
