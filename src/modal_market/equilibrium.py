@@ -19,7 +19,10 @@ each row stepping exactly as it would alone and ending in its own result or
 failure; a solution from a stack carries the whole stack's wall time. Its
 line search has one path: the full-step trial stack becomes the next
 state, and the rows that backtrack overwrite their own rows of it with the
-trial they accept. The Jacobian is never formed: each
+trial they accept. They backtrack in rounds of 1, 2, 4, ... halvings, one
+phi evaluation per round of at most LADDER_ENTRIES driver-flow entries,
+and accept the t that halving one at a time would. The Jacobian is never
+formed: each
 OD's logit couples only its own two rho coordinates and two lambdas, and
 each driver flow one rho and one lambda, so the rho-rho block is block
 diagonal with one 2x2 block per OD. A Newton step eliminates those blocks
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 import time
+from operator import itemgetter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal, Sequence
@@ -62,6 +66,9 @@ from .scenario import Scenario, validate, with_param
 _EPS = float(np.finfo(float).eps)
 #: phi's rounding allowance per unit of the size of its terms
 _ALLOWANCE = 8 * _EPS
+#: t = 2^-j at index j, as halving from 1 makes it: exact down to 2^-1074,
+#: then 0, where every line search has stalled
+_HALVINGS = np.ldexp(1.0, -np.arange(1076))
 
 
 class EquilibriumError(Exception):
@@ -309,13 +316,71 @@ def _potential(cs: CompiledScenario, y: np.ndarray):
 
 
 def violations(sc: Scenario) -> tuple[str, ...]:
-    """`validate(sc)`, run once per Scenario instance: the verdict rides
-    along on it, as the compiled scenario does."""
+    """`validate(sc)`, or for a valid scenario the coefficients that
+    overflow its compiled arrays (`_overflows`), run once per Scenario
+    instance: the verdict rides along on it, as the compiled scenario does."""
     cached = sc.__dict__.get("_violations")
     if cached is None:
-        cached = tuple(validate(sc))
+        cached = tuple(validate(sc)) or _overflows(sc)
         sc.__dict__["_violations"] = cached
     return cached
+
+
+def _overflows(sc: Scenario) -> tuple[str, ...]:
+    """One violation per finite coefficient that overflows what the solver
+    forms from it: the compiled utilities, the driver and sign-out
+    exponents, or the solver weights, phi's (1/beta3, d/beta2, dQ) and the
+    Newton step's (beta2 d, and beta3 times the stocks, which total at most
+    the demand plus the sign-ins at the equilibrium). A quantity that is not
+    finite is blamed on its largest term: a constant, or a coefficient times
+    the largest time, cost or weight it scales."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs = compile_scenario(sc)
+        stocks = cs.beta3 * (cs.d.sum() + cs.dQ.sum())
+        weights = np.concatenate([cs.phi_weights, cs.beta2 * cs.d, [stocks]])
+    formed = (cs.u_drive, cs.u_ride, cs.u_multi, cs.A, cs.a_H, weights)
+    if all(np.isfinite(a).all() for a in formed):
+        return ()
+
+    tp, dp = sc.traveler_params, sc.driver_params
+
+    def term(params, name: str, scale: float = 1.0) -> tuple[str, float, float]:
+        block = "traveler_params" if params is tp else "driver_params"
+        value = getattr(params, name)
+        return f"/{block}/{name}", value, abs(value) * scale
+
+    def largest(*names: str) -> float:
+        return max(sum(getattr(od, name) for name in names) for od in sc.ods)
+
+    r = max(sc.origins, key=lambda origin: abs(dp.beta0_at(origin)))
+    beta0_r = (f"/driver_params/beta0_r/{r}" if r in dp.beta0_r
+               else "/driver_params/beta0_r_default", dp.beta0_at(r), abs(dp.beta0_at(r)))
+    n, bonus = max(sc.signout_bonus.items(), key=lambda item: abs(item[1]), default=(0, 0.0))
+    signout = (term(dp, "beta3", abs(bonus)) if dp.beta3 >= abs(bonus)
+               else (f"/signout_bonus/{n}", bonus, abs(bonus) * dp.beta3))
+    demand = largest("demand")
+    stocks = sum(od.demand for od in sc.ods) + sum(sc.signin.values())
+    terms = (
+        [term(tp, "beta0_drive"),
+         term(tp, "beta1_drive", largest("drive_time", "parking_time")),
+         term(tp, "beta2", largest("drive_cost", "parking_cost"))],
+        [term(tp, "beta0_ride"), term(tp, "beta1_ride", largest("drive_time"))],
+        [term(tp, "beta0_multi"),
+         term(tp, "beta1_multi", largest("hub_access_time", "transit_time")),
+         term(tp, "beta1_wait", largest("transit_wait")),
+         term(tp, "beta2", largest("transit_fare"))],
+        [beta0_r, term(dp, "beta1", max(sc.relocation_times.values()))],
+        [term(dp, "beta0_H"), signout],
+        [("/traveler_params/beta2", tp.beta2, max(demand / tp.beta2, tp.beta2 * demand)),
+         ("/driver_params/beta3", dp.beta3, max(1.0 / dp.beta3, dp.beta3 * stocks))],
+    )
+    whats = ("utilities",) * 3 + ("driver exponents",) * 2 + ("solver weights",)
+    found: dict[str, str] = {}
+    for array, what, candidates in zip(formed, whats, terms):
+        if not np.isfinite(array).all():
+            pointer, value, _ = max(candidates, key=itemgetter(2))
+            found.setdefault(pointer, f"{pointer}: {value} overflows the {what}")
+    return tuple(found.values())
 
 
 def _compiled(sc: Scenario) -> CompiledScenario:
@@ -342,10 +407,14 @@ def _newton(
     keeps its own step length, history, convergence and failure, and every
     operation acts on each row alone, so a row's iterates are bit-identical
     to a run from that row by itself. Every live row tries the full step,
-    and that trial stack is the next state; the rows that backtrack share
-    the halved step length, and each of their trials overwrites its own
-    rows of the state, so a row leaves the line search holding the trial it
-    accepted. A row that finishes, or fails, leaves the stack.
+    and that trial stack is the next state. The rows that backtrack share a
+    ladder of step lengths t = 2^-j, tried in rounds of 1, 2, 4, ... values
+    of j, each round one phi evaluation holding every searching row's
+    trials, at most LADDER_ENTRIES driver-flow entries unless that is one
+    trial per row. A row takes the first t of its round that passes, so it
+    accepts the t that halving one at a time would, or stalls where that
+    would stall, and the trial it accepts overwrites its row of the state.
+    A row that finishes, or fails, leaves the stack.
 
     cs is one scenario shared by every row, or a stack of k sweep cells
     (`stack_cells`), row i solved with cell i's coefficients; a stack's
@@ -429,9 +498,14 @@ def _newton(
         # Armijo backtracking on phi, row by row: the first t = 1, 1/2, ...
         # with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
         # allowance; a row stalls once t d is below the float resolution of
-        # y. The t = 1 trial stack is the next state. Rows still searching
-        # share the halved t, and each trial overwrites the rows that made
-        # it, so a row keeps the trial it accepted.
+        # y. The t = 1 trial stack is the next state. The rows still
+        # searching then try the halvings in rounds, one phi evaluation
+        # each: t = 1/2, then 1/4 and 1/8, then 1/16 to 1/128, and so on,
+        # a round never wider than LADDER_ENTRIES driver-flow entries (but
+        # one t per row) nor past any row's stall. A row accepts the first t
+        # of its round that passes, the t that halving one at a time would
+        # accept, since a power of two makes t d and t r.d exact; that trial
+        # overwrites its row of the state.
         trial = Y + step
         phi_t, allowance_t, flows_t = _potential(cs_rows, trial)
         state = (trial, phi_t, allowance_t, *flows_t)
@@ -440,21 +514,39 @@ def _newton(
             with np.errstate(divide="ignore"):
                 t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1))
                 t_min /= np.abs(step).max(axis=-1)
-            t, live = 1.0, np.ones(rows.size, dtype=bool)
+            # the first j with t = 2^-j <= t_min
+            stall = _HALVINGS.size - np.searchsorted(_HALVINGS[::-1], t_min, side="right")
+            point = cs_rows.n_nodes * (2 * cs_rows.m + 1)
+            j, count, live = 1, 1, np.ones(rows.size, dtype=bool)
             while at.size:
-                t *= 0.5
-                stalled = t <= t_min[at]
+                stalled = stall[at] <= j
                 if stalled.any():
                     fail(at[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
                     live[at[stalled]] = False
                     at = at[~stalled]
                     if not at.size:
                         break
-                trial = Y[at] + t * step[at]
-                phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at), trial)
-                for whole, part in zip(state, (trial, phi_t, allowance_t, *flows_t)):
+                # t = 2^-j, ..., 2^-(j + count - 1) for every row: none stalls
+                count = max(1, min(count, LADDER_ENTRIES // (point * at.size),
+                                   int(stall[at].min()) - j))
+                t = _HALVINGS[j : j + count]
+                trial = Y[at][:, None] + t[:, None] * step[at][:, None]
+                trial = trial.reshape(-1, trial.shape[-1])
+                phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at.repeat(count)), trial)
+                ok = phi_t.reshape(-1, count) <= (
+                    phi[at][:, None] + t * slope[at][:, None] + allowance[at][:, None]
+                )
+                parts = (trial, phi_t, allowance_t, *flows_t)
+                if count > 1:
+                    # each row's first passing trial; a row still searching
+                    # gets its first, which a later round overwrites or a
+                    # stall drops
+                    take = ok.argmax(axis=1) + np.arange(0, ok.size, count)
+                    parts = [part[take] for part in parts]
+                for whole, part in zip(state, parts):
                     whole[at] = part
-                at = at[~(phi_t <= phi[at] + t * slope[at] + allowance[at])]
+                at = at[~ok.any(axis=1)]
+                j, count = j + count, 2 * count
             if not live.all():
                 rows, *state = (a[live] for a in (rows, *state))
                 cs_rows = cs_rows.cells(live)
@@ -494,10 +586,11 @@ def solve(
     accepted point) is a descent direction for phi. The first t = 1, 1/2,
     1/4, ... with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
     allowance, is accepted; trials whose driver flows overflow, or where phi
-    is not finite, are rejected. The solve stops when the inf-norm of r is at
-    most `tol` and the step, the first-order error of y, is at most
-    1e-9 max(1, |y|_inf) in the inf-norm. It is `_newton` on a stack of one
-    row, whose failure it raises.
+    is not finite, are rejected. The halvings are evaluated in rounds of 1,
+    2, 4, ... trials at once (`_newton`), which changes no accepted t. The
+    solve stops when the inf-norm of r is at most `tol` and the step, the
+    first-order error of y, is at most 1e-9 max(1, |y|_inf) in the inf-norm.
+    It is `_newton` on a stack of one row, whose failure it raises.
 
     Raises NotConverged, with the iterate of lowest inf-norm and the inf-norm
     history, if that does not happen within `max_iter` iterations, if the
@@ -521,6 +614,11 @@ def solve(
 #: entries each, stop growing with the grid. A row's result does not
 #: depend on its stack.
 STACK_CELLS = 32
+
+#: Most driver-flow entries, n x (2m + 1) per trial point, in one round of
+#: `_newton`'s backtracking ladder; a round still tries at least one step
+#: length per searching row. A row's accepted step does not depend on it.
+LADDER_ENTRIES = 4096
 
 
 def solve_sweep(

@@ -534,6 +534,31 @@ def test_validate_reports_a_non_finite_coefficient(block, field, value, tmp_path
     assert captured.err == f"  violation: /{block}/{field}: {value} must be finite\n"
 
 
+@pytest.mark.parametrize("block, field, what", [
+    ("traveler_params", "beta1_drive", "utilities"),
+    ("traveler_params", "beta1_ride", "utilities"),
+    ("traveler_params", "beta1_multi", "utilities"),
+    ("traveler_params", "beta1_wait", "utilities"),
+    ("traveler_params", "beta2", "utilities"),
+    ("driver_params", "beta1", "driver exponents"),
+    ("driver_params", "beta3", "solver weights"),
+])
+def test_overflowing_coefficient_is_an_input_error(block, field, what, tmp_path, capsys):
+    # a finite 1e308 that overflows what the solver forms from it is
+    # reported by name, before anything is compiled or solved
+    path = tmp_path / "s.json"
+    write_coefficient(path, block, field, 1e308)
+    violation = f"/{block}/{field}: 1e+308 overflows the {what}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: scenario failed validation:\n  {violation}\n"
+        assert main(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL scenario_valid: 1 violations\n"
+    assert captured.err == f"  violation: {violation}\n"
+
+
 def test_infinite_demand_is_an_input_error(tmp_path, capsys):
     # +inf passes the `> 0` demand test; it is reported, not solved
     doc = to_document(builtin_5node())

@@ -12,6 +12,7 @@ from modal_market.choice import (
     PriceSystem,
     compile_scenario,
     driver_flows_dual,
+    stack_cells,
     traveler_flows,
 )
 from modal_market.equilibrium import (
@@ -278,9 +279,10 @@ class TestSolve:
             )
 
     def test_descent_history(self, five_node, monkeypatch):
-        # the accepted iterates are the last phi evaluation before each
-        # Newton step, and the final one; phi never rises between them by
-        # more than its rounding allowance (the inf-norm may)
+        # each accepted iterate is the phi trial row whose driver flows the
+        # next Newton step receives (the final one included, whose step is
+        # the stopping test); phi never rises between them by more than its
+        # rounding allowance (the inf-norm may)
         events = []
 
         def recorded_potential(cs, y):
@@ -288,9 +290,9 @@ class TestSolve:
             events.append(("trial", point))
             return point
 
-        def recorded_step(*args):
-            events.append(("step", None))
-            return _newton_step(*args)
+        def recorded_step(cs, P, E, Q, r):
+            events.append(("step", E))
+            return _newton_step(cs, P, E, Q, r)
 
         monkeypatch.setattr(equilibrium, "_potential", recorded_potential)
         monkeypatch.setattr(equilibrium, "_newton_step", recorded_step)
@@ -298,13 +300,23 @@ class TestSolve:
         for start in (None, y0):
             events.clear()
             sol = solve(five_node, y0=start)
-            accepted = [
-                point for (kind, point), (after, _) in zip(events, events[1:] + [("step", None)])
-                if kind == "trial" and after == "step"
-            ]
+            accepted, trials = [], []
+            for kind, value in events:
+                if kind == "trial":
+                    phi, allowance, (_, _, E, _, _) = value
+                    trials += zip(phi, allowance, E)
+                    continue
+                (E_step,) = value
+                matches = [(phi, allowance) for phi, allowance, E in trials
+                           if np.array_equal(E, E_step)]
+                assert matches, "a Newton step at a point phi never evaluated"
+                accepted.append(matches[-1])
+                trials = []
             assert len(accepted) == len(sol.residual_history)
-            for (phi, allowance, _), (phi_next, _, _) in zip(accepted, accepted[1:]):
+            for (phi, allowance), (phi_next, _) in zip(accepted, accepted[1:]):
                 assert phi_next <= phi + allowance
+        # the far start backtracks through ladder rounds of several trials
+        assert max(len(value[0]) for kind, value in events if kind == "trial") > 1
 
     def test_potential_gradient_is_residual(self, five_node):
         # central differences of phi against the clearing residual
@@ -382,6 +394,39 @@ class TestSolve:
         bad = with_param(five_node, "traveler_params.beta2", -1.0)
         with pytest.raises(ValidationFailed):
             solve(bad)
+
+    @pytest.mark.parametrize("path, value, what, others", [
+        ("traveler_params.beta1_drive", 1e308, "utilities", {}),
+        ("traveler_params.beta1_ride", 1e308, "utilities", {}),
+        ("traveler_params.beta1_multi", 1e308, "utilities", {}),
+        ("traveler_params.beta1_wait", 1e308, "utilities", {}),
+        ("traveler_params.beta2", 1e308, "utilities", {}),
+        ("driver_params.beta1", 1e308, "driver exponents", {}),
+        ("driver_params.beta3", 1e308, "solver weights", {}),
+        ("traveler_params.beta2", 1e-320, "solver weights", {}),
+        ("driver_params.beta3", 1e-320, "solver weights", {}),
+        # two finite terms whose sum overflows: the larger is named
+        ("traveler_params.beta0_drive", -1.7e308, "utilities",
+         {"traveler_params.beta1_drive": 5e306}),
+        ("signout_bonus.2", 1e308, "driver exponents", {"driver_params.beta3": 2.0}),
+    ])
+    def test_overflowing_coefficient_is_a_validation_failure(
+        self, five_node, path, value, what, others
+    ):
+        # finite coefficients that make a compiled utility, exponent or
+        # solver weight infinite are named, before anything warns
+        sc = five_node
+        for other, other_value in others.items():
+            sc = with_param(sc, other, other_value)
+        if path == "signout_bonus.2":
+            sc = dataclasses.replace(sc, signout_bonus={2: value})
+        else:
+            sc = with_param(sc, path, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationFailed) as err:
+                solve(sc)
+        assert err.value.violations == [f"/{path.replace('.', '/')}: {value} overflows the {what}"]
 
     def test_fd_jacobian_option_agrees(self, five_node, five_node_solution):
         # the structured step against a step on the forward-difference
@@ -489,14 +534,15 @@ class TestStackedNewton:
 
     def test_evaluations_per_run(self, five_node, sioux_scenarios, monkeypatch):
         # the stack size of every phi and Newton-step evaluation: no empty
-        # stack, step stacks that shrink only as rows finish, and corpus
-        # totals pinned, so a rewrite of the line search that adds, drops or
-        # resizes an evaluation fails here
-        sizes = {}
+        # stack, step stacks that shrink only as rows finish, no phi stack
+        # beyond LADDER_ENTRIES unless it holds one trial per live row, and
+        # corpus totals pinned, so a rewrite of the line search that adds,
+        # drops or resizes an evaluation fails here
+        calls = []
 
         def counted(name, fn):
             def evaluate(cs, *arrays):
-                sizes[name].append(len(arrays[-1]))
+                calls.append((name, len(arrays[-1])))
                 return fn(cs, *arrays)
             return evaluate
 
@@ -504,13 +550,21 @@ class TestStackedNewton:
         monkeypatch.setattr(equilibrium, "_newton_step", counted("step", _newton_step))
         totals = np.zeros(4, dtype=int)
         for sc, starts in probe_corpus(five_node, sioux_scenarios):
-            sizes.update(phi=[], step=[])
-            histories = _newton(compile_scenario(sc), starts, TOL, MAX_ITER)[1]
+            calls.clear()
+            cs = compile_scenario(sc)
+            histories = _newton(cs, starts, TOL, MAX_ITER)[1]
+            sizes = {name: [n for kind, n in calls if kind == name] for name in ("phi", "step")}
             passes = range(max(map(len, histories)))
             assert sizes["step"] == [sum(len(h) > j for h in histories) for j in passes]
             assert min(sizes["phi"]) > 0, sc.name
+            live, point = len(starts), cs.n_nodes * (2 * cs.m + 1)
+            for kind, size in calls:
+                if kind == "step":
+                    live = size
+                else:
+                    assert size * point <= equilibrium.LADDER_ENTRIES or size <= live, sc.name
             totals += [len(sizes["phi"]), sum(sizes["phi"]), len(sizes["step"]), sum(sizes["step"])]
-        assert totals.tolist() == [7799, 22992, 3286, 13486]
+        assert totals.tolist() == [4778, 26690, 3286, 13486]
 
     def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
         # a cap between the fastest and the slowest start: some rows
@@ -608,6 +662,60 @@ class TestStackedNewton:
         ends = assert_rows_match_one_by_one(sc, starts)
         assert (3, cs.n_nodes, cs.n_nodes) in solves
         assert [isinstance(end, NotConverged) for end in ends] == [False, True, False]
+
+
+class TestLadder:
+    """The backtracking ladder against one halving per round."""
+
+    def test_same_outcomes_as_one_trial_per_round(
+        self, five_node, sioux_scenarios, micros, monkeypatch
+    ):
+        # LADDER_ENTRIES = 0 leaves one trial per searching row and round,
+        # the plain halving line search; the ladder must accept the same t
+        # everywhere: finals, histories, end flows and failures bit for bit,
+        # on far starts that fail in every way a row can fail
+        runs = []
+        for sc in [five_node, *sioux_scenarios.values(), *micros,
+                   *map(random_scenario, range(30))]:
+            cs = compile_scenario(sc)
+            rng = np.random.default_rng(3)
+            starts = np.vstack([np.zeros(cs.dim), rng.uniform(-10.0, 10.0, (5, cs.dim)),
+                                rng.uniform(-30.0, 30.0, (5, cs.dim))])
+            runs.append((cs, starts))
+        for seed, rng_seed, row in ((0, 7, 4), (6, 10, 2)):  # a stall, a slope overflow
+            cs = compile_scenario(random_scenario(seed))
+            far = np.random.default_rng(rng_seed).uniform(-100.0, 100.0, (10, cs.dim))
+            runs.append((cs, far[row - 1 : row + 1]))
+        cells = [compile_scenario(with_param(sioux_scenarios[2], "driver_params.beta3", v))
+                 for v in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        runs.append((stack_cells(cells), np.zeros((len(cells), cells[0].dim))))
+        kinds = set()
+        for cs, starts in runs:
+            ys, histories, ends = _newton(cs, starts, TOL, MAX_ITER)
+            with monkeypatch.context() as patch:
+                patch.setattr(equilibrium, "LADDER_ENTRIES", 0)
+                ys_1, histories_1, ends_1 = _newton(cs, starts, TOL, MAX_ITER)
+            assert np.array_equal(ys, ys_1, equal_nan=True)
+            assert histories == histories_1
+            for end, end_1 in zip(ends, ends_1):
+                if isinstance(end_1, Exception):
+                    assert_same_failure(end, end_1)
+                    kinds.add(str(end_1).split(" at ")[0].split(" to ")[0])
+                else:
+                    assert all(map(np.array_equal, end, end_1))
+        assert kinds == {
+            "Newton step failed", "no convergence", "line search stalled",
+            "line-search slope not finite",
+        }
+
+    def test_ladder_steps_are_the_halvings(self):
+        # the ladder's t = 2^-j are the values halving from 1 takes, down to
+        # the 0 at which every line search has stalled
+        t, halvings = 1.0, [1.0]
+        while t:
+            t *= 0.5
+            halvings.append(t)
+        assert np.array_equal(equilibrium._HALVINGS, halvings)
 
 
 class TestSolutionArrays:
