@@ -305,13 +305,24 @@ def _audit(sc, args: argparse.Namespace, seed: int,
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CHECK_FAILED
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    if args.uniqueness_starts < 2:
-        raise InputError("--uniqueness-starts must be >= 2")
-    sc = _load_scenario(args.scenario)
-    seed = args.seed
+def _seed(args: argparse.Namespace) -> int:
+    """The probes' seed: --seed, else MODAL_MARKET_SEED, else 0. InputError
+    unless it is a non-negative integer, which numpy's generator needs."""
+    name, seed = "--seed", args.seed
     if seed is None:
-        seed = int(os.environ.get("MODAL_MARKET_SEED", "0"))
+        name, text = "MODAL_MARKET_SEED", os.environ.get("MODAL_MARKET_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InputError(f"{name} must be a non-negative integer, got {text!r}") from None
+    if seed < 0:
+        raise InputError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    seed = _seed(args)
+    sc = _load_scenario(args.scenario)
 
     found = violations(sc)
     checks: list[tuple[str, bool, str]] = [
@@ -512,9 +523,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """InputError for an option value no run can use: a tolerance that is
+    NaN or negative, which no residual or error meets, a negative
+    --max-iter, or fewer than two --uniqueness-starts."""
+    for name in ("tol", "replay_tol", "kkt_tol"):
+        value = getattr(args, name, 0.0)
+        if not value >= 0:
+            option = "--" + name.replace("_", "-")
+            raise InputError(f"{option} must be a non-negative number, got {value}")
+    if getattr(args, "max_iter", 0) < 0:
+        raise InputError(f"--max-iter must be >= 0, got {args.max_iter}")
+    if getattr(args, "uniqueness_starts", 2) < 2:
+        raise InputError("--uniqueness-starts must be >= 2")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except (ScenarioError, NetgraphError, ValidationFailed, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

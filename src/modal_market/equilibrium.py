@@ -15,19 +15,19 @@ works on a stack of dual vectors: `solve` runs it on one start,
 `uniqueness_probe` on all of its starts at once, `solve_and_probe` (the CLI's
 `validate`) on the zero start and the probe's starts together, and
 `solve_sweep` on the cells of a parameter sweep, one zero start per cell,
-each row stepping exactly as it would alone and ending in its own result or
-failure; a solution from a stack carries the whole stack's wall time. Its
-line search has one path: the full-step trial stack becomes the next
-state, and the rows that backtrack overwrite their own rows of it with the
-trial they accept. They backtrack in rounds of 1, 2, 4, ... halvings, one
-phi evaluation per round of at most LADDER_ENTRIES driver-flow entries,
-and accept the t that halving one at a time would. The Jacobian is never
-formed: each
-OD's logit couples only its own two rho coordinates and two lambdas, and
-each driver flow one rho and one lambda, so the rho-rho block is block
-diagonal with one 2x2 block per OD. A Newton step eliminates those blocks
-in closed form and solves an n_nodes x n_nodes Schur complement for lambda
-(block elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4):
+each row stepping exactly as it would alone. Each row ends in one outcome,
+what `solve` from that row returns or raises: a solution, which carries
+the wall time of its whole stack, or a NotConverged. The line search has
+one path: the full-step trial stack becomes the next state, and the rows
+that backtrack overwrite their own rows of it with the trial they accept.
+They backtrack in rounds of 1, 2, 4, ... halvings, one phi evaluation per
+round of at most LADDER_ENTRIES driver-flow entries, and accept the t that
+halving one at a time would. The Jacobian is never formed: each OD's logit
+couples only its own two rho coordinates and two lambdas, and each driver
+flow one rho and one lambda, so the rho-rho block is block diagonal with
+one 2x2 block per OD. A Newton step eliminates those blocks in closed form
+and solves an n_nodes x n_nodes Schur complement for lambda (block
+elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4):
 O(m n^2 + n^3) work per step for m ODs and n nodes, against O((2m + n)^3)
 for a dense LU. Prices follow from the duals by the additive decomposition
 eta = rho + lambda(drop-off).
@@ -274,10 +274,9 @@ def solution_at(
     y: np.ndarray,
     residual_history: list[float] | tuple[float, ...],
     converged: bool = True,
-    wall_time: float = 0.0,
 ) -> EquilibriumSolution:
     """The solution record at dual vector y: prices, flows and clearing gaps
-    evaluated there."""
+    evaluated there, with no wall time."""
     prices = extract_prices(y, sc)
     traveler = traveler_flows(sc, prices)
     driver = driver_flows_dual(sc, prices)
@@ -287,7 +286,7 @@ def solution_at(
         traveler=traveler,
         driver=driver,
         residual=ResidualReport(prices.cs, gaps),
-        wall_time=wall_time,
+        wall_time=0.0,
         residual_history=tuple(residual_history),
         converged=converged,
     )
@@ -397,9 +396,18 @@ TOL = 1e-10
 MAX_ITER = 200
 
 
+def _check_stopping(tol: float, max_iter: int) -> None:
+    """ValueError for a stopping rule no solve can meet: a NaN or negative
+    tol, or a negative max_iter. max_iter = 0 evaluates the start."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+
+
 def _newton(
-    cs: CompiledScenario, Y: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, list[list[float]], list[tuple[np.ndarray, ...] | Exception]]:
+    cs: CompiledScenario | Sequence[CompiledScenario], Y: np.ndarray, tol: float, max_iter: int
+) -> list[EquilibriumSolution | NotConverged]:
     """Damped Newton from every row of Y (k, dim) at once; see `solve`.
 
     The rows advance in lockstep, one Newton iteration per pass, so numpy's
@@ -416,21 +424,31 @@ def _newton(
     would stall, and the trial it accepts overwrites its row of the state.
     A row that finishes, or fails, leaves the stack.
 
-    cs is one scenario shared by every row, or a stack of k sweep cells
-    (`stack_cells`), row i solved with cell i's coefficients; a stack's
-    coefficients are subset with the rows it keeps and with the rows each
-    backtracking trial re-evaluates. Returns the final dual vectors (k, dim),
-    the inf-norm history of each row and, per row, the flows (q, E, E_H, Q)
-    and residual r at its final vector, or the NotConverged that ended the
-    row, whose final vector is then NaN. A failure ends its own row only; a
-    start whose phi is not finite (its driver flows overflow) ends its row
-    at once, with the start as the best iterate and an empty history.
+    cs is one scenario shared by every row, or a sequence of k sweep cells,
+    row i solved with cell i's coefficients: they are stacked here
+    (`stack_cells`), and the stack's coefficients are subset with the rows
+    it keeps and with the rows each backtracking trial re-evaluates.
+
+    Returns one outcome per row, exactly what `solve` from that row returns
+    or raises: the EquilibriumSolution at its final vector, built from the
+    solver's own flows and residual there on the row's own scenario or
+    cell, or the NotConverged that ended the row. The wall time is measured
+    once, over the whole run, and every solution carries it. A failure ends
+    its own row only; a start whose phi is not finite (its driver flows
+    overflow) ends its row at once, with the start as the best iterate and
+    an empty history.
     """
+    started = time.perf_counter()
     k = len(Y)
-    finals = np.full_like(Y, np.nan)
+    if isinstance(cs, CompiledScenario):
+        cells = [cs] * k
+    else:
+        cells, cs = cs, stack_cells(cs)
     histories: list[list[float]] = [[] for _ in range(k)]
     iterates: list[list[np.ndarray]] = [[] for _ in range(k)]
-    ends: list[tuple[np.ndarray, ...] | NotConverged] = [() for _ in range(k)]
+    # per row, its NotConverged or the (prices, traveler, driver, residual)
+    # of its solution, which gets the wall time once every row has ended
+    ends: list = [None] * k
     rows, cs_rows = np.arange(k), cs
     phi, allowance, flows = _potential(cs, Y)
     if not np.isfinite(phi).all():
@@ -470,8 +488,9 @@ def _newton(
             done = (inf_norm <= tol) & (size <= 1e-9 * np.maximum(1.0, np.abs(Y).max(axis=-1)))
             for p in np.flatnonzero(done):
                 i = int(rows[p])
-                finals[i] = Y[p]
-                ends[i] = (q[p], E[p], E_H[p], Q[p], r[p])
+                cell = cells[i]
+                ends[i] = (PriceSystem(cell, Y[p].copy()), TravelerFlows(cell, q[p]),
+                           DriverFlows(cell, E[p], E_H[p], Q[p]), ResidualReport(cell, r[p]))
             if done.all():
                 break
             if capped:
@@ -552,25 +571,12 @@ def _newton(
                 cs_rows = cs_rows.cells(live)
         Y, phi, allowance, *flows = state
 
-    return finals, histories, ends
-
-
-def _solution(
-    cs: CompiledScenario, y: np.ndarray, history: list[float],
-    end: tuple[np.ndarray, ...], wall_time: float,
-) -> EquilibriumSolution:
-    """The solution record from a `_newton` row: its final vector, history
-    and the solver's own flows and residual there, the closed forms
-    `solution_at` would redo."""
-    q, E, E_H, Q, r = end
-    return EquilibriumSolution(
-        prices=PriceSystem(cs, y),
-        traveler=TravelerFlows(cs, q),
-        driver=DriverFlows(cs, E, E_H, Q),
-        residual=ResidualReport(cs, r),
-        wall_time=wall_time,
-        residual_history=tuple(history),
-    )
+    wall_time = time.perf_counter() - started
+    return [
+        end if isinstance(end, NotConverged)
+        else EquilibriumSolution(*end, wall_time=wall_time, residual_history=tuple(history))
+        for end, history in zip(ends, histories)
+    ]
 
 
 def solve(
@@ -598,15 +604,16 @@ def solve(
     its slope r.d is not finite, or if t d falls below the float resolution
     of y; it is the one way a solve of a valid scenario fails. If the driver
     flows overflow at y0 already, its best iterate is y0 and its history is
-    empty. Raises ValueError if y0 has the wrong shape or a non-finite entry.
+    empty. Raises ValueError if tol is NaN or negative, if max_iter is
+    negative, or if y0 has the wrong shape or a non-finite entry.
     """
+    _check_stopping(tol, max_iter)
     cs = _compiled(sc)
-    started = time.perf_counter()
     y = np.zeros(cs.dim) if y0 is None else _dual_vector(cs, y0, "y0")
-    (y,), (history,), (end,) = _newton(cs, y[None], tol, max_iter)
-    if isinstance(end, Exception):
-        raise end
-    return _solution(cs, y, history, end, time.perf_counter() - started)
+    (outcome,) = _newton(cs, y[None], tol, max_iter)
+    if isinstance(outcome, NotConverged):
+        raise outcome
+    return outcome
 
 
 #: Most cells in one stacked Newton run of `solve_sweep`; a longer grid is
@@ -626,14 +633,17 @@ def solve_sweep(
     tol: float = TOL, max_iter: int = MAX_ITER,
 ) -> list[EquilibriumSolution | Exception]:
     """`solve(with_param(sc, param, value), tol, max_iter)` for each value,
-    as stacked Newton runs from the zero start (`_newton` on `stack_cells`).
+    as stacked Newton runs from the zero start (`_newton` on the cells).
 
-    Each entry is what that solve returns, bit for bit in y, flows, residual
-    and history, or the exception it raises: ValueError from `with_param`
-    and ValidationFailed, for a cell that never enters a stack, and
+    Each entry is the outcome of its cell's row, what that solve returns,
+    bit for bit in y, flows, residual and history, with the cell as its
+    scenario, or the exception it raises: ValueError from `with_param` and
+    ValidationFailed, for a cell that never enters a stack, and
     NotConverged for one that does. A solution's wall time is that of its
-    whole stack.
+    whole stack. Raises ValueError, before any cell is built, for the tol
+    or max_iter that `solve` rejects.
     """
+    _check_stopping(tol, max_iter)
     outcomes: list = []
     valid: list[tuple[int, CompiledScenario]] = []
     for i, value in enumerate(values):
@@ -643,16 +653,10 @@ def solve_sweep(
         except (ValueError, ValidationFailed) as exc:
             outcomes.append(exc)
     for first in range(0, len(valid), STACK_CELLS):
-        chunk = valid[first : first + STACK_CELLS]
-        started = time.perf_counter()
-        cs = stack_cells([cell for _, cell in chunk])
-        ys, histories, ends = _newton(cs, np.zeros((len(chunk), cs.dim)), tol, max_iter)
-        wall_time = time.perf_counter() - started
-        for (i, cell), y, history, end in zip(chunk, ys, histories, ends):
-            outcomes[i] = (
-                end if isinstance(end, Exception)
-                else _solution(cell, y, history, end, wall_time)
-            )
+        index, cells = zip(*valid[first : first + STACK_CELLS])
+        Y = np.zeros((len(cells), cells[0].dim))
+        for i, outcome in zip(index, _newton(cells, Y, tol, max_iter)):
+            outcomes[i] = outcome
     return outcomes
 
 
@@ -665,12 +669,13 @@ def _probe_starts(sc: Scenario, k: int, seed: int) -> tuple[CompiledScenario, np
     return cs, np.random.default_rng(seed).uniform(-10.0, 10.0, size=(k, cs.dim))
 
 
-def _deviation(ys: np.ndarray, ends: list) -> float | NotConverged:
-    """The max pairwise inf-norm gap of the probe's final vectors, or the
+def _deviation(outcomes: list[EquilibriumSolution | NotConverged]) -> float | NotConverged:
+    """The max pairwise inf-norm gap of the probe's solutions, or the
     NotConverged of its lowest-index failing start."""
-    for end in ends:
-        if isinstance(end, Exception):
-            return end
+    for outcome in outcomes:
+        if isinstance(outcome, NotConverged):
+            return outcome
+    ys = np.array([sol.y for sol in outcomes])
     return float(np.abs(ys[:, None] - ys).max())
 
 
@@ -682,10 +687,8 @@ def uniqueness_probe(sc: Scenario, k: int = 5, seed: int = 0) -> float:
     if any fails, the NotConverged `solve` raises for the lowest-index
     failing start is raised, not hidden.
     """
-    cs, starts = _probe_starts(sc, k, seed)
-    ys, _, ends = _newton(cs, starts, TOL, MAX_ITER)
-    deviation = _deviation(ys, ends)
-    if isinstance(deviation, Exception):
+    deviation = _deviation(_newton(*_probe_starts(sc, k, seed), TOL, MAX_ITER))
+    if isinstance(deviation, NotConverged):
         raise deviation
     return deviation
 
@@ -696,19 +699,18 @@ def solve_and_probe(
     """`solve(sc)` and `uniqueness_probe(sc, k, seed)` as one stacked Newton
     run, with the zero start as row 0 of the probe's stack.
 
-    Returns the solution, bit for bit what `solve` returns, and the probe's
+    Row 0's outcome is what `solve` returns or raises: the solution is
+    returned, bit for bit, and a NotConverged is raised, after the probe's
+    rows ran to their own end. The other rows' outcomes give the probe's
     deviation, or as a value the NotConverged `uniqueness_probe` would
-    raise. If the zero start fails, its NotConverged is raised, as `solve`
-    raises it; the probe's rows still ran to their own end. The solution's
-    wall time is that of the whole stack. Raises ValueError if k < 2.
+    raise. The solution's wall time is that of the whole stack. Raises
+    ValueError if k < 2.
     """
     cs, starts = _probe_starts(sc, k, seed)
-    started = time.perf_counter()
-    ys, histories, ends = _newton(cs, np.vstack([np.zeros(cs.dim), starts]), TOL, MAX_ITER)
-    wall_time = time.perf_counter() - started
-    if isinstance(ends[0], Exception):
-        raise ends[0]
-    return _solution(cs, ys[0], histories[0], ends[0], wall_time), _deviation(ys[1:], ends[1:])
+    solution, *probe = _newton(cs, np.vstack([np.zeros(cs.dim), starts]), TOL, MAX_ITER)
+    if isinstance(solution, NotConverged):
+        raise solution
+    return solution, _deviation(probe)
 
 
 # ---------------------------------------------------------------------------

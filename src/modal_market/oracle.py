@@ -41,6 +41,7 @@ from .scenario import (
     ODSpec,
     Scenario,
     TravelerParams,
+    _relocation_from_network,
     validate,
 )
 
@@ -512,12 +513,6 @@ def random_scenario(seed: int) -> Scenario:
         )
 
     origins = tuple(sorted({od.r for od in ods}))
-    from .netgraph import time_matrix
-
-    tm = time_matrix(net, nodes, origins)
-    relocation = {
-        (n, r): tm.time(n, r) for n in nodes for r in origins
-    }
     traveler = TravelerParams(
         beta0_drive=float(rng.uniform(0.05, 5.0)),
         beta0_ride=float(rng.uniform(0.05, 5.0)),
@@ -538,7 +533,7 @@ def random_scenario(seed: int) -> Scenario:
         name=f"random-{seed}",
         network=net,
         ods=tuple(ods),
-        relocation_times=relocation,
+        relocation_times=_relocation_from_network(net, origins),
         signin={n: float(rng.uniform(2.0, 30.0)) for n in nodes},
         traveler_params=traveler,
         driver_params=driver,

@@ -141,6 +141,14 @@ class TestSweep:
         assert cells[1].error is not None
         assert math.isnan(cells[1].total_ride)
 
+    def test_unmeetable_stopping_rule_raises(self, five_node):
+        # a stopping rule no solve can meet is an input error, not a failure
+        # of every cell
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            sweep(five_node, "traveler_params.beta2", [1.0], max_iter=-1)
+        with pytest.raises(ValueError, match="tol must be a non-negative number"):
+            hub_study(tol=math.nan)
+
     def test_bad_path_recorded(self, five_node):
         cells = sweep(five_node, "traveler_params.nope", [1.0])
         assert not cells[0].converged
@@ -154,7 +162,13 @@ class TestSweep:
             for param, grid in GRIDS.items():
                 stacked = solve_sweep(sc, param, grid)
                 for value, solution in zip(grid, stacked):
-                    assert_same_solution(solution, solve(with_param(sc, param, value)))
+                    cell_sc = with_param(sc, param, value)
+                    assert_same_solution(solution, solve(cell_sc))
+                    # the record's scenario is its own cell, not the stack
+                    cs = solution.prices.cs
+                    assert compile_scenario(cs.sc) is cs
+                    assert cs.sc.traveler_params == cell_sc.traveler_params
+                    assert cs.sc.driver_params == cell_sc.driver_params
                 cells = sweep(sc, param, grid)
                 assert list(map(repr, cells)) == [repr(solo_cell(sc, param, v)) for v in grid]
 

@@ -72,6 +72,23 @@ def write_coefficient(path, block, field, value):
      "error: scenario failed validation:\n  /traveler_params/beta0_drive: nan must be finite\n"),
     (["solve", "--scenario", "inf_beta1.json"],
      "error: scenario failed validation:\n  /driver_params/beta1: inf must be finite\n"),
+    # stopping rules and checks that no value can meet, and unusable seeds
+    (["solve", "--scenario", "builtin:5node", "--tol", "nan", "--out", "out"],
+     "error: --tol must be a non-negative number, got nan\n"),
+    (["solve", "--scenario", "builtin:5node", "--tol", "-1", "--out", "out"],
+     "error: --tol must be a non-negative number, got -1.0\n"),
+    (["solve", "--scenario", "builtin:5node", "--max-iter", "-3", "--out", "out"],
+     "error: --max-iter must be >= 0, got -3\n"),
+    (["sweep", "--scenario", "builtin:5node", *SWEEP, "--max-iter", "-1"],
+     "error: --max-iter must be >= 0, got -1\n"),
+    (["hub-study", "--tol", "nan", "--out", "out"],
+     "error: --tol must be a non-negative number, got nan\n"),
+    (["validate", "--scenario", "builtin:5node", "--replay-tol", "nan", "--out", "out"],
+     "error: --replay-tol must be a non-negative number, got nan\n"),
+    (["validate", "--scenario", "builtin:5node", "--kkt-tol", "-1", "--out", "out"],
+     "error: --kkt-tol must be a non-negative number, got -1.0\n"),
+    (["validate", "--scenario", "builtin:5node", "--seed", "-1", "--out", "out"],
+     "error: --seed must be a non-negative integer, got -1\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
     # every command reports a bad input file, option value or output path
@@ -321,6 +338,17 @@ class TestValidateCommand:
         monkeypatch.setenv("MODAL_MARKET_SEED", "77")
         code = main(["validate", "--scenario", "builtin:5node"])
         assert code == 0
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "error: MODAL_MARKET_SEED must be a non-negative integer, got 'abc'\n"),
+        ("-1", "error: MODAL_MARKET_SEED must be a non-negative integer, got -1\n"),
+    ], ids=["not-an-integer", "negative"])
+    def test_bad_env_seed_is_an_input_error(self, value, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MODAL_MARKET_SEED", value)
+        code = main(["validate", "--scenario", "builtin:5node", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
 
     def test_probe_nonconvergence_still_reports(self, tmp_path, monkeypatch, capsys):
         # a uniqueness-probe start that does not converge: the check table

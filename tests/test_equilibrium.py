@@ -12,7 +12,6 @@ from modal_market.choice import (
     PriceSystem,
     compile_scenario,
     driver_flows_dual,
-    stack_cells,
     traveler_flows,
 )
 from modal_market.equilibrium import (
@@ -32,6 +31,7 @@ from modal_market.equilibrium import (
     residual,
     solve,
     solve_and_probe,
+    solve_sweep,
     uniqueness_probe,
 )
 from modal_market.oracle import random_scenario
@@ -428,7 +428,7 @@ class TestSolve:
                 solve(sc)
         assert err.value.violations == [f"/{path.replace('.', '/')}: {value} overflows the {what}"]
 
-    def test_fd_jacobian_option_agrees(self, five_node, five_node_solution):
+    def test_structured_step_matches_fd_jacobian(self, five_node, five_node_solution):
         # the structured step against a step on the forward-difference
         # Jacobian, at the solution and at moderate points
         cs = compile_scenario(five_node)
@@ -438,6 +438,33 @@ class TestSolve:
             step, r = newton_step_at(cs, y)
             fd = np.linalg.solve(jacobian_fd(cs, y), -r)
             assert np.abs(step - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("tol, max_iter, message", [
+        (math.nan, MAX_ITER, "tol must be a non-negative number, got nan"),
+        (-1.0, MAX_ITER, "tol must be a non-negative number, got -1.0"),
+        (TOL, -3, "max_iter must be >= 0, got -3"),
+    ], ids=["tol-nan", "tol-negative", "max-iter-negative"])
+    def test_unmeetable_stopping_rule_is_a_value_error(
+        self, five_node, monkeypatch, tol, max_iter, message
+    ):
+        # raised before any cell is compiled or any Newton pass runs
+        def unreachable(*args):
+            raise AssertionError("reached")
+
+        monkeypatch.setattr(equilibrium, "_compiled", unreachable)
+        monkeypatch.setattr(equilibrium, "_newton", unreachable)
+        with pytest.raises(ValueError) as err:
+            solve(five_node, tol=tol, max_iter=max_iter)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            solve_sweep(five_node, "traveler_params.beta2", [1.0], tol, max_iter)
+        assert str(err.value) == message
+
+    def test_zero_iterations_evaluate_the_start(self, five_node):
+        with pytest.raises(NotConverged, match="within 0 iterations") as err:
+            solve(five_node, max_iter=0)
+        assert len(err.value.residual_history) == 1
+        assert np.array_equal(err.value.best_y, np.zeros(9))
 
     def test_far_start_residual_overflow_is_not_a_warning(self, five_node, five_node_solution):
         # start 1 of acceptance criterion 5 on this builtin: line-search
@@ -492,30 +519,33 @@ def first_failure_one_by_one(sc, starts, **kwargs):
     return None
 
 
-def assert_same_failure(stacked, alone):
+def arrays(sol):
+    """A solution's residual and flow arrays."""
+    return (sol.residual.vector, sol.traveler.matrix, sol.driver.E, sol.driver.E_H,
+            sol.driver.stock)
+
+
+def assert_same_outcome(stacked, alone):
+    """Two outcomes of a solve are the same bit for bit: a solution's y,
+    history, flows and residual, or a failure's type, message, best iterate
+    and history."""
     assert type(stacked) is type(alone)
-    assert str(stacked) == str(alone)
-    if isinstance(alone, NotConverged):
+    assert stacked.residual_history == alone.residual_history
+    if isinstance(alone, Exception):
+        assert str(stacked) == str(alone)
         assert np.array_equal(stacked.best_y, alone.best_y)
-        assert stacked.residual_history == alone.residual_history
+    else:
+        assert np.array_equal(stacked.y, alone.y)
+        assert all(map(np.array_equal, arrays(stacked), arrays(alone)))
 
 
 def assert_rows_match_one_by_one(sc, starts, tol=TOL, max_iter=MAX_ITER):
     """Every row of a `_newton` stack returns what `solve` gives from its
     start alone, bit for bit; returns the stack's outcomes."""
-    ys, histories, ends = _newton(compile_scenario(sc), starts, tol, max_iter)
-    for i, start in enumerate(starts):
-        alone = solve_alone(sc, start, tol=tol, max_iter=max_iter)
-        if isinstance(alone, Exception):
-            assert_same_failure(ends[i], alone)
-            assert np.isnan(ys[i]).all(), (sc.name, i)
-            continue
-        assert np.array_equal(ys[i], alone.y), (sc.name, i)
-        assert histories[i] == list(alone.residual_history), (sc.name, i)
-        flows = (alone.traveler.matrix, alone.driver.E, alone.driver.E_H,
-                 alone.driver.stock, alone.residual.vector)
-        assert all(map(np.array_equal, ends[i], flows)), (sc.name, i)
-    return ends
+    outcomes = _newton(compile_scenario(sc), starts, tol, max_iter)
+    for outcome, start in zip(outcomes, starts, strict=True):
+        assert_same_outcome(outcome, solve_alone(sc, start, tol=tol, max_iter=max_iter))
+    return outcomes
 
 
 class TestStackedNewton:
@@ -523,14 +553,9 @@ class TestStackedNewton:
 
     def test_rows_bit_identical_to_solo_solves(self, five_node, sioux_scenarios):
         for sc, starts in probe_corpus(five_node, sioux_scenarios):
-            ys, histories, ends = _newton(compile_scenario(sc), starts, TOL, MAX_ITER)
-            for i, start in enumerate(starts):
-                alone = solve(sc, y0=start)
-                assert np.array_equal(ys[i], alone.y), (sc.name, i)
-                assert histories[i] == list(alone.residual_history), (sc.name, i)
-                flows = (alone.traveler.matrix, alone.driver.E, alone.driver.E_H,
-                         alone.driver.stock, alone.residual.vector)
-                assert all(map(np.array_equal, ends[i], flows)), (sc.name, i)
+            outcomes = _newton(compile_scenario(sc), starts, TOL, MAX_ITER)
+            for outcome, start in zip(outcomes, starts, strict=True):
+                assert_same_outcome(outcome, solve(sc, y0=start))
 
     def test_evaluations_per_run(self, five_node, sioux_scenarios, monkeypatch):
         # the stack size of every phi and Newton-step evaluation: no empty
@@ -552,7 +577,7 @@ class TestStackedNewton:
         for sc, starts in probe_corpus(five_node, sioux_scenarios):
             calls.clear()
             cs = compile_scenario(sc)
-            histories = _newton(cs, starts, TOL, MAX_ITER)[1]
+            histories = [o.residual_history for o in _newton(cs, starts, TOL, MAX_ITER)]
             sizes = {name: [n for kind, n in calls if kind == name] for name in ("phi", "step")}
             passes = range(max(map(len, histories)))
             assert sizes["step"] == [sum(len(h) > j for h in histories) for j in passes]
@@ -571,12 +596,12 @@ class TestStackedNewton:
         # converge, the others fail, each as it does alone
         for sc, starts in probe_corpus(five_node, sioux_scenarios):
             cs = compile_scenario(sc)
-            counts = sorted(len(h) - 1 for h in _newton(cs, starts, TOL, MAX_ITER)[1])
+            counts = sorted(o.iterations for o in _newton(cs, starts, TOL, MAX_ITER))
             if counts[0] == counts[-1]:
                 continue
             max_iter = counts[2] - 1 if counts[2] > counts[0] else counts[0]
-            ends = assert_rows_match_one_by_one(sc, starts, max_iter=max_iter)
-            failed = [isinstance(end, NotConverged) for end in ends]
+            outcomes = assert_rows_match_one_by_one(sc, starts, max_iter=max_iter)
+            failed = [isinstance(outcome, NotConverged) for outcome in outcomes]
             assert any(failed) and not all(failed), sc.name
 
     def test_mixed_failures_match_one_by_one(self):
@@ -604,8 +629,8 @@ class TestStackedNewton:
             ):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    ends = assert_rows_match_one_by_one(sc, starts)
-                assert sum(isinstance(end, Exception) for end in ends) >= 1
+                    outcomes = assert_rows_match_one_by_one(sc, starts)
+                assert sum(isinstance(outcome, Exception) for outcome in outcomes) >= 1
 
     def test_middle_row_failure_leaves_the_other_rows(self):
         # the stalled start between two converging ones: both keep their
@@ -613,10 +638,10 @@ class TestStackedNewton:
         sc = random_scenario(0)
         bad = np.random.default_rng(7).uniform(-100.0, 100.0, (10, 11))[4]
         good = np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(2, 11))
-        ends = assert_rows_match_one_by_one(sc, np.stack([good[0], bad, good[1]]))
-        assert isinstance(ends[1], NotConverged)
-        assert "line search stalled" in str(ends[1])
-        assert not isinstance(ends[0], Exception) and not isinstance(ends[2], Exception)
+        outcomes = assert_rows_match_one_by_one(sc, np.stack([good[0], bad, good[1]]))
+        assert isinstance(outcomes[1], NotConverged)
+        assert "line search stalled" in str(outcomes[1])
+        assert not isinstance(outcomes[0], Exception) and not isinstance(outcomes[2], Exception)
 
     def test_uniqueness_probe_raises_the_lowest_index_failure(self, monkeypatch):
         # two failing starts of different kinds among converging ones: the
@@ -636,7 +661,7 @@ class TestStackedNewton:
                 )
                 with pytest.raises(NotConverged) as err:
                     uniqueness_probe(sc, k=len(starts))
-            assert_same_failure(err.value, alone)
+            assert_same_outcome(err.value, alone)
 
     def test_singular_schur_complement_is_attributed_to_its_row(self, monkeypatch):
         # the singular row makes the stacked linear solve fail for the whole
@@ -659,9 +684,9 @@ class TestStackedNewton:
         starts = np.stack([good[0], bad, good[1]])
         assert "Newton step failed" in str(first_failure_one_by_one(sc, starts))
         solves.clear()
-        ends = assert_rows_match_one_by_one(sc, starts)
+        outcomes = assert_rows_match_one_by_one(sc, starts)
         assert (3, cs.n_nodes, cs.n_nodes) in solves
-        assert [isinstance(end, NotConverged) for end in ends] == [False, True, False]
+        assert [isinstance(outcome, NotConverged) for outcome in outcomes] == [False, True, False]
 
 
 class TestLadder:
@@ -672,8 +697,8 @@ class TestLadder:
     ):
         # LADDER_ENTRIES = 0 leaves one trial per searching row and round,
         # the plain halving line search; the ladder must accept the same t
-        # everywhere: finals, histories, end flows and failures bit for bit,
-        # on far starts that fail in every way a row can fail
+        # everywhere: every row's solution or failure bit for bit, on far
+        # starts that fail in every way a row can fail
         runs = []
         for sc in [five_node, *sioux_scenarios.values(), *micros,
                    *map(random_scenario, range(30))]:
@@ -688,21 +713,17 @@ class TestLadder:
             runs.append((cs, far[row - 1 : row + 1]))
         cells = [compile_scenario(with_param(sioux_scenarios[2], "driver_params.beta3", v))
                  for v in (0.25, 0.5, 1.0, 2.0, 4.0)]
-        runs.append((stack_cells(cells), np.zeros((len(cells), cells[0].dim))))
+        runs.append((cells, np.zeros((len(cells), cells[0].dim))))
         kinds = set()
         for cs, starts in runs:
-            ys, histories, ends = _newton(cs, starts, TOL, MAX_ITER)
+            outcomes = _newton(cs, starts, TOL, MAX_ITER)
             with monkeypatch.context() as patch:
                 patch.setattr(equilibrium, "LADDER_ENTRIES", 0)
-                ys_1, histories_1, ends_1 = _newton(cs, starts, TOL, MAX_ITER)
-            assert np.array_equal(ys, ys_1, equal_nan=True)
-            assert histories == histories_1
-            for end, end_1 in zip(ends, ends_1):
-                if isinstance(end_1, Exception):
-                    assert_same_failure(end, end_1)
-                    kinds.add(str(end_1).split(" at ")[0].split(" to ")[0])
-                else:
-                    assert all(map(np.array_equal, end, end_1))
+                outcomes_1 = _newton(cs, starts, TOL, MAX_ITER)
+            for outcome, outcome_1 in zip(outcomes, outcomes_1, strict=True):
+                assert_same_outcome(outcome, outcome_1)
+                if isinstance(outcome_1, Exception):
+                    kinds.add(str(outcome_1).split(" at ")[0].split(" to ")[0])
         assert kinds == {
             "Newton step failed", "no convergence", "line search stalled",
             "line-search slope not finite",
@@ -775,12 +796,6 @@ class TestUniquenessProbe:
             uniqueness_probe(five_node, k=1)
 
 
-def arrays(sol):
-    """A solution's residual and flow arrays."""
-    return (sol.residual.vector, sol.traveler.matrix, sol.driver.E, sol.driver.E_H,
-            sol.driver.stock)
-
-
 class TestSolveAndProbe:
     """`solve_and_probe` against `solve` and `uniqueness_probe` run apart."""
 
@@ -790,14 +805,11 @@ class TestSolveAndProbe:
         corpus += [random_scenario(i) for i in range(30)]
         for sc in corpus:
             sol, deviation = solve_and_probe(sc, 5, seed)
-            alone = solve(sc)
-            assert np.array_equal(sol.y, alone.y), sc.name
-            assert sol.residual_history == alone.residual_history, sc.name
-            assert all(map(np.array_equal, arrays(sol), arrays(alone))), sc.name
+            assert_same_outcome(sol, solve(sc))
             try:
                 expected = uniqueness_probe(sc, 5, seed)
             except NotConverged as exc:
-                assert_same_failure(deviation, exc)
+                assert_same_outcome(deviation, exc)
             else:
                 assert deviation == expected, sc.name
 
@@ -808,7 +820,7 @@ class TestSolveAndProbe:
         assert np.array_equal(sol.y, solve(sc).y)
         with pytest.raises(NotConverged) as err:
             uniqueness_probe(sc)
-        assert_same_failure(deviation, err.value)
+        assert_same_outcome(deviation, err.value)
 
     def test_zero_start_failure_is_raised(self, five_node):
         # beta0_r = 800 overflows the driver flows at the zero start
@@ -817,7 +829,7 @@ class TestSolveAndProbe:
             solve(sc)
         with pytest.raises(NotConverged) as err:
             solve_and_probe(sc)
-        assert_same_failure(err.value, alone.value)
+        assert_same_outcome(err.value, alone.value)
 
     def test_requires_two_starts(self, five_node):
         with pytest.raises(ValueError):
