@@ -131,8 +131,9 @@ def sweep(
     """One cell per value, in input order: `with_param(sc, param, value)`
     solved from the zero start. The cells are solved as stacked Newton runs
     (`solve_sweep`), and each equals its own `solve` bit for bit. A cell
-    whose parameter cannot be set, whose scenario fails validation or whose
-    solve fails carries its error."""
+    whose scenario fails validation or whose solve fails carries its error.
+    Raises ValueError, before any cell is built, for a `param` that names
+    no scalar of the scenario and for an unmeetable tol or max_iter."""
     return [
         _failed_cell(value, outcome) if isinstance(outcome, Exception)
         else _cell_from_solution(value, outcome)

@@ -54,7 +54,10 @@ EXP_BOUND = 700.0
 #: The coefficients a traveler or driver parameter enters. In a stack of
 #: sweep cells (`stack_cells`) each has a leading cell axis; the index
 #: arrays, demands, sign-in rates and relocation times are shared.
-CELL_COEFFICIENTS = ("u_drive", "u_ride", "u_multi", "beta2", "A", "a_H", "beta3", "phi_weights")
+CELL_COEFFICIENTS = (
+    "u_drive", "u_ride", "u_multi", "beta2", "A", "a_H", "beta3", "phi_weights",
+    "beta2_d", "phi_sizes",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +105,11 @@ class CompiledScenario:
     # weights of (stock per node, log-sum-exp per od, lambda per node) in the
     # solver's dual potential: 1/beta3, d/beta2 and -dQ
     phi_weights: np.ndarray    # (2 n_nodes + m,)
+    phi_sizes: np.ndarray      # (2 n_nodes + m,) |phi_weights|
+    beta2_d: np.ndarray        # (m,) beta2 * d, the traveler sensitivity scale
+    # the positions `stacked_index` built for the most rows yet asked;
+    # every copy of a stack shares them, as it shares the index arrays
+    _stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -113,6 +121,16 @@ class CompiledScenario:
         if np.ndim(self.beta2) == 0:
             return self
         return replace(self, **{name: getattr(self, name)[index] for name in CELL_COEFFICIENTS})
+
+    def stacked_index(self, name: str, size: int, rows: int) -> np.ndarray:
+        """The flat positions of index array `name` into an array of `size`
+        entries, repeated for `rows` stacked copies of that array: copy i
+        offset by i * size. Built once for the largest stack asked for, and
+        cut to fewer rows as a stack shrinks."""
+        index, stacked = getattr(self, name), self._stacks.get(name)
+        if stacked is None or stacked.size < rows * index.size:
+            stacked = self._stacks[name] = (index + size * np.arange(rows)[:, None]).ravel()
+        return stacked[: rows * index.size]
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho_direct, rho_hub, lambda) parts of a vector in dual layout."""
@@ -204,6 +222,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
         ]
     )
 
+    phi_weights = np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ])
     return CompiledScenario(
         sc=sc,
         node_ids=node_ids,
@@ -225,7 +244,9 @@ def _compile(sc: Scenario) -> CompiledScenario:
         reloc=reloc,
         rho_lam_flat=rho_lam_flat,
         lam_lam_flat=lam_lam_flat,
-        phi_weights=np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ]),
+        phi_weights=phi_weights,
+        phi_sizes=np.abs(phi_weights),
+        beta2_d=tp.beta2 * d,
     )
 
 
@@ -380,14 +401,16 @@ def driver_flow_matrix(
     E[n, c] = exp(A[n, c] + beta3*(rho_c + lambda_n)), E_H[n] the sign-out
     column, Q the row sums. Leading axes of rho and lam index a stack of
     dual points. A point with an exponent beyond EXP_BOUND, or a NaN one,
-    has all its flows +inf, without a RuntimeWarning.
+    has all its flows +inf, without a RuntimeWarning. The bound is tested
+    over the whole stack first, and point by point only if that fails.
     """
     b3 = np.asarray(cs.beta3)  # a (k, 1) column for a stack of cells
     expo = cs.A + b3[..., None] * (rho[..., None, :] + lam[..., :, None])
     expo_H = cs.a_H + b3 * lam
-    worst = np.maximum(expo.max(axis=-1, initial=-np.inf), expo_H).max(axis=-1, initial=-np.inf)
-    within = worst <= EXP_BOUND  # False for NaN too
-    if not within.all():
+    # np.maximum keeps a NaN, which fails the test as an overflow does
+    if not np.maximum(expo.max(initial=-np.inf), expo_H.max(initial=-np.inf)) <= EXP_BOUND:
+        worst = np.maximum(expo.max(axis=-1, initial=-np.inf), expo_H)
+        within = worst.max(axis=-1, initial=-np.inf) <= EXP_BOUND  # False for NaN too
         expo[~within] = np.inf
         expo_H[~within] = np.inf
     E = np.exp(expo)

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -178,8 +179,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except NotConverged as exc:
         if not exc.residual_history:  # no iterate: the start overflows
             raise
-        # keep the best iterate for diagnosis, explicitly flagged
-        sol = solution_at(sc, exc.best_y, exc.residual_history, converged=False)
+        # keep the best iterate for diagnosis, explicitly flagged, with the
+        # time of the run that gave it up
+        sol = replace(solution_at(sc, exc.best_y, exc.residual_history, converged=False),
+                      wall_time=exc.wall_time)
         print(f"not converged: {exc}", file=sys.stderr)
         exit_code = EXIT_NOT_CONVERGED
 
@@ -369,7 +372,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise InputError("--values is empty")
 
-    cells = sweep(sc, args.param, values, tol=args.tol, max_iter=args.max_iter)
+    try:
+        cells = sweep(sc, args.param, values, tol=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:  # a --param that names no scalar
+        raise InputError(f"--param: {exc}") from None
 
     out_dir = Path(args.out)
     _write_manifest(out_dir, args, values=values, out=str(out_dir))

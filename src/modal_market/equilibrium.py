@@ -20,17 +20,21 @@ what `solve` from that row returns or raises: a solution, which carries
 the wall time of its whole stack, or a NotConverged. The line search has
 one path: the full-step trial stack becomes the next state, and the rows
 that backtrack overwrite their own rows of it with the trial they accept.
-They backtrack in rounds of 1, 2, 4, ... halvings, one phi evaluation per
-round of at most LADDER_ENTRIES driver-flow entries, and accept the t that
-halving one at a time would. The Jacobian is never formed: each OD's logit
-couples only its own two rho coordinates and two lambdas, and each driver
-flow one rho and one lambda, so the rho-rho block is block diagonal with
-one 2x2 block per OD. A Newton step eliminates those blocks in closed form
-and solves an n_nodes x n_nodes Schur complement for lambda (block
-elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4):
-O(m n^2 + n^3) work per step for m ODs and n nodes, against O((2m + n)^3)
-for a dense LU. Prices follow from the duals by the additive decomposition
-eta = rho + lambda(drop-off).
+They backtrack in rounds, one phi evaluation per round of at most
+LADDER_ENTRIES driver-flow entries: the first round runs down to the step
+length at which the step moves no driver exponent by more than about one
+unit, and each later round tries twice as many halvings as the one before.
+They accept the t that halving one at a time would. The run ignores
+numpy's floating-point errors once, around the whole stack, rather than in
+each kernel. The Jacobian is never formed: each OD's logit couples only
+its own two rho coordinates and two lambdas, and each driver flow one rho
+and one lambda, so the rho-rho block is block diagonal with one 2x2 block
+per OD. A Newton step eliminates those blocks in closed form and solves
+an n_nodes x n_nodes Schur complement for lambda (block elimination, Boyd
+& Vandenberghe, Convex Optimization, App. C.4): O(m n^2 + n^3) work per
+step for m ODs and n nodes, against O((2m + n)^3) for a dense LU. Prices
+follow from the duals by the additive decomposition eta = rho +
+lambda(drop-off).
 
 A solution is stored once, as arrays: the dual vector in its `PriceSystem`,
 the flows at it in `TravelerFlows` and `DriverFlows`, the clearing gaps in
@@ -92,6 +96,9 @@ class NotConverged(EquilibriumError):
         super().__init__(message)
         self.best_y = best_y
         self.residual_history = residual_history
+        #: seconds of the solver run that ended here, as a solution's
+        #: wall_time: the whole stack's, for a row of a stacked run
+        self.wall_time = 0.0
 
 
 class NonPositiveFlow(EquilibriumError):
@@ -159,13 +166,17 @@ def _residual_vector(cs: CompiledScenario, y: np.ndarray) -> np.ndarray:
     return _residual_of_flows(cs, q, E, Q)
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _scatter(
+    cs: CompiledScenario, name: str, values: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
     """Sums of values (..., len(index)) into (..., *shape) at the flat
-    positions index, row by row: one np.bincount over every leading row, so
-    each sum adds its terms in index order whatever the number of rows."""
-    size, rows = math.prod(shape), values.size // index.size
+    positions of cs's index array `name`, row by row: one np.bincount over
+    every leading row (`CompiledScenario.stacked_index`), so each sum adds
+    its terms in index order whatever the number of rows."""
+    size, index = math.prod(shape), getattr(cs, name)
+    rows = values.size // index.size
     if rows > 1:
-        index = (index + size * np.arange(rows)[:, None]).ravel()
+        index = cs.stacked_index(name, size, rows)
     return np.bincount(index, values.ravel(), minlength=rows * size).reshape(
         values.shape[:-1] + shape
     )
@@ -175,7 +186,7 @@ def _residual_of_flows(
     cs: CompiledScenario, q: np.ndarray, E: np.ndarray, Q: np.ndarray
 ) -> np.ndarray:
     served = q[..., 1:].swapaxes(-1, -2).reshape(q.shape[:-2] + (2 * cs.m,))
-    arrivals = _scatter(cs.drop_idx, served, (cs.n_nodes,))
+    arrivals = _scatter(cs, "drop_idx", served, (cs.n_nodes,))
     return np.concatenate([E.sum(axis=-2) - served, Q - arrivals - cs.dQ], axis=-1)
 
 
@@ -198,11 +209,13 @@ def _newton_step(
     follows by back-substitution: O(m n^2 + n^3) per step instead of the
     O((2m + n)^3) of a dense LU. An iterate whose S is singular gets a NaN
     step, and a vanishing or overflowing pivot a non-finite one; the other
-    iterates of the stack are unaffected.
+    iterates of the stack are unaffected. Such a step divides by zero or
+    overflows: the caller holds numpy's floating-point errors (`_newton`
+    ignores them for its whole run).
     """
     m, n = cs.m, cs.n_nodes
     b3 = np.asarray(cs.beta3)  # a (k, 1) column for a stack of cells
-    bd = cs.beta2 * cs.d
+    bd = cs.beta2_d
     p0, p1, p2 = P[..., 0], P[..., 1], P[..., 2]
     # traveler sensitivities over (ride, multi); p0 + p2 = 1 - p1 without
     # the cancellation when p1 is close to 1
@@ -211,36 +224,35 @@ def _newton_step(
     c = -bp1 * p2
     e = bp2 * (p0 + p1)
     sens = np.concatenate([a, c, c, e], axis=-1)
-    C = b3[..., None] * E.swapaxes(-1, -2) + _scatter(cs.rho_lam_flat, sens, (2 * m, n))
-    L = _scatter(cs.lam_lam_flat, np.concatenate([b3 * Q, sens], axis=-1), (n, n))
+    C = b3[..., None] * E.swapaxes(-1, -2) + _scatter(cs, "rho_lam_flat", sens, (2 * m, n))
+    L = _scatter(cs, "lam_lam_flat", np.concatenate([b3 * Q, sens], axis=-1), (n, n))
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # each 2x2 block [[b11, c], [c, b22]] is factored on the b11 pivot;
-        # its Schur value b22 - c^2/b11 is summed from positive terms, since
-        # b11*b22 - c^2 = D_d*D_h + D_d*e + a*D_h + bd^2*p0*p1*p2
-        D = b3 * E.sum(axis=-2)
-        D_d, D_h = D[..., :m], D[..., m:]
-        b11 = D_d + a
-        piv = D_h + e * (D_d / b11) + bp1 * bp2 * p0 / b11
-        X = np.concatenate([C, r[..., : 2 * m, :]], axis=-1)
-        X_d, X_h = X[..., :m, :], X[..., m:, :]
-        W_h = (X_h - (c / b11)[..., None] * X_d) / piv[..., None]
-        W_d = (X_d - c[..., None] * W_h) / b11[..., None]
-        W = np.concatenate([W_d, W_h], axis=-2)  # J_rho_rho^{-1} [J_rho_lam, r_rho]
-        CW = C.swapaxes(-1, -2) @ W
-        S = L - CW[..., :n]
-        rhs = CW[..., n:] - r[..., 2 * m :, :]
-        try:
-            dlam = np.linalg.solve(S, rhs)
-        except np.linalg.LinAlgError:
-            # one singular S fails the whole stack: solve iterate by iterate
-            dlam = np.full(rhs.shape, np.nan)
-            for i in np.ndindex(r.shape[:-2]):
-                try:
-                    dlam[i] = np.linalg.solve(S[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    pass
-        drho = -W[..., n:] - W[..., :n] @ dlam
+    # each 2x2 block [[b11, c], [c, b22]] is factored on the b11 pivot; its
+    # Schur value b22 - c^2/b11 is summed from positive terms, since
+    # b11*b22 - c^2 = D_d*D_h + D_d*e + a*D_h + bd^2*p0*p1*p2
+    D = b3 * E.sum(axis=-2)
+    D_d, D_h = D[..., :m], D[..., m:]
+    b11 = D_d + a
+    piv = D_h + e * (D_d / b11) + bp1 * bp2 * p0 / b11
+    X = np.concatenate([C, r[..., : 2 * m, :]], axis=-1)
+    X_d, X_h = X[..., :m, :], X[..., m:, :]
+    W_h = (X_h - (c / b11)[..., None] * X_d) / piv[..., None]
+    W_d = (X_d - c[..., None] * W_h) / b11[..., None]
+    W = np.concatenate([W_d, W_h], axis=-2)  # J_rho_rho^{-1} [J_rho_lam, r_rho]
+    CW = C.swapaxes(-1, -2) @ W
+    S = L - CW[..., :n]
+    rhs = CW[..., n:] - r[..., 2 * m :, :]
+    try:
+        dlam = np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError:
+        # one singular S fails the whole stack: solve iterate by iterate
+        dlam = np.full(rhs.shape, np.nan)
+        for i in np.ndindex(r.shape[:-2]):
+            try:
+                dlam[i] = np.linalg.solve(S[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    drho = -W[..., n:] - W[..., :n] @ dlam
     return np.concatenate([drho, dlam], axis=-2)
 
 
@@ -295,8 +307,9 @@ def solution_at(
 def _potential(cs: CompiledScenario, y: np.ndarray):
     """(phi, allowance, (q, P, E, E_H, Q)) at y, or at each row of a stack of
     dual vectors. At a point whose driver flows overflow, its +inf stock
-    makes phi and the allowance +inf. Every returned array is its own, so a
-    caller may write into any of them.
+    makes phi and the allowance +inf, or phi NaN, which the caller's
+    np.errstate lets pass silently (`_newton` holds one for its whole run).
+    Every returned array is its own, so a caller may write into any of them.
 
     phi(y) = sum_n Q_n / beta3 + sum_i (d_i/beta2) LSE_i(U) - dQ . lambda,
     with Q_n the driver stock (sign-out included) and LSE_i the log-sum-exp
@@ -308,9 +321,8 @@ def _potential(cs: CompiledScenario, y: np.ndarray):
     """
     q, P, lse, E, E_H, Q = _flows_at(cs, y)
     terms = np.concatenate([Q, lse, cs.rho_lam(y)[1]], axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.vecdot(terms, cs.phi_weights)
-        size = np.vecdot(np.abs(terms), np.abs(cs.phi_weights))
+    phi = np.vecdot(terms, cs.phi_weights)
+    size = np.vecdot(np.abs(terms), cs.phi_sizes)
     return phi, _ALLOWANCE * size, (q, P, E, E_H, Q)
 
 
@@ -336,7 +348,7 @@ def _overflows(sc: Scenario) -> tuple[str, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         cs = compile_scenario(sc)
         stocks = cs.beta3 * (cs.d.sum() + cs.dQ.sum())
-        weights = np.concatenate([cs.phi_weights, cs.beta2 * cs.d, [stocks]])
+        weights = np.concatenate([cs.phi_weights, cs.beta2_d, [stocks]])
     formed = (cs.u_drive, cs.u_ride, cs.u_multi, cs.A, cs.a_H, weights)
     if all(np.isfinite(a).all() for a in formed):
         return ()
@@ -405,6 +417,7 @@ def _check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton(
     cs: CompiledScenario | Sequence[CompiledScenario], Y: np.ndarray, tol: float, max_iter: int
 ) -> list[EquilibriumSolution | NotConverged]:
@@ -416,13 +429,20 @@ def _newton(
     operation acts on each row alone, so a row's iterates are bit-identical
     to a run from that row by itself. Every live row tries the full step,
     and that trial stack is the next state. The rows that backtrack share a
-    ladder of step lengths t = 2^-j, tried in rounds of 1, 2, 4, ... values
-    of j, each round one phi evaluation holding every searching row's
-    trials, at most LADDER_ENTRIES driver-flow entries unless that is one
-    trial per row. A row takes the first t of its round that passes, so it
-    accepts the t that halving one at a time would, or stalls where that
-    would stall, and the trial it accepts overwrites its row of the state.
-    A row that finishes, or fails, leaves the stack.
+    ladder of step lengths t = 2^-j, tried in rounds, each round one phi
+    evaluation holding every searching row's trials. The first round runs
+    down to the t at which beta3 |t d|_inf, the most a trial moves a driver
+    exponent through one coordinate of the step d, is below 1 for every
+    searching row; each later round tries twice as many values of j as the
+    one before. A round holds at most LADDER_ENTRIES driver-flow entries,
+    unless that is one trial per row, and never passes a row's stall. A
+    row takes the first t of its round that passes, so it accepts the t
+    that halving one at a time would, or stalls where that would stall, and
+    the trial it accepts overwrites its row of the state. A row that
+    finishes, or fails, leaves the stack. The whole run ignores numpy's
+    floating-point errors: an overflowing or singular point is a value
+    here (+inf, NaN), which the line search and the failure tests reject,
+    never a warning.
 
     cs is one scenario shared by every row, or a sequence of k sweep cells,
     row i solved with cell i's coefficients: they are stacked here
@@ -433,10 +453,10 @@ def _newton(
     or raises: the EquilibriumSolution at its final vector, built from the
     solver's own flows and residual there on the row's own scenario or
     cell, or the NotConverged that ended the row. The wall time is measured
-    once, over the whole run, and every solution carries it. A failure ends
-    its own row only; a start whose phi is not finite (its driver flows
-    overflow) ends its row at once, with the start as the best iterate and
-    an empty history.
+    once, over the whole run, and every outcome carries it, a NotConverged
+    too. A failure ends its own row only; a start whose phi is not finite
+    (its driver flows overflow) ends its row at once, with the start as the
+    best iterate and an empty history.
     """
     started = time.perf_counter()
     k = len(Y)
@@ -477,8 +497,7 @@ def _newton(
             histories[i].append(x)
             iterates[i].append(y)
         step = _newton_step(cs_rows, P, E, Q, r[..., None])[..., 0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
+        slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
         go = np.isfinite(slope)
         capped = len(histories[rows[0]]) > max_iter  # the same for every row
         if (inf_norm <= tol).any() or not go.all() or capped:
@@ -519,41 +538,48 @@ def _newton(
         # allowance; a row stalls once t d is below the float resolution of
         # y. The t = 1 trial stack is the next state. The rows still
         # searching then try the halvings in rounds, one phi evaluation
-        # each: t = 1/2, then 1/4 and 1/8, then 1/16 to 1/128, and so on,
-        # a round never wider than LADDER_ENTRIES driver-flow entries (but
-        # one t per row) nor past any row's stall. A row accepts the first t
-        # of its round that passes, the t that halving one at a time would
-        # accept, since a power of two makes t d and t r.d exact; that trial
-        # overwrites its row of the state.
+        # each: the first round t = 1/2 down to the t with beta3 |t d|_inf
+        # < 1 for every searching row, each later round twice as many
+        # halvings, a round never wider than LADDER_ENTRIES driver-flow
+        # entries (but one t per row) nor past any row's stall. A row
+        # accepts the first t of its round that passes, the t that halving
+        # one at a time would accept, since a power of two makes t d and
+        # t r.d exact; that trial overwrites its row of the state.
         trial = Y + step
         phi_t, allowance_t, flows_t = _potential(cs_rows, trial)
         state = (trial, phi_t, allowance_t, *flows_t)
         at = np.flatnonzero(~(phi_t <= phi + slope + allowance))
         if at.size:
-            with np.errstate(divide="ignore"):
-                t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1))
-                t_min /= np.abs(step).max(axis=-1)
+            live = np.ones(rows.size, dtype=bool)
+            Y_at, step_at = Y[at], step[at]
+            size = np.abs(step_at).max(axis=-1)
+            t_min = _EPS * np.maximum(1.0, np.abs(Y_at).max(axis=-1)) / size
             # the first j with t = 2^-j <= t_min
             stall = _HALVINGS.size - np.searchsorted(_HALVINGS[::-1], t_min, side="right")
+            # the j whose t brings beta3 |t d|_inf below 1: frexp's exponent
+            b3 = np.broadcast_to(cs_rows.beta3, (rows.size, 1))[at, 0]
+            count = max(1, int(np.frexp(b3 * size)[1].max()))
             point = cs_rows.n_nodes * (2 * cs_rows.m + 1)
-            j, count, live = 1, 1, np.ones(rows.size, dtype=bool)
-            while at.size:
-                stalled = stall[at] <= j
+            # what the rounds read of each searching row, gathered once and
+            # narrowed as rows accept or stall
+            searching = (at, stall, Y_at, step_at, phi[at], slope[at], allowance[at])
+            j = 1
+            while searching[0].size:
+                at, stall, Y_at, step_at, phi_at, slope_at, allowance_at = searching
+                stalled = stall <= j
                 if stalled.any():
                     fail(at[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
                     live[at[stalled]] = False
-                    at = at[~stalled]
-                    if not at.size:
-                        break
+                    searching = tuple(a[~stalled] for a in searching)
+                    continue  # the rows left, at the same j
                 # t = 2^-j, ..., 2^-(j + count - 1) for every row: none stalls
                 count = max(1, min(count, LADDER_ENTRIES // (point * at.size),
-                                   int(stall[at].min()) - j))
+                                   int(stall.min()) - j))
                 t = _HALVINGS[j : j + count]
-                trial = Y[at][:, None] + t[:, None] * step[at][:, None]
-                trial = trial.reshape(-1, trial.shape[-1])
+                trial = (Y_at[:, None] + t[:, None] * step_at[:, None]).reshape(-1, Y.shape[-1])
                 phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at.repeat(count)), trial)
                 ok = phi_t.reshape(-1, count) <= (
-                    phi[at][:, None] + t * slope[at][:, None] + allowance[at][:, None]
+                    phi_at[:, None] + t * slope_at[:, None] + allowance_at[:, None]
                 )
                 parts = (trial, phi_t, allowance_t, *flows_t)
                 if count > 1:
@@ -564,7 +590,10 @@ def _newton(
                     parts = [part[take] for part in parts]
                 for whole, part in zip(state, parts):
                     whole[at] = part
-                at = at[~ok.any(axis=1)]
+                passed = ok.any(axis=1)
+                if passed.all():
+                    break
+                searching = tuple(a[~passed] for a in searching)
                 j, count = j + count, 2 * count
             if not live.all():
                 rows, *state = (a[live] for a in (rows, *state))
@@ -572,11 +601,14 @@ def _newton(
         Y, phi, allowance, *flows = state
 
     wall_time = time.perf_counter() - started
-    return [
-        end if isinstance(end, NotConverged)
-        else EquilibriumSolution(*end, wall_time=wall_time, residual_history=tuple(history))
-        for end, history in zip(ends, histories)
-    ]
+    outcomes: list[EquilibriumSolution | NotConverged] = []
+    for end, history in zip(ends, histories):
+        if isinstance(end, NotConverged):
+            end.wall_time = wall_time
+        else:
+            end = EquilibriumSolution(*end, wall_time=wall_time, residual_history=tuple(history))
+        outcomes.append(end)
+    return outcomes
 
 
 def solve(
@@ -592,20 +624,23 @@ def solve(
     accepted point) is a descent direction for phi. The first t = 1, 1/2,
     1/4, ... with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
     allowance, is accepted; trials whose driver flows overflow, or where phi
-    is not finite, are rejected. The halvings are evaluated in rounds of 1,
-    2, 4, ... trials at once (`_newton`), which changes no accepted t. The
-    solve stops when the inf-norm of r is at most `tol` and the step, the
-    first-order error of y, is at most 1e-9 max(1, |y|_inf) in the inf-norm.
-    It is `_newton` on a stack of one row, whose failure it raises.
+    is not finite, are rejected. The halvings are evaluated in rounds of
+    several trials at once (`_newton`), the first down to the t with
+    beta3 |t d|_inf < 1 and each later one twice as long, which changes no
+    accepted t. The solve stops when the inf-norm of r is at most `tol` and
+    the step, the first-order error of y, is at most 1e-9 max(1, |y|_inf)
+    in the inf-norm. It is `_newton` on a stack of one row, whose failure
+    it raises.
 
-    Raises NotConverged, with the iterate of lowest inf-norm and the inf-norm
-    history, if that does not happen within `max_iter` iterations, if the
-    step cannot be formed (singular Schur complement or non-finite step) or
-    its slope r.d is not finite, or if t d falls below the float resolution
-    of y; it is the one way a solve of a valid scenario fails. If the driver
-    flows overflow at y0 already, its best iterate is y0 and its history is
-    empty. Raises ValueError if tol is NaN or negative, if max_iter is
-    negative, or if y0 has the wrong shape or a non-finite entry.
+    Raises NotConverged, with the iterate of lowest inf-norm, the inf-norm
+    history and the run's wall time, if that does not happen within
+    `max_iter` iterations, if the step cannot be formed (singular Schur
+    complement or non-finite step) or its slope r.d is not finite, or if
+    t d falls below the float resolution of y; it is the one way a solve of
+    a valid scenario fails. If the driver flows overflow at y0 already, its
+    best iterate is y0 and its history is empty. Raises ValueError if tol
+    is NaN or negative, if max_iter is negative, or if y0 has the wrong
+    shape or a non-finite entry.
     """
     _check_stopping(tol, max_iter)
     cs = _compiled(sc)
@@ -623,8 +658,9 @@ def solve(
 STACK_CELLS = 32
 
 #: Most driver-flow entries, n x (2m + 1) per trial point, in one round of
-#: `_newton`'s backtracking ladder; a round still tries at least one step
-#: length per searching row. A row's accepted step does not depend on it.
+#: `_newton`'s backtracking ladder, however many halvings the round would
+#: reach; a round still tries at least one step length per searching row.
+#: A row's accepted step does not depend on it.
 LADDER_ENTRIES = 4096
 
 
@@ -637,20 +673,22 @@ def solve_sweep(
 
     Each entry is the outcome of its cell's row, what that solve returns,
     bit for bit in y, flows, residual and history, with the cell as its
-    scenario, or the exception it raises: ValueError from `with_param` and
-    ValidationFailed, for a cell that never enters a stack, and
-    NotConverged for one that does. A solution's wall time is that of its
-    whole stack. Raises ValueError, before any cell is built, for the tol
-    or max_iter that `solve` rejects.
+    scenario, or the exception it raises: ValidationFailed, for a cell that
+    never enters a stack, and NotConverged for one that does. A solution's
+    wall time is that of its whole stack. Raises ValueError, before any
+    cell is built, for the tol or max_iter that `solve` rejects and for a
+    `param` that names no scalar of the scenario, which no value can set
+    (`with_param`).
     """
     _check_stopping(tol, max_iter)
+    with_param(sc, param, 0.0)  # ValueError if param names no scalar
     outcomes: list = []
     valid: list[tuple[int, CompiledScenario]] = []
     for i, value in enumerate(values):
         try:
             valid.append((i, _compiled(with_param(sc, param, value))))
             outcomes.append(None)
-        except (ValueError, ValidationFailed) as exc:
+        except ValidationFailed as exc:
             outcomes.append(exc)
     for first in range(0, len(valid), STACK_CELLS):
         index, cells = zip(*valid[first : first + STACK_CELLS])

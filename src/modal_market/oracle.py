@@ -327,7 +327,9 @@ def _moves(cs: CompiledScenario, solution: EquilibriumSolution, samples: int,
 
     u = centred(np.random.default_rng(seed).standard_normal((samples, x.size)))
     for _ in range(2):  # the second pass removes what rounding left of B(x*u)
-        u += centred(beta * B_adjoint(_newton_step(cs, P, dr.E, dr.stock, B(x * u).T).T))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dx = _newton_step(cs, P, dr.E, dr.stock, B(x * u).T).T
+        u += centred(beta * B_adjoint(dx))
     u *= magnitude / np.abs(u).max(axis=1, keepdims=True)
     return x, x * u
 

@@ -149,10 +149,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="tol must be a non-negative number"):
             hub_study(tol=math.nan)
 
-    def test_bad_path_recorded(self, five_node):
-        cells = sweep(five_node, "traveler_params.nope", [1.0])
-        assert not cells[0].converged
-        assert "nope" in cells[0].error
+    def test_bad_path_raises_before_any_cell(self, five_node, monkeypatch):
+        # no value can set a path that names no scalar: one ValueError, not
+        # a failed cell per value; a value that fails validation stays a cell
+        monkeypatch.setattr(equilibrium, "_compiled", None)  # not reached
+        for path, why in (("traveler_params.nope", "has no parameter 'nope'"),
+                          ("driver_params.beta0_r", "is not a scalar")):
+            with pytest.raises(ValueError, match=why):
+                sweep(five_node, path, [1.0, 2.0])
+            with pytest.raises(ValueError, match=why):
+                solve_sweep(five_node, path, [])
+        monkeypatch.undo()
+        (cell,) = sweep(five_node, "traveler_params.beta2", [math.nan])
+        assert not cell.converged and "nan must be > 0" in cell.error
 
     def test_stacked_cells_equal_solo_solves(self):
         # every cell of a bench grid, solved in one stack, is its own solve

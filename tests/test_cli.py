@@ -89,6 +89,13 @@ def write_coefficient(path, block, field, value):
      "error: --kkt-tol must be a non-negative number, got -1.0\n"),
     (["validate", "--scenario", "builtin:5node", "--seed", "-1", "--out", "out"],
      "error: --seed must be a non-negative integer, got -1\n"),
+    # a sweep parameter no value can set
+    (["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta9",
+      "--values", "1,2", "--out", "out"],
+     "error: --param: TravelerParams has no parameter 'beta9'\n"),
+    (["sweep", "--scenario", "builtin:5node", "--param", "driver_params.beta0_r",
+      "--values", "1", "--out", "out"],
+     "error: --param: parameter 'driver_params.beta0_r' is not a scalar\n"),
 ])
 def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatch, capsys):
     # every command reports a bad input file, option value or output path
@@ -185,6 +192,16 @@ class TestSolveCommand:
         assert code == 3
         doc = json.loads((tmp_path / "solution.json").read_text())
         assert doc["converged"] is False
+
+    @pytest.mark.parametrize("max_iter", ["0", "3"])
+    def test_nonconvergence_prints_the_run_time(self, max_iter, tmp_path, capsys):
+        # the diagnostic record carries the wall time of the run that gave up
+        code = main(["solve", "--scenario", "builtin:5node", "--out", str(tmp_path),
+                     "--max-iter", max_iter])
+        assert code == 3
+        (line, _) = capsys.readouterr().out.splitlines()
+        assert line.startswith("5node: NOT CONVERGED ")
+        assert float(line.split("wall_time=")[1].rstrip("s")) > 0
 
     def test_missing_file_exits_2(self, tmp_path):
         code = main(["solve", "--scenario", str(tmp_path / "nope.json"),

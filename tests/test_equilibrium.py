@@ -24,6 +24,7 @@ from modal_market.equilibrium import (
     _newton,
     _newton_step,
     _potential,
+    _probe_starts,
     _residual_of_flows,
     _residual_vector,
     extract_prices,
@@ -589,7 +590,7 @@ class TestStackedNewton:
                 else:
                     assert size * point <= equilibrium.LADDER_ENTRIES or size <= live, sc.name
             totals += [len(sizes["phi"]), sum(sizes["phi"]), len(sizes["step"]), sum(sizes["step"])]
-        assert totals.tolist() == [4778, 26690, 3286, 13486]
+        assert totals.tolist() == [3748, 32445, 3286, 13486]
 
     def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
         # a cap between the fastest and the slowest start: some rows
@@ -728,6 +729,36 @@ class TestLadder:
             "Newton step failed", "no convergence", "line search stalled",
             "line-search slope not finite",
         }
+
+    def test_deep_backtrack_takes_one_round(self, monkeypatch):
+        # a far probe start whose first step needs many halvings: its first
+        # round already reaches the t that passes, so the pass evaluates phi
+        # for the t = 1 trial and one round, and the row ends as it does
+        # with one halving per round
+        cs, starts = _probe_starts(random_scenario(3), 5, 0)
+        calls = []
+
+        def counted(name, fn):
+            def evaluate(*args):
+                calls.append(name)
+                return fn(*args)
+            return evaluate
+
+        monkeypatch.setattr(equilibrium, "_potential", counted("phi", _potential))
+        monkeypatch.setattr(equilibrium, "_newton_step", counted("step", _newton_step))
+
+        def first_pass(entries):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(equilibrium, "LADDER_ENTRIES", entries)
+                (outcome,) = _newton(cs, starts[1:2], TOL, MAX_ITER)
+            return outcome, calls.index("step", 2) - calls.index("step") - 1
+
+        outcome, evaluations = first_pass(equilibrium.LADDER_ENTRIES)
+        outcome_1, evaluations_1 = first_pass(0)
+        assert evaluations_1 >= 5  # the t = 1 trial and 4 or more halvings
+        assert evaluations <= 2
+        assert_same_outcome(outcome, outcome_1)
 
     def test_ladder_steps_are_the_halvings(self):
         # the ladder's t = 2^-j are the values halving from 1 takes, down to
