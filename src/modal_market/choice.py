@@ -39,6 +39,7 @@ parameter sweep (`stack_cells`), each use its own.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -224,7 +225,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
 
     phi_weights = np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ])
     return CompiledScenario(
-        sc=sc,
+        sc=None,  # set by compile_scenario
         node_ids=node_ids,
         m=m,
         n_nodes=n_nodes,
@@ -262,12 +263,20 @@ def stack_cells(cells: Sequence[CompiledScenario]) -> CompiledScenario:
 
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:
-    """Compile once per Scenario instance; the result rides along on it."""
+    """Compile once per Scenario instance. The compiled arrays ride along on
+    it, and the CompiledScenario that holds them and sc only weakly, so no
+    reference cycle keeps a scenario alive: while any result of sc holds its
+    compiled scenario, every call returns that one, and once none does, the
+    next call wraps the same arrays again rather than recompiling."""
     cached = sc.__dict__.get("_compiled")
     if cached is None:
-        cached = _compile(sc)
-        sc.__dict__["_compiled"] = cached
-    return cached
+        cached = sc.__dict__["_compiled"] = [_compile(sc), lambda: None]
+    arrays, ref = cached
+    cs = ref()
+    if cs is None:
+        cs = replace(arrays, sc=sc)
+        cached[1] = weakref.ref(cs)
+    return cs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Logit closed forms: utilities, flows, and dual/logit consistency."""
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from modal_market.scenario import (
     TravelerParams,
     builtin_5node,
 )
+from modal_market.equilibrium import solve
 from modal_market.oracle import random_scenario
 
 EPS = np.finfo(float).eps
@@ -341,3 +344,35 @@ class TestPriceSystem:
             {n: -2.0 for n in five_node.network.nodes},
         )
         assert p.eta_direct[(1, 2)] == -5.0
+
+
+class TestCompileScenario:
+    def test_solved_scenario_is_freed_by_reference_counting(self):
+        # the compiled scenario holds its scenario, which holds the compiled
+        # scenario only weakly: with the cycle collector off, a solved
+        # scenario lives as long as its solution and not longer
+        gc.disable()
+        try:
+            sc = builtin_5node()
+            alive = weakref.ref(sc)
+            sol = solve(sc)
+            assert compile_scenario(sc) is sol.prices.cs
+            del sc
+            assert alive() is not None
+            assert sol.prices.rho_direct == sol.prices.cs.od_view(sol.y[:2])
+            del sol
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_compiled_once_per_scenario(self):
+        # once no result holds the compiled scenario, the next call wraps
+        # the same arrays around the same scenario instead of recompiling
+        sc = builtin_5node()
+        cs = compile_scenario(sc)
+        assert compile_scenario(sc) is cs and cs.sc is sc
+        arrays = cs.A, cs.phi_weights, cs._stacks
+        del cs
+        again = compile_scenario(sc)
+        assert again.sc is sc
+        assert all(a is b for a, b in zip((again.A, again.phi_weights, again._stacks), arrays))
