@@ -23,15 +23,16 @@ that backtrack or climb overwrite their own rows of it with the trial they
 accept. A row climbs when its full step lowers phi by 1.2 times what the
 quadratic model predicts, as far-above starts do, where a full Newton step
 on the exponential driver flows moves their exponents by only about one
-unit: it goes on to t = 2, 4, 8 while each doubling still passes Armijo
-and lowers phi. While a stack climbs, every row's full step is evaluated
-with its doublings and first halvings in one phi evaluation, and so are
-the halvings of a step that moves a driver exponent by 32 or more; the
-rest are tried in rounds of at most LADDER_ENTRIES driver-flow entries.
-The backtracking rounds run first down to the step length at which the
-step moves no driver exponent by more than about one unit, then twice as
-many halvings per round, and a row accepts the t that halving one at a
-time would. The run ignores numpy's floating-point errors once, around the
+unit: it goes on to t = 2, 4, 8 while each doubling still passes Armijo,
+lowers phi and moves no driver exponent by more than CLIMB_REACH. The
+backtracking rounds run first down to the step length at which the step
+moves no driver exponent by more than about one unit, then twice as many
+halvings per round, and a row accepts the t that halving one at a time
+would. While a stack is not settled, every row's full step is evaluated
+in one phi evaluation with its doublings, after a climb, and with the
+first backtracking round, while some step moves a driver exponent by 2 or
+more; the rest are tried in rounds of at most LADDER_ENTRIES driver-flow
+entries. The run ignores numpy's floating-point errors once, around the
 whole stack, rather than in each kernel. The Jacobian is never formed:
 each OD's logit couples only its own two rho coordinates and two lambdas,
 and each driver flow one rho and one lambda, so the rho-rho block is block
@@ -435,26 +436,27 @@ def _newton(
     operation acts on each row alone, so a row's iterates are bit-identical
     to a run from that row by itself. Every live row tries the full step,
     and that trial stack is the next state. A row whose full step lowers
-    phi by at least 1.2 times the quadratic model's prediction, and by more
-    than its rounding allowance, climbs to
-    t = 2, 4, 8 and keeps the longest step along which every doubling
-    passes Armijo and lowers phi. The full-step evaluation also holds every
-    row's doublings and first four halvings while the stack climbs, and
-    the halvings down to the t with beta3 |t d|_inf < 1 while a step moves
-    a driver exponent by 32 or more, when they fit in LADDER_ENTRIES; the
-    doublings it lacks are tried in climbing rounds. The rows that
-    backtrack past those halvings share a ladder of step lengths t = 2^-j,
-    tried in rounds, each round one phi evaluation holding every searching
-    row's trials. The first round runs down to the t at which
+    phi by more than 1.2 times the quadratic model's prediction and than
+    its rounding allowance climbs to t = 2, 4, 8 and keeps the longest step
+    along which every doubling passes Armijo, lowers phi and keeps
     beta3 |t d|_inf, the most a trial moves a driver exponent through one
-    coordinate of the step d, is below 1 for every searching row; each
-    later round tries twice as many values of j as the one before. A round
-    holds at most LADDER_ENTRIES driver-flow entries, unless that is one
-    trial per row, and never passes a row's stall. A row takes the first t
-    of its round that passes, so it accepts the t that halving one at a
-    time would, or stalls where that would stall, and the trial it accepts
-    overwrites its row of the state. Which evaluation holds a trial never
-    changes a row's step. A row that finishes, or fails, leaves the stack.
+    coordinate of the step d, at most CLIMB_REACH. The rows that backtrack
+    share a ladder of step lengths t = 2^-j, tried in rounds, each round
+    one phi evaluation holding every searching row's trials.
+    The first round runs down to the t at which beta3 |t d|_inf is below 1
+    for every searching row; each later round tries twice as many values
+    of j as the one before. A round holds at most LADDER_ENTRIES
+    driver-flow entries, unless that is one trial per row, and never passes
+    a row's stall. A row takes the first t of its round that passes, so it
+    accepts the t that halving one at a time would, or stalls where that
+    would stall, and the trial it accepts overwrites its row of the state.
+    While some row climbed or backtracked on the last pass, the full-step
+    evaluation also holds every row's doublings, after a climb, and the
+    first round, while some step has beta3 |d|_inf >= 2, when they fit in
+    LADDER_ENTRIES; the doublings it lacks are tried in climbing rounds,
+    and a row that fails every halving it holds goes on in the ladder from
+    the next one. Which evaluation holds a trial never changes
+    a row's step. A row that finishes, or fails, leaves the stack.
     The whole run ignores numpy's floating-point errors: an overflowing or
     singular point is a value here (+inf, NaN), which the line search and
     the failure tests reject, never a warning.
@@ -496,10 +498,9 @@ def _newton(
         keep = np.flatnonzero(np.isfinite(phi))
         rows, Y, phi, allowance, *flows = (a[keep] for a in (rows, Y, phi, allowance, *flows))
         cs_rows = cs.cells(keep)
-    # whether some row climbed on the last pass, and on the pass before,
-    # and whether some row backtracked on the last pass (or none ran yet)
-    climbed = climbed_before = False
-    backtracked = True
+    # whether some row climbed, or backtracked, on the last pass (as if one
+    # had before the first pass)
+    climbed, backtracked = False, True
 
     def fail(positions: np.ndarray, why) -> None:
         """Fail the rows at these positions of the stack; `why` maps the
@@ -512,11 +513,13 @@ def _newton(
 
     def climb(at, t, phi_T, allowance_T) -> np.ndarray:
         """How many of the doublings t each row at these positions keeps:
-        the longest run of them that passes Armijo and lowers phi by more
-        than the allowance of the step before. phi_T and allowance_T hold a
-        column per row and a line per step, the step climbed from first."""
+        the longest run of them that moves no driver exponent by more than
+        CLIMB_REACH, passes Armijo and lowers phi by more than the allowance
+        of the step before. phi_T and allowance_T hold a column per row and
+        a line per step, the step climbed from first."""
         ok = phi_T[1:] <= phi[at] + t[:, None] * slope[at] + allowance[at]
         ok &= phi_T[1:] < phi_T[:-1] - allowance_T[:-1]
+        ok &= t[:, None] * moves[at] <= CLIMB_REACH
         return np.logical_and.accumulate(ok).sum(axis=0)
 
     while rows.size:
@@ -566,44 +569,46 @@ def _newton(
         # Armijo backtracking on phi, row by row: the first t = 1, 1/2, ...
         # with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
         # allowance; a row stalls once t d is below the float resolution of
-        # y. A row whose t = 1 trial lowers phi by at least 0.6 (-r.d), 1.2
-        # times the decrease -r.d/2 that the quadratic model predicts for
-        # the Newton step, and by more than its rounding allowance, climbs
-        # instead (the trust-region ratio test, Nocedal & Wright, section
-        # 4.1): it goes on to t = 2, 4, 8 and
-        # keeps the longest step along which every doubling passes Armijo
-        # and lowers phi by more than the allowance of the step before. The
-        # t = 1 trial stack is the next state, and the trial a row accepts
-        # overwrites its row. Where a trial is evaluated never changes a
-        # row's step: each is y + t d with t a power of two, so t d and
-        # t r.d are exact, and phi is evaluated row by row.
+        # y. A row whose t = 1 trial lowers phi by more than both 0.6 (-r.d),
+        # 1.2 times the decrease -r.d/2 that the quadratic model predicts for
+        # the Newton step, and its rounding allowance climbs instead (the
+        # trust-region ratio test, Nocedal & Wright, section 4.1): it goes
+        # on to t = 2, 4, 8 and keeps the longest step along which every
+        # doubling passes Armijo, lowers phi by more than the allowance of
+        # the step before and moves no driver exponent by more than
+        # CLIMB_REACH through one coordinate (beta3 |t d|_inf <= 16); a row
+        # that could not double once does not climb. The t = 1 trial stack
+        # is the next state, and the trial a row accepts overwrites its row.
+        # Where a trial is evaluated never changes a row's step: each is
+        # y + t d with t a power of two, so t d and t r.d are exact, and phi
+        # is evaluated row by row.
         #
-        # To save phi evaluations, every row's t = 1 trial is evaluated with
-        # more step lengths when they all fit in LADDER_ENTRIES driver-flow
-        # entries: while some row climbed on one of the last two passes, the
-        # doublings and the first four halvings (far-start rows alternate
-        # between climbs and backtracks); and while a step moves a driver
-        # exponent by 32 = 2^5 or more (beta3 |d|_inf >= 32), where the full
-        # step almost always fails, the halvings down to the t with
-        # beta3 |t d|_inf < 1; the steps are sized on the first pass and after
-        # a pass that backtracked or climbed, not on settled stacks, which pay
-        # nothing for it. Doublings not evaluated so are tried in climbing
-        # rounds, as many per row as LADDER_ENTRIES allows (one at least). A
-        # backtracking row that takes none of the halvings evaluated so
-        # searches the ladder: its first round runs from t = 1/2 down to the t
-        # with beta3 |t d|_inf < 1 for every searching row, each later round
-        # tries twice as many halvings, and a round is never wider than
-        # LADDER_ENTRIES entries (but one t per row) nor past any row's stall.
-        # A row accepts the first t of its round that passes, the t that
-        # halving one at a time would accept.
+        # To save phi evaluations while the stack is not settled (some row
+        # climbed or backtracked on the last pass), every row's t = 1 trial
+        # is evaluated with more step lengths when they all fit in
+        # LADDER_ENTRIES driver-flow entries: after a climb, the doublings;
+        # and while some step moves a driver exponent by 2 or more
+        # (beta3 |d|_inf >= 2), where the full step often fails, the ladder's
+        # first round, the halvings down to the t with beta3 |t d|_inf < 1.
+        # A row that climbs takes its doublings from there, or else tries
+        # them in climbing rounds, as many per row as LADDER_ENTRIES allows
+        # (one at least), while its next doubling stays within CLIMB_REACH.
+        # A row that backtracks takes the first of those halvings that
+        # passes above its stall, as the ladder's first round would (testing
+        # them here spares the ladder's setup the many rows that accept
+        # one), or else searches the ladder from the next halving on: each
+        # later round tries twice as many halvings, and a round is never
+        # wider than LADDER_ENTRIES entries (but one t per row) nor past any
+        # row's stall. A row accepts the first t of its round that passes,
+        # the t that halving one at a time would accept.
         room = LADDER_ENTRIES // (point * rows.size) - 1
         ups = downs = 0  # the doublings and halvings evaluated with t = 1
-        if room > 0 and (backtracked or climbed or climbed_before):
-            if (climbed or climbed_before) and room >= CLIMB + 4:
-                ups, downs = CLIMB, 4
+        if room > 0 and (climbed or backtracked):
+            if climbed and room >= CLIMB:
+                ups = CLIMB
             reach = math.frexp(beta3 * float(np.abs(step).max()))[1]
-            if 5 < reach <= room - ups:
-                downs = max(downs, reach)
+            if 1 < reach <= room - ups:
+                downs = reach
         if ups or downs:
             t = np.concatenate([_DOUBLINGS[: ups + 1], _HALVINGS[1 : downs + 1]])
             trial = (Y + t[:, None, None] * step).reshape(-1, Y.shape[-1])
@@ -614,21 +619,25 @@ def _newton(
         evaluated = (trial, phi_t, allowance_t, *flows_t)
         state = tuple(a[: rows.size] for a in evaluated) if ups or downs else evaluated
         failed = ~(state[1] <= phi + slope + allowance)
-        at = np.flatnonzero(failed)
+        at = failed.nonzero()[0]  # as np.flatnonzero, one call fewer per pass
         # phi falls by more than 0.6 (-r.d) = -6e3 slope and by more than
         # its rounding allowance, so a climbing row passes Armijo too
         climbing = phi - state[1] > np.maximum(-6e3 * slope, allowance)
-        climbed_before, climbed, backtracked = climbed, climbing.any(), at.size > 0
-        j = CLIMB + 1  # the doubling t = 2^j that climbing rounds try next
+        climbed, backtracked = climbing.any(), at.size > 0
         if climbed:
-            j, up = ups + 1, np.flatnonzero(climbing)
+            # beta3 |d|_inf, the most each row's step moves a driver exponent
+            moves = (cs_rows.beta3 * np.abs(step).max(axis=-1, keepdims=True))[:, 0]
+            climbing &= 2 * moves <= CLIMB_REACH
+            climbed = climbing.any()
+        j = CLIMB + 1  # the doubling t = 2^j that climbing rounds try next
+        if climbed and not ups:
+            j, up = 1, np.flatnonzero(climbing)
         if ups or downs:
-            # each row's step among the evaluated ones, t[block]
-            block = 0
+            block = None  # each row's step among the evaluated ones, t[block]
             phi_B, allowance_B = phi_t.reshape(-1, rows.size), allowance_t.reshape(-1, rows.size)
             if climbed and ups:
-                block = climb(slice(None), t[1:j], phi_B[:j], allowance_B[:j]) * climbing
-                up = np.flatnonzero(block == ups)
+                block = climbing * climb(slice(None), t[1 : ups + 1], phi_B[: ups + 1],
+                                         allowance_B[: ups + 1])
             if downs and backtracked:
                 # a backtracking row takes the first halving that passes
                 # above its stall, t > t_min, or searches on in the ladder
@@ -637,16 +646,17 @@ def _newton(
                 ok = phi_B[ups + 1 :] <= phi + h * slope + allowance
                 ok &= (h > t_min) & failed
                 took = ok.any(axis=0)
-                block = np.where(took, ups + 1 + ok.argmax(axis=0), block)
-                at = np.flatnonzero(failed & ~took)
-            if np.any(block):
+                block = np.where(took, ups + 1 + ok.argmax(axis=0), 0 if block is None else block)
+                at = (failed & ~took).nonzero()[0]
+            if block is not None and block.any():
                 took = np.arange(rows.size) + rows.size * block
                 state = tuple(a.take(took, axis=0) for a in evaluated)
         while j <= CLIMB and up.size:
             count = max(1, min(LADDER_ENTRIES // (point * up.size), CLIMB + 1 - j))
             t = _DOUBLINGS[j : j + count]
             trial = (Y[up] + t[:, None, None] * step[up]).reshape(-1, Y.shape[-1])
-            phi_t, allowance_t, flows_t = _potential(cs_rows.cells(np.concatenate([up] * count)), trial)
+            cs_up = cs_rows.cells(np.concatenate([up] * count))
+            phi_t, allowance_t, flows_t = _potential(cs_up, trial)
             run = climb(up, t, np.vstack([state[1][up], phi_t.reshape(count, -1)]),
                         np.vstack([state[2][up], allowance_t.reshape(count, -1)]))
             moved = np.flatnonzero(run)
@@ -654,6 +664,7 @@ def _newton(
             for whole, part in zip(state, (trial, phi_t, allowance_t, *flows_t)):
                 whole[up[moved]] = part.take(took, axis=0)
             up, j = up[run == count], j + count
+            up = up[np.ldexp(moves[up], j) <= CLIMB_REACH]  # rows whose t = 2^j may move
         if at.size:
             live = np.ones(rows.size, dtype=bool)
             Y_at, step_at = Y[at], step[at]
@@ -667,7 +678,7 @@ def _newton(
             # what the rounds read of each searching row, gathered once and
             # narrowed as rows accept or stall
             searching = (at, stall, Y_at, step_at, phi[at], slope[at], allowance[at])
-            j = 1
+            j = downs + 1  # these rows failed the halvings evaluated with t = 1
             while searching[0].size:
                 at, stall, Y_at, step_at, phi_at, slope_at, allowance_at = searching
                 stalled = stall <= j
@@ -728,21 +739,23 @@ def solve(
     accepted point) is a descent direction for phi. The first t = 1, 1/2,
     1/4, ... with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
     allowance, is accepted; trials whose driver flows overflow, or where phi
-    is not finite, are rejected. A full step that lowers phi by at least
+    is not finite, are rejected. A full step that lowers phi by more than
     0.6 (-r.d), 1.2 times the decrease -r.d/2 the quadratic model predicts,
-    and by more than its rounding allowance is lengthened instead:
-    t = 2, 4, 8 are tried, and the longest step
-    along which each doubling passes that test and lowers phi by more than
-    its rounding allowance is accepted (the trust-region ratio test of
-    Nocedal & Wright, Numerical Optimization, section 4.1, used to expand
-    the step). Far above the solution, where a full Newton step on the
-    exponential driver flows moves their exponents by only about one unit,
-    this halves the iterations. The trials are evaluated in rounds of
-    several at once (`_newton`), which changes no accepted t. The solve
-    stops when the inf-norm of r is at most `tol` and
-    the step, the first-order error of y, is at most 1e-9 max(1, |y|_inf)
-    in the inf-norm. It is `_newton` on a stack of one row, whose failure
-    it raises.
+    and than its rounding allowance is lengthened instead: t = 2, 4, 8 are
+    tried, and the longest step along which each doubling passes that test,
+    lowers phi by more than its rounding allowance and moves no driver
+    exponent by more than 16 (beta3 |t d|_inf <= CLIMB_REACH) is accepted
+    (the trust-region ratio test of Nocedal & Wright, Numerical
+    Optimization, section 4.1, used to expand the step). Far above the
+    solution, where a full Newton step on the exponential driver flows
+    moves their exponents by only about one unit, this halves the
+    iterations; a long step doubled would carry y far along a flat valley
+    of phi, where the Newton step stops being a descent direction. The trials are evaluated in
+    rounds of several at once (`_newton`), which changes no accepted t. The
+    solve stops when the inf-norm of r is at most `tol` and the step, the
+    first-order error of y, is at most 1e-9 max(1, |y|_inf) in the
+    inf-norm. It is `_newton` on a stack of one row, whose failure it
+    raises.
 
     Raises NotConverged, with the iterate of lowest inf-norm, the inf-norm
     history and the run's wall time, if that does not happen within
@@ -778,6 +791,13 @@ LADDER_ENTRIES = 4096
 
 #: Doublings t = 2, 4, 8 a climbing row of `_newton` tries at most.
 CLIMB = 3
+
+#: The most a climbing step t d of `_newton` may move a driver exponent
+#: through one coordinate, beta3 |t d|_inf. Far above the solution a full
+#: step moves one by about 1, so those rows keep t = 8; a doubled long step
+#: can carry y along a flat valley of phi to where the Newton step is no
+#: longer a descent direction.
+CLIMB_REACH = 16.0
 
 #: t = 2^j at index j <= CLIMB
 _DOUBLINGS = np.ldexp(1.0, np.arange(CLIMB + 1))

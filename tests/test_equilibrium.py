@@ -639,7 +639,7 @@ class TestStackedNewton:
                 else:
                     assert size * point <= equilibrium.LADDER_ENTRIES or size <= live, sc.name
             totals += [len(sizes["phi"]), sum(sizes["phi"]), len(sizes["step"]), sum(sizes["step"])]
-        assert totals.tolist() == [2006, 74596, 1766, 7951]
+        assert totals.tolist() == [2082, 64292, 1775, 7961]
 
     def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
         # a cap between the fastest and the slowest start: some rows
@@ -755,7 +755,7 @@ class TestLadder:
             starts = np.vstack([np.zeros(cs.dim), rng.uniform(-10.0, 10.0, (5, cs.dim)),
                                 rng.uniform(-30.0, 30.0, (5, cs.dim))])
             runs.append((cs, starts))
-        for seed, row in ((5, 2), (65, 3)):  # a stall, a slope overflow
+        for seed, row in ((5, 2), (65, 3), (3, 2)):  # a stall, a slope overflow, a cap
             cs = compile_scenario(random_scenario(seed))
             far = np.random.default_rng(seed).uniform(-100.0, 100.0, (10, cs.dim))
             runs.append((cs, far[row - 1 : row + 1]))
@@ -812,14 +812,14 @@ class TestLadder:
         # a far probe start of random_scenario(3): from above, a full Newton
         # step lowers the driver exponents by only about one unit, and phi
         # falls by more than 1.2 times the decrease the quadratic model
-        # predicts, so the row goes on to t = 2, 4, 8. It converges in 19
+        # predicts, so the row goes on to t = 2, 4, 8. It converges in 20
         # passes to the duals that halving alone (the line search before
         # climbing) reaches in 49
         sc = random_scenario(3)
         cs, starts = _probe_starts(sc, 5, 0)
         sol = solve(sc, y0=starts[1])
         history, y = halving_only(cs, starts[1])
-        assert (len(history) - 1, sol.iterations) == (49, 19)
+        assert (len(history) - 1, sol.iterations) == (49, 20)
         assert np.abs(sol.y - y).max() <= 1e-9
         # a sweep stack from far starts climbs too
         cells = [compile_scenario(with_param(sioux_scenarios[2], "driver_params.beta3", v))
@@ -828,6 +828,20 @@ class TestLadder:
         outcomes = _newton(cells, starts, TOL, MAX_ITER)
         assert sum(outcome.iterations < len(halving_only(cell, start)[0]) - 1
                    for outcome, cell, start in zip(outcomes, cells, starts)) >= 3
+
+    def test_far_above_5node_still_converges(self, five_node):
+        # every beta0_r of 5node at 50 ... 120 puts the zero start far above
+        # the solution, and halving alone converges in 52 to 122 passes.
+        # The climb keeps every one and reaches the same duals: its long
+        # steps (beta3 |d|_inf >= 2) never double, which would carry the
+        # iterate along the rho + lambda valley of phi to |y| ~ 1e7, where
+        # the Newton step stops being a descent direction
+        for v in range(50, 121, 10):
+            sc = with_param(five_node, "driver_params.beta0_r_default", float(v))
+            sol = solve(sc)
+            history, y = halving_only(compile_scenario(sc), np.zeros(sol.y.size))
+            assert 52 <= len(history) - 1 <= 122 and sol.iterations <= 24, v
+            assert np.abs(sol.y - y).max() <= 1e-9 * max(1.0, np.abs(y).max()), v
 
     def test_start_near_the_solution_never_climbs(self, five_node, sioux_scenarios):
         # within 1e-6 of the solution the quadratic model is accurate, so no
