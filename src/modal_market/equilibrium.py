@@ -17,23 +17,19 @@ works on a stack of dual vectors: `solve` runs it on one start,
 `solve_sweep` on the cells of a parameter sweep, one zero start per cell,
 each row stepping exactly as it would alone. Each row ends in one outcome,
 what `solve` from that row returns or raises: a solution, which carries
-the wall time of its whole stack, or a NotConverged. The line search has
-one path: the full-step trial stack becomes the next state, and the rows
-that backtrack or climb overwrite their own rows of it with the trial they
-accept. A row climbs when its full step lowers phi by 1.2 times what the
-quadratic model predicts, as far-above starts do, where a full Newton step
-on the exponential driver flows moves their exponents by only about one
-unit: it goes on to t = 2, 4, 8 while each doubling still passes Armijo,
-lowers phi and moves no driver exponent by more than CLIMB_REACH. The
-backtracking rounds run first down to the step length at which the step
-moves no driver exponent by more than about one unit, then twice as many
-halvings per round, and a row accepts the t that halving one at a time
-would. While a stack is not settled, every row's full step is evaluated
-in one phi evaluation with its doublings, after a climb, and with the
-first backtracking round, while some step moves a driver exponent by 2 or
-more; the rest are tried in rounds of at most LADDER_ENTRIES driver-flow
-entries. The run ignores numpy's floating-point errors once, around the
-whole stack, rather than in each kernel. The Jacobian is never formed:
+the wall time of its whole stack, or a NotConverged. The line search runs
+in rounds of one phi evaluation each. The first holds every row's full
+step, the next state; each later one holds the next step lengths of every
+row still searching, climbing and backtracking rows alike, and a row that
+accepts a trial overwrites its row of the state with it. A row climbs
+when its full step lowers phi by 1.2 times what the quadratic model
+predicts, as far-above starts do, where a full Newton step on the
+exponential driver flows moves their exponents by only about one unit: it
+goes on to t = 2, 4, 8 while each doubling still passes Armijo, lowers
+phi and moves no driver exponent by more than CLIMB_REACH. A row that
+backtracks accepts the t that halving one at a time would. The run
+ignores numpy's floating-point errors once, around the whole stack,
+rather than in each kernel. The Jacobian is never formed:
 each OD's logit couples only its own two rho coordinates and two lambdas,
 and each driver flow one rho and one lambda, so the rho-rho block is block
 diagonal with one 2x2 block per OD. A Newton step eliminates those blocks
@@ -434,32 +430,38 @@ def _newton(
     per-call cost is paid once per pass rather than once per row. Each row
     keeps its own step length, history, convergence and failure, and every
     operation acts on each row alone, so a row's iterates are bit-identical
-    to a run from that row by itself. Every live row tries the full step,
-    and that trial stack is the next state. A row whose full step lowers
-    phi by more than 1.2 times the quadratic model's prediction and than
-    its rounding allowance climbs to t = 2, 4, 8 and keeps the longest step
-    along which every doubling passes Armijo, lowers phi and keeps
-    beta3 |t d|_inf, the most a trial moves a driver exponent through one
-    coordinate of the step d, at most CLIMB_REACH. The rows that backtrack
-    share a ladder of step lengths t = 2^-j, tried in rounds, each round
-    one phi evaluation holding every searching row's trials.
-    The first round runs down to the t at which beta3 |t d|_inf is below 1
-    for every searching row; each later round tries twice as many values
-    of j as the one before. A round holds at most LADDER_ENTRIES
-    driver-flow entries, unless that is one trial per row, and never passes
-    a row's stall. A row takes the first t of its round that passes, so it
-    accepts the t that halving one at a time would, or stalls where that
-    would stall, and the trial it accepts overwrites its row of the state.
-    While some row climbed or backtracked on the last pass, the full-step
-    evaluation also holds every row's doublings, after a climb, and the
-    first round, while some step has beta3 |d|_inf >= 2, when they fit in
-    LADDER_ENTRIES; the doublings it lacks are tried in climbing rounds,
-    and a row that fails every halving it holds goes on in the ladder from
-    the next one. Which evaluation holds a trial never changes
-    a row's step. A row that finishes, or fails, leaves the stack.
-    The whole run ignores numpy's floating-point errors: an overflowing or
-    singular point is a value here (+inf, NaN), which the line search and
-    the failure tests reject, never a warning.
+    to a run from that row by itself.
+
+    A pass's line search is one loop of rounds, each one phi evaluation.
+    Round 0 holds every row's full step, t = 1, which is the next state,
+    and while the stack is not settled (some row climbed or backtracked on
+    the last pass) also every row's doublings, after a climb, and its
+    halvings down to the t with beta3 |t d|_inf < 1, while some step has
+    beta3 |d|_inf >= 2, when they fit in LADDER_ENTRIES. A row whose full
+    step lowers phi by more than 1.2 times the quadratic model's
+    prediction and than its rounding allowance, and could double without
+    moving a driver exponent by more than CLIMB_REACH, then searches up
+    from t = 2; a row whose full step fails Armijo searches down from
+    t = 1/2. Each later round holds the next block of step lengths of
+    every searching row of both directions, within one LADDER_ENTRIES
+    budget shared by all of them (at least one trial per row): the
+    doublings left up to t = 8, and halvings never past any row's stall,
+    in the first later round as many as it takes, from t = 1, to bring
+    beta3 |t d|_inf below 1 (beta3 the largest over the cells), in each
+    next one twice as many as in the last. Each direction has one
+    acceptance rule, read as a leading-run count: a climbing row keeps
+    the last doubling of its leading run that passes Armijo, lowers phi
+    by more than the allowance of the step before and keeps
+    beta3 |t d|_inf <= CLIMB_REACH; a backtracking row takes its first
+    halving that passes Armijo, the t that halving one at a time would
+    accept, and stalls if that or the next halving it would try has t d
+    below the float resolution of y. A row searches on only if its whole
+    block ran out without an answer. The trial a row accepts becomes its
+    row of the state, and which round holds a trial never changes a row's
+    step. A row that finishes, or fails, leaves the stack. The whole run
+    ignores numpy's floating-point errors: an overflowing or singular
+    point is a value here (+inf, NaN), which the line search and the
+    failure tests reject, never a warning.
 
     cs is one scenario shared by every row, or a sequence of k sweep cells,
     row i solved with cell i's coefficients: they are stacked here
@@ -477,25 +479,21 @@ def _newton(
     """
     started = time.perf_counter()
     k = len(Y)
-    if isinstance(cs, CompiledScenario):
-        cells = [cs] * k
-    else:
-        cells, cs = cs, stack_cells(cs)
+    cells = [cs] * k if isinstance(cs, CompiledScenario) else list(cs)
+    cs = cs if isinstance(cs, CompiledScenario) else stack_cells(cells)
     histories: list[list[float]] = [[] for _ in range(k)]
     iterates: list[list[np.ndarray]] = [[] for _ in range(k)]
     # per row, its NotConverged or the (prices, traveler, driver, residual)
     # of its solution, which gets the wall time once every row has ended
     ends: list = [None] * k
-    rows, cs_rows = np.arange(k), cs
     point = cs.n_nodes * (2 * cs.m + 1)  # driver-flow entries per trial point
     beta3 = float(np.max(cs.beta3))  # the largest over the cells
     phi, allowance, flows = _potential(cs, Y)
-    if not np.isfinite(phi).all():
-        for i in np.flatnonzero(~np.isfinite(phi)):
-            ends[i] = NotConverged(
-                "initial dual vector overflows the driver flows", Y[i].copy(), histories[i]
-            )
-        keep = np.flatnonzero(np.isfinite(phi))
+    rows, cs_rows, keep = np.arange(k), cs, np.flatnonzero(np.isfinite(phi))
+    if keep.size < k:
+        for i in np.setdiff1d(rows, keep):
+            ends[i] = NotConverged("initial dual vector overflows the driver flows", Y[i].copy(),
+                                   histories[i])
         rows, Y, phi, allowance, *flows = (a[keep] for a in (rows, Y, phi, allowance, *flows))
         cs_rows = cs.cells(keep)
     # whether some row climbed, or backtracked, on the last pass (as if one
@@ -511,16 +509,16 @@ def _newton(
             best = int(np.argmin(history))  # the first, on ties
             ends[i] = NotConverged(why(inf_norm[p], history[best]), iterates[i][best], history)
 
-    def climb(at, t, phi_T, allowance_T) -> np.ndarray:
-        """How many of the doublings t each row at these positions keeps:
-        the longest run of them that moves no driver exponent by more than
-        CLIMB_REACH, passes Armijo and lowers phi by more than the allowance
-        of the step before. phi_T and allowance_T hold a column per row and
-        a line per step, the step climbed from first."""
-        ok = phi_T[1:] <= phi[at] + t[:, None] * slope[at] + allowance[at]
-        ok &= phi_T[1:] < phi_T[:-1] - allowance_T[:-1]
-        ok &= t[:, None] * moves[at] <= CLIMB_REACH
-        return np.logical_and.accumulate(ok).sum(axis=0)
+    def accept(at: np.ndarray, took: np.ndarray) -> None:
+        """The rows at these positions of the stack accept the trials at
+        `took` of the round. In round 0 they are recorded in `pick`, and the
+        state is then taken from round 0's trials with one `take` per array;
+        a later round's trial overwrites its row of the state."""
+        if pick is not None:
+            pick[at] = took
+        elif at.size:
+            for whole, part in zip(state, evaluated):
+                whole[at] = part.take(took, axis=0)
 
     while rows.size:
         q, P, E, E_H, Q = flows
@@ -539,76 +537,33 @@ def _newton(
             # first-order error of y (Boyd & Vandenberghe, section 9.5.1)
             done = (inf_norm <= tol) & (size <= 1e-9 * np.maximum(1.0, np.abs(Y).max(axis=-1)))
             for p in np.flatnonzero(done):
-                i = int(rows[p])
-                cell = cells[i]
-                ends[i] = (PriceSystem(cell, Y[p].copy()), TravelerFlows(cell, q[p]),
-                           DriverFlows(cell, E[p], E_H[p], Q[p]), ResidualReport(cell, r[p]))
-            if done.all():
-                break
+                cell = cells[rows[p]]
+                ends[rows[p]] = (PriceSystem(cell, Y[p].copy()), TravelerFlows(cell, q[p]),
+                                 DriverFlows(cell, E[p], E_H[p], Q[p]), ResidualReport(cell, r[p]))
             if capped:
-                fail(np.flatnonzero(~done), lambda x, best: (
-                    f"no convergence to {tol:g} within {max_iter} iterations"
-                    f" (best inf-norm {best:.3g})"
-                ))
+                fail(np.flatnonzero(~done), lambda x, best: f"no convergence to {tol:g} within"
+                     f" {max_iter} iterations (best inf-norm {best:.3g})")
                 break
-            fail(np.flatnonzero(~done & ~np.isfinite(size)), lambda x, _: (
-                f"Newton step failed at inf-norm {x:.3g}: singular Schur complement"
-                " or non-finite step"
-            ))
-            fail(np.flatnonzero(~done & np.isfinite(size) & ~go), lambda x, _: (
-                f"line-search slope not finite at inf-norm {x:.3g}"
-            ))
+            fail(np.flatnonzero(~done & ~np.isfinite(size)), lambda x, _: f"Newton step failed"
+                 f" at inf-norm {x:.3g}: singular Schur complement or non-finite step")
+            fail(np.flatnonzero(~done & np.isfinite(size) & ~go),
+                 lambda x, _: f"line-search slope not finite at inf-norm {x:.3g}")
             keep = np.flatnonzero(go & ~done)
-            rows, Y, phi, allowance, step, slope, inf_norm, *flows = (
-                a[keep] for a in (rows, Y, phi, allowance, step, slope, inf_norm, *flows)
-            )
+            rows, Y, phi, allowance, step, slope, inf_norm, *flows = (a[keep] for a in (
+                rows, Y, phi, allowance, step, slope, inf_norm, *flows))
             if not rows.size:
                 break
             cs_rows = cs_rows.cells(keep)
 
-        # Armijo backtracking on phi, row by row: the first t = 1, 1/2, ...
-        # with phi(y + t d) <= phi(y) + 1e-4 t r.d, up to phi's rounding
-        # allowance; a row stalls once t d is below the float resolution of
-        # y. A row whose t = 1 trial lowers phi by more than both 0.6 (-r.d),
-        # 1.2 times the decrease -r.d/2 that the quadratic model predicts for
-        # the Newton step, and its rounding allowance climbs instead (the
-        # trust-region ratio test, Nocedal & Wright, section 4.1): it goes
-        # on to t = 2, 4, 8 and keeps the longest step along which every
-        # doubling passes Armijo, lowers phi by more than the allowance of
-        # the step before and moves no driver exponent by more than
-        # CLIMB_REACH through one coordinate (beta3 |t d|_inf <= 16); a row
-        # that could not double once does not climb. The t = 1 trial stack
-        # is the next state, and the trial a row accepts overwrites its row.
-        # Where a trial is evaluated never changes a row's step: each is
-        # y + t d with t a power of two, so t d and t r.d are exact, and phi
-        # is evaluated row by row.
-        #
-        # To save phi evaluations while the stack is not settled (some row
-        # climbed or backtracked on the last pass), every row's t = 1 trial
-        # is evaluated with more step lengths when they all fit in
-        # LADDER_ENTRIES driver-flow entries: after a climb, the doublings;
-        # and while some step moves a driver exponent by 2 or more
-        # (beta3 |d|_inf >= 2), where the full step often fails, the ladder's
-        # first round, the halvings down to the t with beta3 |t d|_inf < 1.
-        # A row that climbs takes its doublings from there, or else tries
-        # them in climbing rounds, as many per row as LADDER_ENTRIES allows
-        # (one at least), while its next doubling stays within CLIMB_REACH.
-        # A row that backtracks takes the first of those halvings that
-        # passes above its stall, as the ladder's first round would (testing
-        # them here spares the ladder's setup the many rows that accept
-        # one), or else searches the ladder from the next halving on: each
-        # later round tries twice as many halvings, and a round is never
-        # wider than LADDER_ENTRIES entries (but one t per row) nor past any
-        # row's stall. A row accepts the first t of its round that passes,
-        # the t that halving one at a time would accept.
-        room = LADDER_ENTRIES // (point * rows.size) - 1
-        ups = downs = 0  # the doublings and halvings evaluated with t = 1
-        if room > 0 and (climbed or backtracked):
-            if climbed and room >= CLIMB:
-                ups = CLIMB
-            reach = math.frexp(beta3 * float(np.abs(step).max()))[1]
-            if 1 < reach <= room - ups:
-                downs = reach
+        # The line search, in rounds of one phi evaluation each (see the
+        # docstring). Armijo on phi, up to its rounding allowance:
+        # phi(y + t d) <= phi(y) + 1e-4 t r.d. Each trial is y + t d with t
+        # a power of two, so t d and t r.d are exact, and phi is evaluated
+        # row by row: which round holds a trial never changes a row's step.
+        room = LADDER_ENTRIES // (point * rows.size) - 1 if climbed or backtracked else 0
+        ups = CLIMB if climbed and room >= CLIMB else 0  # the doublings of round 0
+        reach = math.frexp(beta3 * float(np.abs(step).max()))[1] if room > 0 else 0
+        downs = reach if 1 < reach <= room - ups else 0  # and its halvings
         if ups or downs:
             t = np.concatenate([_DOUBLINGS[: ups + 1], _HALVINGS[1 : downs + 1]])
             trial = (Y + t[:, None, None] * step).reshape(-1, Y.shape[-1])
@@ -619,111 +574,96 @@ def _newton(
         evaluated = (trial, phi_t, allowance_t, *flows_t)
         state = tuple(a[: rows.size] for a in evaluated) if ups or downs else evaluated
         failed = ~(state[1] <= phi + slope + allowance)
-        at = failed.nonzero()[0]  # as np.flatnonzero, one call fewer per pass
         # phi falls by more than 0.6 (-r.d) = -6e3 slope and by more than
         # its rounding allowance, so a climbing row passes Armijo too
         climbing = phi - state[1] > np.maximum(-6e3 * slope, allowance)
-        climbed, backtracked = climbing.any(), at.size > 0
-        if climbed:
-            # beta3 |d|_inf, the most each row's step moves a driver exponent
-            moves = (cs_rows.beta3 * np.abs(step).max(axis=-1, keepdims=True))[:, 0]
-            climbing &= 2 * moves <= CLIMB_REACH
-            climbed = climbing.any()
-        j = CLIMB + 1  # the doubling t = 2^j that climbing rounds try next
-        if climbed and not ups:
-            j, up = 1, np.flatnonzero(climbing)
-        if ups or downs:
-            block = None  # each row's step among the evaluated ones, t[block]
-            phi_B, allowance_B = phi_t.reshape(-1, rows.size), allowance_t.reshape(-1, rows.size)
-            if climbed and ups:
-                block = climbing * climb(slice(None), t[1 : ups + 1], phi_B[: ups + 1],
-                                         allowance_B[: ups + 1])
-            if downs and backtracked:
-                # a backtracking row takes the first halving that passes
-                # above its stall, t > t_min, or searches on in the ladder
-                h = t[ups + 1 :, None]
-                t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / np.abs(step).max(axis=-1)
-                ok = phi_B[ups + 1 :] <= phi + h * slope + allowance
-                ok &= (h > t_min) & failed
-                took = ok.any(axis=0)
-                block = np.where(took, ups + 1 + ok.argmax(axis=0), 0 if block is None else block)
-                at = (failed & ~took).nonzero()[0]
-            if block is not None and block.any():
-                took = np.arange(rows.size) + rows.size * block
-                state = tuple(a.take(took, axis=0) for a in evaluated)
-        while j <= CLIMB and up.size:
-            count = max(1, min(LADDER_ENTRIES // (point * up.size), CLIMB + 1 - j))
-            t = _DOUBLINGS[j : j + count]
-            trial = (Y[up] + t[:, None, None] * step[up]).reshape(-1, Y.shape[-1])
-            cs_up = cs_rows.cells(np.concatenate([up] * count))
-            phi_t, allowance_t, flows_t = _potential(cs_up, trial)
-            run = climb(up, t, np.vstack([state[1][up], phi_t.reshape(count, -1)]),
-                        np.vstack([state[2][up], allowance_t.reshape(count, -1)]))
-            moved = np.flatnonzero(run)
-            took = moved + (run[moved] - 1) * up.size
-            for whole, part in zip(state, (trial, phi_t, allowance_t, *flows_t)):
-                whole[up[moved]] = part.take(took, axis=0)
-            up, j = up[run == count], j + count
-            up = up[np.ldexp(moves[up], j) <= CLIMB_REACH]  # rows whose t = 2^j may move
-        if at.size:
-            live = np.ones(rows.size, dtype=bool)
-            Y_at, step_at = Y[at], step[at]
-            size = np.abs(step_at).max(axis=-1)
-            t_min = _EPS * np.maximum(1.0, np.abs(Y_at).max(axis=-1)) / size
-            # the first j with t = 2^-j <= t_min
-            stall = _HALVINGS.size - np.searchsorted(_HALVINGS[::-1], t_min, side="right")
-            # the j whose t brings beta3 |t d|_inf below 1: frexp's exponent
-            b3 = np.broadcast_to(cs_rows.beta3, (rows.size, 1))[at, 0]
-            count = max(1, int(np.frexp(b3 * size)[1].max()))
-            # what the rounds read of each searching row, gathered once and
-            # narrowed as rows accept or stall
-            searching = (at, stall, Y_at, step_at, phi[at], slope[at], allowance[at])
-            j = downs + 1  # these rows failed the halvings evaluated with t = 1
-            while searching[0].size:
-                at, stall, Y_at, step_at, phi_at, slope_at, allowance_at = searching
-                stalled = stall <= j
-                if stalled.any():
-                    fail(at[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
-                    live[at[stalled]] = False
-                    searching = tuple(a[~stalled] for a in searching)
-                    continue  # the rows left, at the same j
-                # t = 2^-j, ..., 2^-(j + count - 1) for every row: none stalls
-                count = max(1, min(count, LADDER_ENTRIES // (point * at.size),
-                                   int(stall.min()) - j))
-                t = _HALVINGS[j : j + count]
-                trial = (Y_at[:, None] + t[:, None] * step_at[:, None]).reshape(-1, Y.shape[-1])
-                phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at.repeat(count)), trial)
-                ok = phi_t.reshape(-1, count) <= (
-                    phi_at[:, None] + t * slope_at[:, None] + allowance_at[:, None]
-                )
-                parts = (trial, phi_t, allowance_t, *flows_t)
-                if count > 1:
-                    # each row's first passing trial; a row still searching
-                    # gets its first, which a later round overwrites or a
-                    # stall drops
-                    take = ok.argmax(axis=1) + np.arange(0, ok.size, count)
-                    parts = [part[take] for part in parts]
-                for whole, part in zip(state, parts):
-                    whole[at] = part
-                passed = ok.any(axis=1)
-                if passed.all():
+        climbed, backtracked = climbing.any(), failed.any()
+        if climbed or backtracked:
+            size = np.abs(step).max(axis=-1)
+            if climbed:
+                moves = (cs_rows.beta3 * size[:, None])[:, 0]  # beta3 |d|_inf
+                climbing &= 2 * moves <= CLIMB_REACH
+                climbed = climbing.any()
+            if backtracked:
+                # the step length below which t d is below the float
+                # resolution of y: a row stalls at the first halving there
+                t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / size
+            # each direction's searching rows, and the round's trials by line
+            # and row, as indices into `evaluated`: line 0 holds round 0's
+            # t = 1 trials, then come a line per doubling and per halving
+            up, down = climbing.nonzero()[0], failed.nonzero()[0]
+            lines = np.arange(len(trial)).reshape(-1, rows.size)
+            # the next doubling and halving, the rows that stall, and the
+            # halvings the next round tries before its budget
+            j_up, j_down, dead, want = 1, 1, [], 0
+            pick = lines[0].copy() if ups or downs else None  # each row's trial of round 0
+            while True:
+                if up.size and ups:
+                    # a climbing row keeps the last doubling of its leading
+                    # run of passes; line 0 of phi_T and allowance_T is the
+                    # state's, the step it climbs from
+                    t = _DOUBLINGS[j_up : j_up + ups, None]
+                    phi_T, allowance_T = phi_t[lines[: ups + 1]], allowance_t[lines[:ups]]
+                    phi_T[0], allowance_T[0] = state[1], state[2]
+                    ok = (phi_T[1:] <= phi + t * slope + allowance) & (t * moves <= CLIMB_REACH)
+                    ok &= phi_T[1:] < phi_T[:-1] - allowance_T
+                    run = np.logical_and.accumulate(ok).sum(axis=0)[up]
+                    moved = up[run > 0]
+                    accept(moved, lines[run[run > 0], moved])
+                    j_up += ups
+                    up = up[(run == ups) & (np.ldexp(moves[up], j_up) <= CLIMB_REACH)
+                            ] if j_up <= CLIMB else up[:0]
+                if down.size:
+                    # a backtracking row takes its first halving that passes
+                    # Armijo, and stalls if that, or the next halving it
+                    # would try, is at its stall or past it
+                    h = _HALVINGS[j_down : j_down + downs, None]
+                    ok = phi_t[lines[ups + 1 :]] <= phi + h * slope + allowance
+                    lead = np.logical_and.accumulate(~ok).sum(axis=0)[down]
+                    stalled = _HALVINGS[j_down + lead] <= t_min[down]
+                    passed = ~stalled & (lead < downs)
+                    at = down[passed]
+                    accept(at, lines[ups + 1 + lead[passed], at])
+                    if stalled.any():
+                        fail(down[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
+                        dead.extend(down[stalled])
+                    j_down += downs
+                    down = down[~stalled & (lead == downs)]
+                if pick is not None:
+                    state, pick = tuple(a.take(pick, axis=0) for a in evaluated), None
+                if not (up.size or down.size):
                     break
-                searching = tuple(a[~passed] for a in searching)
-                j, count = j + count, 2 * count
-            if not live.all():
+                # the next round: each searching row's next block of t, within
+                # one LADDER_ENTRIES budget shared by the rows of both directions
+                room = max(1, LADDER_ENTRIES // (point * (up.size + down.size)))
+                ups = up.size and min(room, CLIMB + 1 - j_up)
+                # twice the last round's halvings, short of every row's stall
+                left = down.size and np.searchsorted(-_HALVINGS, -t_min[down].max()) - j_down
+                downs = down.size and max(1, min(want or math.frexp(beta3 * size[down].max())[1],
+                                                 room, left))
+                want = 2 * downs
+                at = np.concatenate([up] * ups + [down] * downs)
+                t = np.concatenate([_DOUBLINGS[j_up : j_up + ups].repeat(up.size),
+                                    _HALVINGS[j_down : j_down + downs].repeat(down.size)])
+                trial = Y[at] + t[:, None] * step[at]
+                phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at), trial)
+                evaluated = (trial, phi_t, allowance_t, *flows_t)
+                lines = np.zeros((1 + ups + downs, rows.size), dtype=np.intp)
+                lines[1 : ups + 1, up] = np.arange(ups * up.size).reshape(ups, up.size)
+                lines[ups + 1 :, down] = np.arange(ups * up.size, len(at)).reshape(downs, down.size)
+            if dead:
+                live = np.isin(np.arange(rows.size), dead, invert=True)
                 rows, *state = (a[live] for a in (rows, *state))
                 cs_rows = cs_rows.cells(live)
         Y, phi, allowance, *flows = state
 
     wall_time = time.perf_counter() - started
-    outcomes: list[EquilibriumSolution | NotConverged] = []
-    for end, history in zip(ends, histories):
+    for i, (end, history) in enumerate(zip(ends, histories)):
         if isinstance(end, NotConverged):
             end.wall_time = wall_time
         else:
-            end = EquilibriumSolution(*end, wall_time=wall_time, residual_history=tuple(history))
-        outcomes.append(end)
-    return outcomes
+            ends[i] = EquilibriumSolution(*end, wall_time, tuple(history))
+    return ends
 
 
 def solve(
@@ -750,8 +690,9 @@ def solve(
     solution, where a full Newton step on the exponential driver flows
     moves their exponents by only about one unit, this halves the
     iterations; a long step doubled would carry y far along a flat valley
-    of phi, where the Newton step stops being a descent direction. The trials are evaluated in
-    rounds of several at once (`_newton`), which changes no accepted t. The
+    of phi, where the Newton step stops being a descent direction. The
+    trials are evaluated in rounds of several at once, doublings and
+    halvings in one loop (`_newton`), which changes no accepted t. The
     solve stops when the inf-norm of r is at most `tol` and the step, the
     first-order error of y, is at most 1e-9 max(1, |y|_inf) in the
     inf-norm. It is `_newton` on a stack of one row, whose failure it
@@ -783,10 +724,10 @@ def solve(
 STACK_CELLS = 32
 
 #: Most driver-flow entries, n x (2m + 1) per trial point, in one round of
-#: `_newton`'s backtracking ladder or climbing rounds, however many step
-#: lengths the round would reach, and in a full-step evaluation that holds
-#: more step lengths than t = 1; a round still tries at least one step
-#: length per searching row. A row's accepted step does not depend on it.
+#: `_newton`'s line search: round 0 holds more step lengths than t = 1 only
+#: when they fit, and a later round shares it among its searching rows,
+#: climbing and backtracking alike, but still tries at least one step
+#: length per row. A row's accepted step does not depend on it.
 LADDER_ENTRIES = 4096
 
 #: Doublings t = 2, 4, 8 a climbing row of `_newton` tries at most.

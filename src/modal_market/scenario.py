@@ -237,6 +237,14 @@ def validate(sc: Scenario) -> list[str]:
                 f"/signin/{n}: node {n} receives no drop-offs, so a zero "
                 "sign-in rate leaves its driver stock equation unsatisfiable"
             )
+    # drivers sign out at every node, so stocks that balance need some
+    # sign-in: with none, phi has no minimizer and the prices no solution
+    total = sum(sc.signin.values())
+    if not total > 0:
+        out.append(
+            f"/signin: total sign-in rate {total} must be > 0; without sign-ins "
+            "the sign-outs leave no driver stocks that clear the market"
+        )
 
     for n in sc.signout_bonus:
         if n not in nodes:

@@ -226,6 +226,21 @@ class TestSolveCommand:
         code = main(["solve", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_zero_total_signin_exits_2(self, tmp_path, capsys):
+        # solve and validate both refuse it, each with one /signin line
+        doc = to_document(random_scenario(14))
+        doc["signin"] = {n: 0.0 for n in doc["signin"]}
+        path = tmp_path / "zero-signin.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (["solve", "--scenario", str(path), "--out", str(tmp_path / "solve")],
+                     ["validate", "--scenario", str(path), "--out", str(tmp_path / "validate")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            (line,) = [line for line in err.splitlines() if "/signin" in line]
+            assert "/signin: total sign-in rate 0.0 must be > 0" in line
+            assert "Traceback" not in err
+
     def test_solve_from_saved_file(self, tmp_path):
         from modal_market.scenario import builtin_5node, save
 

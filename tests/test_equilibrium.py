@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modal_market import equilibrium
 from modal_market.choice import (
@@ -34,6 +36,7 @@ from modal_market.equilibrium import (
     solve_and_probe,
     solve_sweep,
     uniqueness_probe,
+    violations,
 )
 from modal_market.oracle import random_scenario
 from modal_market.scenario import MODES, TravelerParams, with_param
@@ -408,6 +411,27 @@ class TestSolve:
         assert err.value.best_y.shape == (9,)
         assert len(err.value.residual_history) >= 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 199), st.one_of(st.just(2**7 - 1), st.integers(0, 2**7 - 1)))
+    def test_zeroed_signins_are_refused_or_solved(self, seed, mask):
+        # random_scenario(seed) with the sign-ins of a drawn subset of its
+        # nodes (the bits of mask, in node order; half the draws take every
+        # node) set to 0: a document that validation accepts has an
+        # equilibrium, which the zero start and the uniqueness probe's
+        # starts reach, and one it refuses fails `solve` with
+        # ValidationFailed, never with NotConverged
+        sc = random_scenario(seed)
+        nodes = sorted(sc.signin)
+        sc = dataclasses.replace(sc, signin={
+            n: 0.0 if mask >> k & 1 else sc.signin[n] for k, n in enumerate(nodes)
+        })
+        if violations(sc):
+            with pytest.raises(ValidationFailed):
+                solve(sc)
+        else:
+            _, deviation = solve_and_probe(sc)
+            assert not isinstance(deviation, NotConverged)
+
     def test_validation_failure_raises(self, five_node):
         bad = with_param(five_node, "traveler_params.beta2", -1.0)
         with pytest.raises(ValidationFailed):
@@ -639,7 +663,7 @@ class TestStackedNewton:
                 else:
                     assert size * point <= equilibrium.LADDER_ENTRIES or size <= live, sc.name
             totals += [len(sizes["phi"]), sum(sizes["phi"]), len(sizes["step"]), sum(sizes["step"])]
-        assert totals.tolist() == [2082, 64292, 1775, 7961]
+        assert totals.tolist() == [2062, 64296, 1775, 7961]
 
     def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
         # a cap between the fastest and the slowest start: some rows
@@ -807,6 +831,44 @@ class TestLadder:
         assert evaluations_1 >= 5  # the t = 1 trial and 4 or more halvings
         assert evaluations <= 2
         assert_same_outcome(outcome, outcome_1)
+
+    def test_climbing_and_backtracking_rows_share_a_round(self, monkeypatch):
+        # the probe stack of random_scenario(3) with the zero start: on the
+        # first pass two rows climb and the others backtrack past the
+        # halvings held with their full steps; the phi evaluation that
+        # follows the full-step one holds the doublings of the first and
+        # halvings of the others, and every row ends as it does alone
+        sc = random_scenario(3)
+        cs, starts = _probe_starts(sc, 5, 0)
+        starts = np.vstack([np.zeros(cs.dim), starts])
+        calls = []
+
+        def recorded(name, fn):
+            # the trial points of a phi evaluation, the steps of a Newton step
+            def evaluate(cs, *arrays):
+                out = fn(cs, *arrays)
+                calls.append((name, arrays[-1].copy() if name == "phi" else out[..., 0]))
+                return out
+            return evaluate
+
+        with monkeypatch.context() as patch:
+            patch.setattr(equilibrium, "_potential", recorded("phi", _potential))
+            patch.setattr(equilibrium, "_newton_step", recorded("step", _newton_step))
+            _newton(cs, starts, TOL, MAX_ITER)
+        (_, steps), *first_pass = calls[1 : [name for name, _ in calls].index("step", 2)]
+        assert len(first_pass) >= 2 and {name for name, _ in first_pass} == {"phi"}
+        lengths = {}  # the step lengths t of each row's trials y + t d
+        for trial in first_pass[1][1]:
+            for i, (y, d) in enumerate(zip(starts, steps)):
+                j = np.abs(d).argmax()
+                t = (trial[j] - y[j]) / d[j]
+                if np.allclose(trial, y + t * d, rtol=0.0, atol=1e-9 * np.abs(y).max()):
+                    lengths.setdefault(i, []).append(round(t, 12))
+        climbing = {i for i, ts in lengths.items() if min(ts) > 1}
+        backtracking = {i for i, ts in lengths.items() if max(ts) < 1}
+        assert climbing and backtracking and climbing | backtracking == set(lengths)
+        assert all(lengths[i] == [2.0, 4.0, 8.0] for i in climbing)
+        assert_rows_match_one_by_one(sc, starts)
 
     def test_far_start_climbs(self, sioux_scenarios):
         # a far probe start of random_scenario(3): from above, a full Newton

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from modal_market.netgraph import shortest_time
+from modal_market.oracle import random_scenario
 from modal_market.scenario import (
     SchemaViolation,
     UnknownScenarioId,
@@ -188,6 +189,15 @@ class TestValidate:
         signin[3] = 0.0
         sc = dataclasses.replace(five_node, signin=signin)
         assert validate(sc) == []
+
+    def test_zero_total_signin(self):
+        # every node of random_scenario(14) receives drop-offs, so no node
+        # needs its own sign-in; with none at all, drivers only sign out
+        # and no prices clear the market
+        sc = random_scenario(14)
+        sc = dataclasses.replace(sc, signin={n: 0.0 for n in sc.signin})
+        (violation,) = validate(sc)
+        assert violation.startswith("/signin: total sign-in rate 0.0 must be > 0")
 
     def test_nonpositive_beta2(self, five_node):
         sc = with_param(five_node, "traveler_params.beta2", 0.0)
