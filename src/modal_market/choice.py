@@ -39,7 +39,6 @@ parameter sweep (`stack_cells`), each use its own.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -77,7 +76,7 @@ class CompiledScenario:
     evaluated on a (k, dim) stack of dual vectors, one per cell.
     """
 
-    sc: Scenario
+    rs_pairs: tuple[tuple[int, int], ...]  # (m,) OD pairs, the keys of `od_view`
     node_ids: tuple[int, ...]
     m: int
     n_nodes: int
@@ -150,13 +149,11 @@ class CompiledScenario:
 
     def od_view(self, values: np.ndarray) -> dict[tuple[int, int], float]:
         """{(r, s): value} from an (m,) array in od order."""
-        return dict(zip(self.sc.rs_pairs, values.tolist()))
+        return dict(zip(self.rs_pairs, values.tolist()))
 
     def mode_view(self, values: np.ndarray) -> dict[tuple[int, int], dict[str, float]]:
         """{(r, s): {mode: value}} from an (m, 3) array, columns in MODES order."""
-        return {
-            rs: dict(zip(MODES, row)) for rs, row in zip(self.sc.rs_pairs, values.tolist())
-        }
+        return {rs: dict(zip(MODES, row)) for rs, row in zip(self.rs_pairs, values.tolist())}
 
     def node_view(self, values: np.ndarray) -> dict[int, float]:
         """{n: value} from an (n_nodes,) array in node order."""
@@ -225,7 +222,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
 
     phi_weights = np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ])
     return CompiledScenario(
-        sc=None,  # set by compile_scenario
+        rs_pairs=sc.rs_pairs,
         node_ids=node_ids,
         m=m,
         n_nodes=n_nodes,
@@ -254,7 +251,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
 def stack_cells(cells: Sequence[CompiledScenario]) -> CompiledScenario:
     """The stack of a sweep's cells, the compiled `with_param` copies of one
     scenario, so they differ only in CELL_COEFFICIENTS: each of those
-    stacked along a new leading axis, the first cell's scenario and arrays
+    stacked along a new leading axis, the first cell's OD pairs and arrays
     for the rest."""
     stacked = {name: np.stack([getattr(cs, name) for cs in cells]) for name in CELL_COEFFICIENTS}
     stacked["beta2"] = stacked["beta2"][:, None]
@@ -263,19 +260,12 @@ def stack_cells(cells: Sequence[CompiledScenario]) -> CompiledScenario:
 
 
 def compile_scenario(sc: Scenario) -> CompiledScenario:
-    """Compile once per Scenario instance. The compiled arrays ride along on
-    it, and the CompiledScenario that holds them and sc only weakly, so no
-    reference cycle keeps a scenario alive: while any result of sc holds its
-    compiled scenario, every call returns that one, and once none does, the
-    next call wraps the same arrays again rather than recompiling."""
-    cached = sc.__dict__.get("_compiled")
-    if cached is None:
-        cached = sc.__dict__["_compiled"] = [_compile(sc), lambda: None]
-    arrays, ref = cached
-    cs = ref()
+    """Compile once per Scenario instance: the compiled scenario rides along
+    on it. It holds no reference to sc, so a result of sc keeps its arrays
+    alive but not the scenario."""
+    cs = sc.__dict__.get("_compiled")
     if cs is None:
-        cs = replace(arrays, sc=sc)
-        cached[1] = weakref.ref(cs)
+        cs = sc.__dict__["_compiled"] = _compile(sc)
     return cs
 
 

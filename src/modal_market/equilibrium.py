@@ -17,23 +17,21 @@ works on a stack of dual vectors: `solve` runs it on one start,
 `solve_sweep` on the cells of a parameter sweep, one zero start per cell,
 each row stepping exactly as it would alone. Each row ends in one outcome,
 what `solve` from that row returns or raises: a solution, which carries
-the wall time of its whole stack, or a NotConverged. The line search runs
-in rounds of one phi evaluation each. The first holds every row's full
-step, the next state; each later one holds the next step lengths of every
-row still searching, climbing and backtracking rows alike, and a row that
-accepts a trial overwrites its row of the state with it. A row climbs
-when its full step lowers phi by 1.2 times what the quadratic model
-predicts, as far-above starts do, where a full Newton step on the
-exponential driver flows moves their exponents by only about one unit: it
-goes on to t = 2, 4, 8 while each doubling still passes Armijo, lowers
-phi and moves no driver exponent by more than CLIMB_REACH. A row that
-backtracks accepts the t that halving one at a time would. The run
-ignores numpy's floating-point errors once, around the whole stack,
-rather than in each kernel. The Jacobian is never formed:
-each OD's logit couples only its own two rho coordinates and two lambdas,
-and each driver flow one rho and one lambda, so the rho-rho block is block
-diagonal with one 2x2 block per OD. A Newton step eliminates those blocks
-in closed form and solves an n_nodes x n_nodes Schur complement for lambda
+the wall time of its whole stack, or a NotConverged. A row climbs when its
+full step lowers phi by 1.2 times what the quadratic model predicts, as
+far-above starts do, where a full Newton step on the exponential driver
+flows moves their exponents by only about one unit: it goes on to
+t = 2, 4, 8 while each doubling still passes Armijo, lowers phi and moves
+no driver exponent by more than CLIMB_REACH. A row that backtracks
+accepts the t that halving one at a time would. The line search evaluates
+phi on several step lengths of several rows at once, on the schedule
+`_newton` describes. The run ignores numpy's floating-point errors once,
+around the whole stack, rather than in each kernel. The Jacobian is never
+formed: each OD's logit couples only its own two rho coordinates and two
+lambdas, and each driver flow one rho and one lambda, so the rho-rho block
+is block diagonal with one 2x2 block per OD. A Newton step eliminates
+those blocks in closed form and solves an n_nodes x n_nodes Schur
+complement for lambda
 (block elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4):
 O(m n^2 + n^3) work per step for m ODs and n nodes, against
 O((2m + n)^3) for a dense LU. Prices follow from the duals by the
@@ -432,41 +430,41 @@ def _newton(
     operation acts on each row alone, so a row's iterates are bit-identical
     to a run from that row by itself.
 
-    A pass's line search is one loop of rounds, each one phi evaluation.
-    Round 0 holds every row's full step, t = 1, which is the next state,
-    and while the stack is not settled (some row climbed or backtracked on
-    the last pass) also every row's doublings, after a climb, and its
-    halvings down to the t with beta3 |t d|_inf < 1, while some step has
-    beta3 |d|_inf >= 2, when they fit in LADDER_ENTRIES. A row whose full
-    step lowers phi by more than 1.2 times the quadratic model's
-    prediction and than its rounding allowance, and could double without
-    moving a driver exponent by more than CLIMB_REACH, then searches up
-    from t = 2; a row whose full step fails Armijo searches down from
-    t = 1/2. Each later round holds the next block of step lengths of
-    every searching row of both directions, within one LADDER_ENTRIES
-    budget shared by all of them (at least one trial per row): the
-    doublings left up to t = 8, and halvings never past any row's stall,
-    in the first later round as many as it takes, from t = 1, to bring
-    beta3 |t d|_inf below 1 (beta3 the largest over the cells), in each
-    next one twice as many as in the last. Each direction has one
-    acceptance rule, read as a leading-run count: a climbing row keeps
-    the last doubling of its leading run that passes Armijo, lowers phi
-    by more than the allowance of the step before and keeps
-    beta3 |t d|_inf <= CLIMB_REACH; a backtracking row takes its first
-    halving that passes Armijo, the t that halving one at a time would
-    accept, and stalls if that or the next halving it would try has t d
-    below the float resolution of y. A row searches on only if its whole
-    block ran out without an answer. The trial a row accepts becomes its
-    row of the state, and which round holds a trial never changes a row's
-    step. A row that finishes, or fails, leaves the stack. The whole run
-    ignores numpy's floating-point errors: an overflowing or singular
-    point is a value here (+inf, NaN), which the line search and the
-    failure tests reject, never a warning.
+    The line search. Each trial is y + t d with t a power of two, so t d
+    and t r.d are exact. A row accepts the first of t = 1, 1/2, 1/4, ...
+    that passes Armijo on phi, phi(y + t d) <= phi(y) + 1e-4 t r.d up to
+    phi's rounding allowance, unless its full step climbs: it lowers phi
+    by more than 0.6 (-r.d), 1.2 times the decrease the quadratic model
+    predicts, and by more than the allowance. A climbing row keeps the
+    last of t = 2, 4, 8 along whose leading run each doubling passes
+    Armijo, lowers phi by more than the allowance of the step before and
+    moves no driver exponent by more than CLIMB_REACH
+    (beta3 |t d|_inf <= CLIMB_REACH). A backtracking row stalls, and
+    fails, if the halving it accepts or the next one it would try has t d
+    below the float resolution of y.
+
+    The schedule. A pass evaluates phi in rounds, one call each, and every
+    round plans its trials by one rule: each searching row gets as many of
+    the step lengths it wants, in order, as fit in the LADDER_ENTRIES
+    driver-flow entries the round's rows share, and at least one. In
+    round 0 every row wants t = 1; then t = 2, 4, 8 if some row climbed
+    on the last pass; then the halvings down to the t with
+    beta3 |t d|_inf < 1 if the longest step has beta3 |d|_inf >= 2
+    (beta3 the largest over the cells). Its t = 1 trials, y + d, are the
+    state. After round 0 a climbing row wants its doublings left and a
+    backtracking row its halvings left, stopping short of the stall of
+    every backtracking row; a row searches on only while its trials ran
+    out without an answer. The trial a row accepts overwrites its row of
+    the state. Phi is evaluated row by row, so which round holds a trial
+    never changes a row's step. A row that finishes, or fails, leaves the
+    stack. The whole run ignores numpy's floating-point errors: an
+    overflowing or singular point is a value here (+inf, NaN), which the
+    line search and the failure tests reject, never a warning.
 
     cs is one scenario shared by every row, or a sequence of k sweep cells,
     row i solved with cell i's coefficients: they are stacked here
     (`stack_cells`), and the stack's coefficients are subset with the rows
-    it keeps and with the rows each backtracking trial re-evaluates.
+    it keeps and with the rows each trial re-evaluates.
 
     Returns one outcome per row, exactly what `solve` from that row returns
     or raises: the EquilibriumSolution at its final vector, built from the
@@ -496,9 +494,7 @@ def _newton(
                                    histories[i])
         rows, Y, phi, allowance, *flows = (a[keep] for a in (rows, Y, phi, allowance, *flows))
         cs_rows = cs.cells(keep)
-    # whether some row climbed, or backtracked, on the last pass (as if one
-    # had before the first pass)
-    climbed, backtracked = False, True
+    climbed = False  # whether some row climbed on the last pass
 
     def fail(positions: np.ndarray, why) -> None:
         """Fail the rows at these positions of the stack; `why` maps the
@@ -507,16 +503,13 @@ def _newton(
             i = int(rows[p])
             history = histories[i]
             best = int(np.argmin(history))  # the first, on ties
-            ends[i] = NotConverged(why(inf_norm[p], history[best]), iterates[i][best], history)
+            ends[i] = NotConverged(why(inf_norm[p], history[best]), iterates[i][best].copy(),
+                                   history)
 
     def accept(at: np.ndarray, took: np.ndarray) -> None:
-        """The rows at these positions of the stack accept the trials at
-        `took` of the round. In round 0 they are recorded in `pick`, and the
-        state is then taken from round 0's trials with one `take` per array;
-        a later round's trial overwrites its row of the state."""
-        if pick is not None:
-            pick[at] = took
-        elif at.size:
+        """The rows at these positions of the stack take the round's trials
+        at `took` as their rows of the state."""
+        if at.size:
             for whole, part in zip(state, evaluated):
                 whole[at] = part.take(took, axis=0)
 
@@ -528,11 +521,11 @@ def _newton(
             histories[i].append(x)
             iterates[i].append(y)
         step = _newton_step(cs_rows, P, E, Q, r[..., None])[..., 0]
+        size = np.abs(step).max(axis=-1)  # |d|_inf
         slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
         go = np.isfinite(slope)
         capped = len(histories[rows[0]]) > max_iter  # the same for every row
         if (inf_norm <= tol).any() or not go.all() or capped:
-            size = np.abs(step).max(axis=-1)
             # stop on the residual and on dual accuracy: the step is the
             # first-order error of y (Boyd & Vandenberghe, section 9.5.1)
             done = (inf_norm <= tol) & (size <= 1e-9 * np.maximum(1.0, np.abs(Y).max(axis=-1)))
@@ -549,21 +542,18 @@ def _newton(
             fail(np.flatnonzero(~done & np.isfinite(size) & ~go),
                  lambda x, _: f"line-search slope not finite at inf-norm {x:.3g}")
             keep = np.flatnonzero(go & ~done)
-            rows, Y, phi, allowance, step, slope, inf_norm, *flows = (a[keep] for a in (
-                rows, Y, phi, allowance, step, slope, inf_norm, *flows))
+            rows, Y, phi, allowance, step, size, slope, inf_norm, *flows = (a[keep] for a in (
+                rows, Y, phi, allowance, step, size, slope, inf_norm, *flows))
             if not rows.size:
                 break
             cs_rows = cs_rows.cells(keep)
 
-        # The line search, in rounds of one phi evaluation each (see the
-        # docstring). Armijo on phi, up to its rounding allowance:
-        # phi(y + t d) <= phi(y) + 1e-4 t r.d. Each trial is y + t d with t
-        # a power of two, so t d and t r.d are exact, and phi is evaluated
-        # row by row: which round holds a trial never changes a row's step.
-        room = LADDER_ENTRIES // (point * rows.size) - 1 if climbed or backtracked else 0
-        ups = CLIMB if climbed and room >= CLIMB else 0  # the doublings of round 0
-        reach = math.frexp(beta3 * float(np.abs(step).max()))[1] if room > 0 else 0
-        downs = reach if 1 < reach <= room - ups else 0  # and its halvings
+        # The line search (see the docstring), round 0 first: its trials per
+        # row, t = 1 and then the doublings and halvings that fit
+        room = max(1, LADDER_ENTRIES // (point * rows.size))
+        ups = min(CLIMB if climbed else 0, room - 1)
+        reach = math.frexp(beta3 * float(size.max()))[1]  # beta3 |t d|_inf < 1 at t = 2^-reach
+        downs = min(reach if reach > 1 else 0, room - 1 - ups)
         if ups or downs:
             t = np.concatenate([_DOUBLINGS[: ups + 1], _HALVINGS[1 : downs + 1]])
             trial = (Y + t[:, None, None] * step).reshape(-1, Y.shape[-1])
@@ -573,36 +563,28 @@ def _newton(
         phi_t, allowance_t, flows_t = _potential(cs_trial, trial)
         evaluated = (trial, phi_t, allowance_t, *flows_t)
         state = tuple(a[: rows.size] for a in evaluated) if ups or downs else evaluated
-        failed = ~(state[1] <= phi + slope + allowance)
-        # phi falls by more than 0.6 (-r.d) = -6e3 slope and by more than
-        # its rounding allowance, so a climbing row passes Armijo too
-        climbing = phi - state[1] > np.maximum(-6e3 * slope, allowance)
-        climbed, backtracked = climbing.any(), failed.any()
-        if climbed or backtracked:
-            size = np.abs(step).max(axis=-1)
-            if climbed:
-                moves = (cs_rows.beta3 * size[:, None])[:, 0]  # beta3 |d|_inf
-                climbing &= 2 * moves <= CLIMB_REACH
-                climbed = climbing.any()
-            if backtracked:
-                # the step length below which t d is below the float
-                # resolution of y: a row stalls at the first halving there
-                t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / size
-            # each direction's searching rows, and the round's trials by line
-            # and row, as indices into `evaluated`: line 0 holds round 0's
-            # t = 1 trials, then come a line per doubling and per halving
-            up, down = climbing.nonzero()[0], failed.nonzero()[0]
+        # each direction's searching rows, as positions of the stack: phi
+        # falls by more than 0.6 (-r.d) = -6e3 slope and by more than its
+        # rounding allowance, so a climbing row passes Armijo too
+        up = np.flatnonzero(phi - state[1] > np.maximum(-6e3 * slope, allowance))
+        down = np.flatnonzero(~(state[1] <= phi + slope + allowance))
+        climbed = up.size > 0
+        if climbed or down.size:
+            # the step length below which t d is below the float resolution
+            # of y: a row stalls at the first halving there
+            t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / size if down.size else None
+            # the round's trials by line and row, as indices into
+            # `evaluated`: line 0 holds the state, then come a line per
+            # doubling and per halving
             lines = np.arange(len(trial)).reshape(-1, rows.size)
-            # the next doubling and halving, the rows that stall, and the
-            # halvings the next round tries before its budget
-            j_up, j_down, dead, want = 1, 1, [], 0
-            pick = lines[0].copy() if ups or downs else None  # each row's trial of round 0
+            j_up, j_down, dead = 1, 1, []  # the next doubling and halving, the rows that stall
             while True:
                 if up.size and ups:
                     # a climbing row keeps the last doubling of its leading
                     # run of passes; line 0 of phi_T and allowance_T is the
                     # state's, the step it climbs from
                     t = _DOUBLINGS[j_up : j_up + ups, None]
+                    moves = (cs_rows.beta3 * size[:, None])[:, 0]  # beta3 |d|_inf
                     phi_T, allowance_T = phi_t[lines[: ups + 1]], allowance_t[lines[:ups]]
                     phi_T[0], allowance_T[0] = state[1], state[2]
                     ok = (phi_T[1:] <= phi + t * slope + allowance) & (t * moves <= CLIMB_REACH)
@@ -611,8 +593,7 @@ def _newton(
                     moved = up[run > 0]
                     accept(moved, lines[run[run > 0], moved])
                     j_up += ups
-                    up = up[(run == ups) & (np.ldexp(moves[up], j_up) <= CLIMB_REACH)
-                            ] if j_up <= CLIMB else up[:0]
+                    up = up[run == ups] if j_up <= CLIMB else up[:0]
                 if down.size:
                     # a backtracking row takes its first halving that passes
                     # Armijo, and stalls if that, or the next halving it
@@ -624,24 +605,19 @@ def _newton(
                     passed = ~stalled & (lead < downs)
                     at = down[passed]
                     accept(at, lines[ups + 1 + lead[passed], at])
-                    if stalled.any():
-                        fail(down[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
-                        dead.extend(down[stalled])
+                    fail(down[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
+                    dead.extend(down[stalled])
                     j_down += downs
                     down = down[~stalled & (lead == downs)]
-                if pick is not None:
-                    state, pick = tuple(a.take(pick, axis=0) for a in evaluated), None
                 if not (up.size or down.size):
                     break
-                # the next round: each searching row's next block of t, within
-                # one LADDER_ENTRIES budget shared by the rows of both directions
+                # the next round: each searching row's step lengths left, the
+                # halvings short of every backtracking row's stall, as many as
+                # fit in the budget the round's rows share
                 room = max(1, LADDER_ENTRIES // (point * (up.size + down.size)))
                 ups = up.size and min(room, CLIMB + 1 - j_up)
-                # twice the last round's halvings, short of every row's stall
-                left = down.size and np.searchsorted(-_HALVINGS, -t_min[down].max()) - j_down
-                downs = down.size and max(1, min(want or math.frexp(beta3 * size[down].max())[1],
-                                                 room, left))
-                want = 2 * downs
+                stall = down.size and np.searchsorted(-_HALVINGS, -t_min[down].max())
+                downs = down.size and min(room, stall - j_down)
                 at = np.concatenate([up] * ups + [down] * downs)
                 t = np.concatenate([_DOUBLINGS[j_up : j_up + ups].repeat(up.size),
                                     _HALVINGS[j_down : j_down + downs].repeat(down.size)])
@@ -691,12 +667,11 @@ def solve(
     moves their exponents by only about one unit, this halves the
     iterations; a long step doubled would carry y far along a flat valley
     of phi, where the Newton step stops being a descent direction. The
-    trials are evaluated in rounds of several at once, doublings and
-    halvings in one loop (`_newton`), which changes no accepted t. The
-    solve stops when the inf-norm of r is at most `tol` and the step, the
-    first-order error of y, is at most 1e-9 max(1, |y|_inf) in the
-    inf-norm. It is `_newton` on a stack of one row, whose failure it
-    raises.
+    trials are evaluated several at once, on the schedule `_newton`
+    describes, which changes no accepted t. The solve stops when the
+    inf-norm of r is at most `tol` and the step, the first-order error of
+    y, is at most 1e-9 max(1, |y|_inf) in the inf-norm. It is `_newton` on
+    a stack of one row, whose failure it raises.
 
     Raises NotConverged, with the iterate of lowest inf-norm, the inf-norm
     history and the run's wall time, if that does not happen within
@@ -724,10 +699,9 @@ def solve(
 STACK_CELLS = 32
 
 #: Most driver-flow entries, n x (2m + 1) per trial point, in one round of
-#: `_newton`'s line search: round 0 holds more step lengths than t = 1 only
-#: when they fit, and a later round shares it among its searching rows,
-#: climbing and backtracking alike, but still tries at least one step
-#: length per row. A row's accepted step does not depend on it.
+#: `_newton`'s line search, unless the round holds one step length per row;
+#: `_newton` describes how a round shares it. A row's accepted step does
+#: not depend on it.
 LADDER_ENTRIES = 4096
 
 #: Doublings t = 2, 4, 8 a climbing row of `_newton` tries at most.
@@ -868,7 +842,9 @@ def objective_value(
     must be strictly positive (limits 0*ln 0 = 0 are not interior points);
     NonPositiveFlow is raised otherwise. The traveler model needs `prices`
     for the traveler prices eta, the driver model for rho and lambda; the
-    combined model is price-free.
+    combined model is price-free. The driver model's entropy terms are
+    divided by beta3, as the combined model's are, so its objective is
+    stationary at the equilibrium flows for any beta3.
     """
     cs = compile_scenario(sc)
 
@@ -883,7 +859,7 @@ def objective_value(
             raise ValueError("driver objective needs driver flows and prices")
         rho, lam = cs.rho_lam(prices.y)
         value = _xlogx_term(driver.E, cs.A + cs.beta3 * rho[None, :])
-        value += _xlogx_term(driver.E_H, cs.a_H)
+        value = (value + _xlogx_term(driver.E_H, cs.a_H)) / cs.beta3
         value -= float(np.sum(lam * (driver.stock - cs.dQ)))
         return float(value)
 

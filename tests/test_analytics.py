@@ -14,7 +14,7 @@ from modal_market.analytics import (
     sweep,
     total_relocation_time,
 )
-from modal_market.choice import compile_scenario
+from modal_market.choice import CELL_COEFFICIENTS, compile_scenario
 from modal_market.equilibrium import (
     EquilibriumError,
     NotConverged,
@@ -173,11 +173,10 @@ class TestSweep:
                 for value, solution in zip(grid, stacked):
                     cell_sc = with_param(sc, param, value)
                     assert_same_solution(solution, solve(cell_sc))
-                    # the record's scenario is its own cell, not the stack
-                    cs = solution.prices.cs
-                    assert compile_scenario(cs.sc) is cs
-                    assert cs.sc.traveler_params == cell_sc.traveler_params
-                    assert cs.sc.driver_params == cell_sc.driver_params
+                    # the record's coefficients are its own cell's, not the stack's
+                    cs, cell_cs = solution.prices.cs, compile_scenario(cell_sc)
+                    for name in CELL_COEFFICIENTS:
+                        assert np.array_equal(getattr(cs, name), getattr(cell_cs, name)), name
                 cells = sweep(sc, param, grid)
                 assert list(map(repr, cells)) == [repr(solo_cell(sc, param, v)) for v in grid]
 

@@ -348,31 +348,31 @@ class TestPriceSystem:
 
 class TestCompileScenario:
     def test_solved_scenario_is_freed_by_reference_counting(self):
-        # the compiled scenario holds its scenario, which holds the compiled
-        # scenario only weakly: with the cycle collector off, a solved
-        # scenario lives as long as its solution and not longer
+        # the scenario holds its compiled scenario, which holds no reference
+        # back: with the cycle collector off, a solved scenario is freed at
+        # `del sc` while its solution lives, and the solution's views work
         gc.disable()
         try:
             sc = builtin_5node()
             alive = weakref.ref(sc)
+            pairs = sc.rs_pairs
             sol = solve(sc)
             assert compile_scenario(sc) is sol.prices.cs
             del sc
-            assert alive() is not None
-            assert sol.prices.rho_direct == sol.prices.cs.od_view(sol.y[:2])
-            del sol
             assert alive() is None
+            assert list(sol.prices.rho_direct) == list(pairs)
+            assert sol.prices.rho_direct == dict(zip(pairs, sol.y[:2].tolist()))
+            assert list(sol.traveler.q) == list(pairs)
         finally:
             gc.enable()
 
     def test_compiled_once_per_scenario(self):
-        # once no result holds the compiled scenario, the next call wraps
-        # the same arrays around the same scenario instead of recompiling
+        # every call returns the one compiled scenario, also once no result
+        # holds it, and it keys its views by the scenario's OD pairs
         sc = builtin_5node()
         cs = compile_scenario(sc)
-        assert compile_scenario(sc) is cs and cs.sc is sc
+        assert compile_scenario(sc) is cs and cs.rs_pairs == sc.rs_pairs
         arrays = cs.A, cs.phi_weights, cs._stacks
         del cs
         again = compile_scenario(sc)
-        assert again.sc is sc
         assert all(a is b for a, b in zip((again.A, again.phi_weights, again._stacks), arrays))

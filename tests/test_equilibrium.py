@@ -663,7 +663,7 @@ class TestStackedNewton:
                 else:
                     assert size * point <= equilibrium.LADDER_ENTRIES or size <= live, sc.name
             totals += [len(sizes["phi"]), sum(sizes["phi"]), len(sizes["step"]), sum(sizes["step"])]
-        assert totals.tolist() == [2062, 64296, 1775, 7961]
+        assert totals.tolist() == [2020, 65707, 1775, 7961]
 
     def test_iteration_cap_failure_matches_one_by_one(self, five_node, sioux_scenarios):
         # a cap between the fastest and the slowest start: some rows
@@ -768,9 +768,10 @@ class TestLadder:
         self, five_node, sioux_scenarios, micros, monkeypatch
     ):
         # LADDER_ENTRIES = 0 leaves one trial per searching row and round,
-        # the plain halving line search; the ladder must accept the same t
-        # everywhere: every row's solution or failure bit for bit, on far
-        # starts that fail in every way a row can fail
+        # the plain halving line search, and 10**9 holds every trial a row
+        # wants in each round; the ladder must accept the same t everywhere:
+        # every row's solution or failure bit for bit, on far starts that
+        # fail in every way a row can fail
         runs = []
         for sc in [five_node, *sioux_scenarios.values(), *micros,
                    *map(random_scenario, range(30))]:
@@ -790,13 +791,14 @@ class TestLadder:
         kinds = set()
         for cs, starts in runs:
             outcomes = _newton(cs, starts, TOL, MAX_ITER)
-            with monkeypatch.context() as patch:
-                patch.setattr(equilibrium, "LADDER_ENTRIES", 0)
-                outcomes_1 = _newton(cs, starts, TOL, MAX_ITER)
-            for outcome, outcome_1 in zip(outcomes, outcomes_1, strict=True):
-                assert_same_outcome(outcome, outcome_1)
-                if isinstance(outcome_1, Exception):
-                    kinds.add(str(outcome_1).split(" at ")[0].split(" to ")[0])
+            for entries in (0, 10**9):
+                with monkeypatch.context() as patch:
+                    patch.setattr(equilibrium, "LADDER_ENTRIES", entries)
+                    outcomes_1 = _newton(cs, starts, TOL, MAX_ITER)
+                for outcome, outcome_1 in zip(outcomes, outcomes_1, strict=True):
+                    assert_same_outcome(outcome, outcome_1)
+                    if isinstance(outcome_1, Exception):
+                        kinds.add(str(outcome_1).split(" at ")[0].split(" to ")[0])
         assert kinds == {
             "Newton step failed", "no convergence", "line search stalled",
             "line-search slope not finite",
@@ -1071,6 +1073,26 @@ class TestObjectiveValue:
         a = objective_value("combined", five_node, traveler=sol.traveler, driver=sol.driver)
         b = objective_value("combined", five_node, traveler=sol.traveler, driver=sol.driver)
         assert a == b
+
+    def test_driver_objective_stationary_at_solution(self, five_node):
+        # the driver objective, entropy terms over beta3 less lambda times
+        # the stock balance, is stationary at the solved flows for any
+        # beta3: along a random relative move of E and E_H (stocks
+        # following) its central difference vanishes
+        for sc in (with_param(five_node, "driver_params.beta3", 2.0), random_scenario(3),
+                   five_node):
+            sol = solve(sc)
+            rng = np.random.default_rng(0)
+            u = rng.uniform(-1.0, 1.0, sol.driver.E.shape)
+            u_H = rng.uniform(-1.0, 1.0, sol.driver.E_H.shape)
+
+            def value(eps):
+                E, E_H = sol.driver.E * (1.0 + eps * u), sol.driver.E_H * (1.0 + eps * u_H)
+                moved = dataclasses.replace(sol.driver, E=E, E_H=E_H, stock=E.sum(axis=1) + E_H)
+                return objective_value("driver", sc, driver=moved, prices=sol.prices)
+
+            eps = 1e-6
+            assert abs(value(eps) - value(-eps)) / (2 * eps) < 1e-5, sc.name
 
     def test_driver_objective_needs_prices(self, five_node, five_node_solution):
         with pytest.raises(ValueError):

@@ -209,6 +209,22 @@ class TestValidate:
         sc = dataclasses.replace(five_node, relocation_times=reloc)
         assert any("relocation_times/5/1" in v for v in validate(sc))
 
+    def test_origin_equals_destination(self, five_node):
+        ods = list(five_node.ods)
+        ods[0] = dataclasses.replace(ods[0], s=1)
+        sc = dataclasses.replace(five_node, ods=tuple(ods))
+        assert validate(sc) == ["/ods/0: origin equals destination (1)"]
+
+    def test_duplicate_od_pair(self, five_node):
+        # a second OD (1,2), through a hub whose leg is still free
+        extra = dataclasses.replace(five_node.ods[0], hub=4)
+        sc = dataclasses.replace(five_node, ods=five_node.ods + (extra,))
+        assert validate(sc) == ["/ods/2: duplicate OD pair (1,2)"]
+
+    def test_signin_at_absent_node(self, five_node):
+        sc = dataclasses.replace(five_node, signin={**five_node.signin, 9: 1.0})
+        assert validate(sc) == ["/signin/9: node absent from network"]
+
     def test_signout_bonus_at_absent_node(self, five_node):
         sc = dataclasses.replace(five_node, signout_bonus={9: 1.0})
         assert validate(sc) == ["/signout_bonus/9: node absent from network"]
