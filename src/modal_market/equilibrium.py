@@ -25,13 +25,14 @@ t = 2, 4, 8 while each doubling still passes Armijo, lowers phi and moves
 no driver exponent by more than CLIMB_REACH. A row that backtracks
 accepts the t that halving one at a time would. The line search evaluates
 phi on several step lengths of several rows at once, on the schedule
-`_newton` describes. The run ignores numpy's floating-point errors once,
-around the whole stack, rather than in each kernel. The Jacobian is never
-formed: each OD's logit couples only its own two rho coordinates and two
-lambdas, and each driver flow one rho and one lambda, so the rho-rho block
-is block diagonal with one 2x2 block per OD. A Newton step eliminates
-those blocks in closed form and solves an n_nodes x n_nodes Schur
-complement for lambda
+`_newton` describes, and each row walks its own step lengths through
+them, so it accepts the t it would accept alone. The run ignores numpy's
+floating-point errors once, around the whole stack, rather than in each
+kernel. The Jacobian is never formed: each OD's logit couples only its
+own two rho coordinates and two lambdas, and each driver flow one rho
+and one lambda, so the rho-rho block is block diagonal with one 2x2
+block per OD. A Newton step eliminates those blocks in closed form and
+solves an n_nodes x n_nodes Schur complement for lambda
 (block elimination, Boyd & Vandenberghe, Convex Optimization, App. C.4):
 O(m n^2 + n^3) work per step for m ODs and n nodes, against
 O((2m + n)^3) for a dense LU. Prices follow from the duals by the
@@ -440,8 +441,9 @@ def _newton(
     Armijo, lowers phi by more than the allowance of the step before and
     moves no driver exponent by more than CLIMB_REACH
     (beta3 |t d|_inf <= CLIMB_REACH). A backtracking row stalls, and
-    fails, if the halving it accepts or the next one it would try has t d
-    below the float resolution of y.
+    fails, if the halving it accepts or the next one it would try is at
+    or below its t_min, the t at which t d falls below the float
+    resolution of y.
 
     The schedule. A pass evaluates phi in rounds, one call each, and every
     round plans its trials by one rule: each searching row gets as many of
@@ -451,12 +453,15 @@ def _newton(
     on the last pass; then the halvings down to the t with
     beta3 |t d|_inf < 1 if the longest step has beta3 |d|_inf >= 2
     (beta3 the largest over the cells). Its t = 1 trials, y + d, are the
-    state. After round 0 a climbing row wants its doublings left and a
-    backtracking row its halvings left, stopping short of the stall of
-    every backtracking row; a row searches on only while its trials ran
-    out without an answer. The trial a row accepts overwrites its row of
-    the state. Phi is evaluated row by row, so which round holds a trial
-    never changes a row's step. A row that finishes, or fails, leaves the
+    state. In each round every searching row then walks its own trials in
+    order, reading phi and its allowance as Python floats, by the climbing
+    or the backtracking rule above, and carries its next t into the next
+    round only if its trials ran out without an answer. There a climbing
+    row wants its doublings left and a backtracking row its halvings
+    left, stopping short of the stall of every backtracking row.
+    The trials the rows accept overwrite their rows of the state, once per
+    round. Phi is evaluated row by row, so which round holds a trial never
+    changes a row's step. A row that finishes, or fails, leaves the
     stack. The whole run ignores numpy's floating-point errors: an
     overflowing or singular point is a value here (+inf, NaN), which the
     line search and the failure tests reject, never a warning.
@@ -480,7 +485,9 @@ def _newton(
     cells = [cs] * k if isinstance(cs, CompiledScenario) else list(cs)
     cs = cs if isinstance(cs, CompiledScenario) else stack_cells(cells)
     histories: list[list[float]] = [[] for _ in range(k)]
-    iterates: list[list[np.ndarray]] = [[] for _ in range(k)]
+    # per row, its lowest inf-norm and the first iterate that reached it;
+    # a row's first iterate is its start
+    best, best_y = [math.inf] * k, Y.copy()
     # per row, its NotConverged or the (prices, traveler, driver, residual)
     # of its solution, which gets the wall time once every row has ended
     ends: list = [None] * k
@@ -496,22 +503,11 @@ def _newton(
         cs_rows = cs.cells(keep)
     climbed = False  # whether some row climbed on the last pass
 
-    def fail(positions: np.ndarray, why) -> None:
+    def fail(positions: np.ndarray | list[int], why) -> None:
         """Fail the rows at these positions of the stack; `why` maps the
         row's inf-norm and best inf-norm to the message."""
-        for p in positions:
-            i = int(rows[p])
-            history = histories[i]
-            best = int(np.argmin(history))  # the first, on ties
-            ends[i] = NotConverged(why(inf_norm[p], history[best]), iterates[i][best].copy(),
-                                   history)
-
-    def accept(at: np.ndarray, took: np.ndarray) -> None:
-        """The rows at these positions of the stack take the round's trials
-        at `took` as their rows of the state."""
-        if at.size:
-            for whole, part in zip(state, evaluated):
-                whole[at] = part.take(took, axis=0)
+        for i, x in zip(rows[positions].tolist(), inf_norm[positions]):
+            ends[i] = NotConverged(why(x, best[i]), best_y[i].copy(), histories[i])
 
     while rows.size:
         q, P, E, E_H, Q = flows
@@ -519,7 +515,8 @@ def _newton(
         inf_norm = np.abs(r).max(axis=-1)
         for i, x, y in zip(rows.tolist(), inf_norm.tolist(), Y):
             histories[i].append(x)
-            iterates[i].append(y)
+            if x < best[i]:  # the first, on ties
+                best[i], best_y[i] = x, y
         step = _newton_step(cs_rows, P, E, Q, r[..., None])[..., 0]
         size = np.abs(step).max(axis=-1)  # |d|_inf
         slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
@@ -570,64 +567,74 @@ def _newton(
         down = np.flatnonzero(~(state[1] <= phi + slope + allowance))
         climbed = up.size > 0
         if climbed or down.size:
+            # as Python floats: phi, its allowance and the Armijo slope at y,
+            # then phi and its allowance at the round's trials
+            n, f_y, a_y, s_y = rows.size, phi.tolist(), allowance.tolist(), slope.tolist()
+            f_t, a_t = phi_t.tolist(), allowance_t.tolist()
+            moves = (cs_rows.beta3 * size[:, None])[:, 0].tolist()  # beta3 |d|_inf
             # the step length below which t d is below the float resolution
             # of y: a row stalls at the first halving there
-            t_min = _EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / size if down.size else None
-            # the round's trials by line and row, as indices into
-            # `evaluated`: line 0 holds the state, then come a line per
-            # doubling and per halving
-            lines = np.arange(len(trial)).reshape(-1, rows.size)
-            j_up, j_down, dead = 1, 1, []  # the next doubling and halving, the rows that stall
+            t_min = (_EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / size).tolist()
+            # each searching row's walk: its position, the index j of its
+            # next doubling or halving and the indices in `evaluated` of its
+            # trials this round; a climbing row also carries phi and the
+            # allowance of the step it climbs from. Round 0 holds a row's
+            # trials n apart, after the state's n rows
+            climbs = [(p, 1, range(p + n, n * (ups + 1), n), f_t[p], a_t[p]) for p in up.tolist()]
+            backs = [(p, 1, range(p + n * (ups + 1), len(trial), n)) for p in down.tolist()]
+            dead = []  # the rows that stall
             while True:
-                if up.size and ups:
+                # the trial each row accepts, and the walks that go on
+                chosen, climbing, backtracking = {}, [], []
+                for p, j, run, f, a in climbs:
                     # a climbing row keeps the last doubling of its leading
-                    # run of passes; line 0 of phi_T and allowance_T is the
-                    # state's, the step it climbs from
-                    t = _DOUBLINGS[j_up : j_up + ups, None]
-                    moves = (cs_rows.beta3 * size[:, None])[:, 0]  # beta3 |d|_inf
-                    phi_T, allowance_T = phi_t[lines[: ups + 1]], allowance_t[lines[:ups]]
-                    phi_T[0], allowance_T[0] = state[1], state[2]
-                    ok = (phi_T[1:] <= phi + t * slope + allowance) & (t * moves <= CLIMB_REACH)
-                    ok &= phi_T[1:] < phi_T[:-1] - allowance_T
-                    run = np.logical_and.accumulate(ok).sum(axis=0)[up]
-                    moved = up[run > 0]
-                    accept(moved, lines[run[run > 0], moved])
-                    j_up += ups
-                    up = up[run == ups] if j_up <= CLIMB else up[:0]
-                if down.size:
+                    # run of passes
+                    for t, i in zip(_DOUBLINGS[j:].tolist(), run):
+                        if not (f_t[i] <= f_y[p] + t * s_y[p] + a_y[p]
+                                and t * moves[p] <= CLIMB_REACH and f_t[i] < f - a):
+                            break
+                        f, a, j, chosen[p] = f_t[i], a_t[i], j + 1, i
+                    else:
+                        if j <= CLIMB:
+                            climbing.append((p, j, f, a))
+                for p, j, run in backs:
                     # a backtracking row takes its first halving that passes
                     # Armijo, and stalls if that, or the next halving it
-                    # would try, is at its stall or past it
-                    h = _HALVINGS[j_down : j_down + downs, None]
-                    ok = phi_t[lines[ups + 1 :]] <= phi + h * slope + allowance
-                    lead = np.logical_and.accumulate(~ok).sum(axis=0)[down]
-                    stalled = _HALVINGS[j_down + lead] <= t_min[down]
-                    passed = ~stalled & (lead < downs)
-                    at = down[passed]
-                    accept(at, lines[ups + 1 + lead[passed], at])
-                    fail(down[stalled], lambda x, _: f"line search stalled at inf-norm {x:.3g}")
-                    dead.extend(down[stalled])
-                    j_down += downs
-                    down = down[~stalled & (lead == downs)]
-                if not (up.size or down.size):
+                    # would try, is at or below its t_min
+                    k, h = 0, _HALVINGS[j : j + len(run)].tolist()
+                    while k < len(run) and not f_t[run[k]] <= f_y[p] + h[k] * s_y[p] + a_y[p]:
+                        k += 1
+                    if _HALVINGS[j + k] <= t_min[p]:
+                        dead.append(p)
+                    elif k < len(run):
+                        chosen[p] = run[k]
+                    else:
+                        backtracking.append((p, j + k))
+                if chosen:
+                    at, took = np.fromiter(chosen, int), np.fromiter(chosen.values(), int)
+                    for whole, part in zip(state, evaluated):
+                        whole[at] = part[took]
+                if not (climbing or backtracking):
                     break
                 # the next round: each searching row's step lengths left, the
                 # halvings short of every backtracking row's stall, as many as
                 # fit in the budget the round's rows share
-                room = max(1, LADDER_ENTRIES // (point * (up.size + down.size)))
-                ups = up.size and min(room, CLIMB + 1 - j_up)
-                stall = down.size and np.searchsorted(-_HALVINGS, -t_min[down].max())
-                downs = down.size and min(room, stall - j_down)
-                at = np.concatenate([up] * ups + [down] * downs)
-                t = np.concatenate([_DOUBLINGS[j_up : j_up + ups].repeat(up.size),
-                                    _HALVINGS[j_down : j_down + downs].repeat(down.size)])
-                trial = Y[at] + t[:, None] * step[at]
+                room = max(1, LADDER_ENTRIES // (point * (len(climbing) + len(backtracking))))
+                stall = backtracking and int(np.searchsorted(
+                    -_HALVINGS, -max(t_min[p] for p, _ in backtracking)))
+                at, ts, climbs, backs = [], [], [], []
+                for p, j, *base in climbing + backtracking:
+                    run = _DOUBLINGS[j : j + room] if base else _HALVINGS[j : min(j + room, stall)]
+                    walk = (p, j, range(len(ts), len(ts) + run.size), *base)
+                    (climbs if base else backs).append(walk)
+                    at += [p] * run.size
+                    ts += run.tolist()
+                trial = Y[at] + np.array(ts)[:, None] * step[at]
                 phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at), trial)
                 evaluated = (trial, phi_t, allowance_t, *flows_t)
-                lines = np.zeros((1 + ups + downs, rows.size), dtype=np.intp)
-                lines[1 : ups + 1, up] = np.arange(ups * up.size).reshape(ups, up.size)
-                lines[ups + 1 :, down] = np.arange(ups * up.size, len(at)).reshape(downs, down.size)
+                f_t, a_t = phi_t.tolist(), allowance_t.tolist()
             if dead:
+                fail(dead, lambda x, _: f"line search stalled at inf-norm {x:.3g}")
                 live = np.isin(np.arange(rows.size), dead, invert=True)
                 rows, *state = (a[live] for a in (rows, *state))
                 cs_rows = cs_rows.cells(live)
@@ -699,9 +706,10 @@ def solve(
 STACK_CELLS = 32
 
 #: Most driver-flow entries, n x (2m + 1) per trial point, in one round of
-#: `_newton`'s line search, unless the round holds one step length per row;
-#: `_newton` describes how a round shares it. A row's accepted step does
-#: not depend on it.
+#: `_newton`'s line search, unless the round holds one step length per
+#: searching row. The round's searching rows share it: each gets as many
+#: of the step lengths it wants next as fit, and at least one, and walks
+#: them on its own (`_newton`). A row's accepted step does not depend on it.
 LADDER_ENTRIES = 4096
 
 #: Doublings t = 2, 4, 8 a climbing row of `_newton` tries at most.

@@ -771,7 +771,9 @@ class TestLadder:
         # the plain halving line search, and 10**9 holds every trial a row
         # wants in each round; the ladder must accept the same t everywhere:
         # every row's solution or failure bit for bit, on far starts that
-        # fail in every way a row can fail
+        # fail in every way a row can fail. Every failure's best iterate has
+        # the lowest inf-norm of its history, on the row's own scenario or
+        # sweep cell
         runs = []
         for sc in [five_node, *sioux_scenarios.values(), *micros,
                    *map(random_scenario, range(30))]:
@@ -791,14 +793,18 @@ class TestLadder:
         kinds = set()
         for cs, starts in runs:
             outcomes = _newton(cs, starts, TOL, MAX_ITER)
+            own = cs if isinstance(cs, list) else [cs] * len(starts)  # each row's cell
             for entries in (0, 10**9):
                 with monkeypatch.context() as patch:
                     patch.setattr(equilibrium, "LADDER_ENTRIES", entries)
                     outcomes_1 = _newton(cs, starts, TOL, MAX_ITER)
-                for outcome, outcome_1 in zip(outcomes, outcomes_1, strict=True):
+                for outcome, outcome_1, cell in zip(outcomes, outcomes_1, own, strict=True):
                     assert_same_outcome(outcome, outcome_1)
                     if isinstance(outcome_1, Exception):
                         kinds.add(str(outcome_1).split(" at ")[0].split(" to ")[0])
+                        if outcome_1.residual_history:
+                            r = _residual_vector(cell, outcome_1.best_y)
+                            assert np.abs(r).max() == min(outcome_1.residual_history)
         assert kinds == {
             "Newton step failed", "no convergence", "line search stalled",
             "line-search slope not finite",

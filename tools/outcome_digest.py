@@ -17,7 +17,9 @@ repository root:
     PYTHONPATH=src python tools/outcome_digest.py [LADDER_ENTRIES]
 
 The optional argument overrides `equilibrium.LADDER_ENTRIES`, the line
-search's per-round budget, which must not change any outcome.
+search's per-round budget, which must not change any outcome. The CI job
+`outcome-digest` runs it with no argument, with 0 and with 1000000000, and
+fails unless the three digests are equal.
 """
 import hashlib
 import sys
