@@ -16,8 +16,8 @@ works on a stack of dual vectors: `solve` runs it on one start,
 `validate`) on the zero start and the probe's starts together, and
 `solve_sweep` on the cells of a parameter sweep, one zero start per cell,
 each row stepping exactly as it would alone. Each row ends in one outcome,
-what `solve` from that row returns or raises: a solution, which carries
-the wall time of its whole stack, or a NotConverged. A row climbs when its
+what `solve` from that row returns or raises: a solution or a NotConverged,
+built once the stack has run, with its wall time. A row climbs when its
 full step lowers phi by 1.2 times what the quadratic model predicts, as
 far-above starts do, where a full Newton step on the exponential driver
 flows moves their exponents by only about one unit: it goes on to
@@ -92,15 +92,20 @@ class ValidationFailed(EquilibriumError):
 
 
 class NotConverged(EquilibriumError):
-    """Solver stopped short of its tolerance; carries the best iterate for diagnosis."""
+    """Solver stopped short of its tolerance; carries the best iterate for diagnosis.
 
-    def __init__(self, message: str, best_y: np.ndarray, residual_history: list[float]):
+    `wall_time` is the seconds of the solver run that ended here, as a
+    solution's: the whole stack's, for a row of a stacked run (`_newton`
+    passes it), and 0.0 unless given."""
+
+    def __init__(
+        self, message: str, best_y: np.ndarray, residual_history: list[float],
+        wall_time: float = 0.0,
+    ):
         super().__init__(message)
         self.best_y = best_y
         self.residual_history = residual_history
-        #: seconds of the solver run that ended here, as a solution's
-        #: wall_time: the whole stack's, for a row of a stacked run
-        self.wall_time = 0.0
+        self.wall_time = wall_time
 
 
 class NonPositiveFlow(EquilibriumError):
@@ -453,16 +458,18 @@ def _newton(
     on the last pass; then the halvings down to the t with
     beta3 |t d|_inf < 1 if the longest step has beta3 |d|_inf >= 2
     (beta3 the largest over the cells). Its t = 1 trials, y + d, are the
-    state. In each round every searching row then walks its own trials in
-    order, reading phi and its allowance as Python floats, by the climbing
-    or the backtracking rule above, and carries its next t into the next
-    round only if its trials ran out without an answer. There a climbing
-    row wants its doublings left and a backtracking row its halvings
-    left, stopping short of the stall of every backtracking row.
-    The trials the rows accept overwrite their rows of the state, once per
-    round. Phi is evaluated row by row, so which round holds a trial never
-    changes a row's step. A row that finishes, or fails, leaves the
-    stack. The whole run ignores numpy's floating-point errors: an
+    state. One loop over the rows, on phi, its allowance and the slope as
+    Python floats, then sorts each row's t = 1 trial: the row climbs, it
+    backtracks (the trial fails Armijo), or it accepts the trial, and the
+    loop starts the walk of each row that searches. In each round every
+    searching row walks its own trials in order, by the climbing or the
+    backtracking rule above, and carries its next t into the next round
+    only if its trials ran out without an answer. There a climbing row
+    wants its doublings left and a backtracking row its halvings left,
+    stopping short of the stall of every backtracking row. The trials the
+    rows accept overwrite their rows of the state, once per round. Phi is
+    evaluated row by row, so which round holds a trial never changes a
+    row's step. The whole run ignores numpy's floating-point errors: an
     overflowing or singular point is a value here (+inf, NaN), which the
     line search and the failure tests reject, never a warning.
 
@@ -471,14 +478,22 @@ def _newton(
     (`stack_cells`), and the stack's coefficients are subset with the rows
     it keeps and with the rows each trial re-evaluates.
 
+    How a row ends. A start whose phi is not finite (its driver flows
+    overflow) ends its row at once, with the start as the best iterate and
+    an empty history. On each pass one loop over the rows, on Python
+    floats, appends each row's residual inf-norm to its history, updates
+    its best iterate and decides, in this order, whether the row is solved
+    (see `solve`), has reached max_iter iterations, has a Newton step or a
+    slope r.d that is not finite, or goes on; a row whose line search
+    stalls ends too. A row that ends leaves the stack and records only its
+    failure's message, or its solution's arrays: the solver's own flows
+    and residual at its final vector.
+
     Returns one outcome per row, exactly what `solve` from that row returns
-    or raises: the EquilibriumSolution at its final vector, built from the
-    solver's own flows and residual there on the row's own scenario or
-    cell, or the NotConverged that ended the row. The wall time is measured
-    once, over the whole run, and every outcome carries it, a NotConverged
-    too. A failure ends its own row only; a start whose phi is not finite
-    (its driver flows overflow) ends its row at once, with the start as the
-    best iterate and an empty history.
+    or raises: the EquilibriumSolution on the row's own scenario or cell,
+    or the NotConverged with a copy of its best iterate. Each is built once,
+    after the run, and carries the run's wall time, measured once. A
+    failure ends its own row only.
     """
     started = time.perf_counter()
     k = len(Y)
@@ -488,61 +503,52 @@ def _newton(
     # per row, its lowest inf-norm and the first iterate that reached it;
     # a row's first iterate is its start
     best, best_y = [math.inf] * k, Y.copy()
-    # per row, its NotConverged or the (prices, traveler, driver, residual)
-    # of its solution, which gets the wall time once every row has ended
+    # per row that has ended, its NotConverged's message or its solution's
+    # arrays (y, q, E, E_H, Q, r); both are built once the run has ended
     ends: list = [None] * k
     point = cs.n_nodes * (2 * cs.m + 1)  # driver-flow entries per trial point
     beta3 = float(np.max(cs.beta3))  # the largest over the cells
     phi, allowance, flows = _potential(cs, Y)
-    rows, cs_rows, keep = np.arange(k), cs, np.flatnonzero(np.isfinite(phi))
-    if keep.size < k:
-        for i in np.setdiff1d(rows, keep):
-            ends[i] = NotConverged("initial dual vector overflows the driver flows", Y[i].copy(),
-                                   histories[i])
-        rows, Y, phi, allowance, *flows = (a[keep] for a in (rows, Y, phi, allowance, *flows))
-        cs_rows = cs.cells(keep)
+    for i in np.flatnonzero(~np.isfinite(phi)).tolist():
+        ends[i] = "initial dual vector overflows the driver flows"
+    rows, cs_rows = np.arange(k), cs
     climbed = False  # whether some row climbed on the last pass
-
-    def fail(positions: np.ndarray | list[int], why) -> None:
-        """Fail the rows at these positions of the stack; `why` maps the
-        row's inf-norm and best inf-norm to the message."""
-        for i, x in zip(rows[positions].tolist(), inf_norm[positions]):
-            ends[i] = NotConverged(why(x, best[i]), best_y[i].copy(), histories[i])
-
-    while rows.size:
+    # a row whose start overflows, or whose line search stalled on the last
+    # pass, leaves the stack
+    while keep := [p for p, i in enumerate(rows.tolist()) if ends[i] is None]:
+        if len(keep) < rows.size:
+            rows, Y, phi, allowance, *flows = (a[keep] for a in (rows, Y, phi, allowance, *flows))
+            cs_rows = cs_rows.cells(keep)
         q, P, E, E_H, Q = flows
         r = _residual_of_flows(cs_rows, q, E, Q)
-        inf_norm = np.abs(r).max(axis=-1)
-        for i, x, y in zip(rows.tolist(), inf_norm.tolist(), Y):
-            histories[i].append(x)
-            if x < best[i]:  # the first, on ties
-                best[i], best_y[i] = x, y
         step = _newton_step(cs_rows, P, E, Q, r[..., None])[..., 0]
         size = np.abs(step).max(axis=-1)  # |d|_inf
         slope = 1e-4 * np.vecdot(r, step)  # not finite when the step is not
-        go = np.isfinite(slope)
-        capped = len(histories[rows[0]]) > max_iter  # the same for every row
-        if (inf_norm <= tol).any() or not go.all() or capped:
-            # stop on the residual and on dual accuracy: the step is the
-            # first-order error of y (Boyd & Vandenberghe, section 9.5.1)
-            done = (inf_norm <= tol) & (size <= 1e-9 * np.maximum(1.0, np.abs(Y).max(axis=-1)))
-            for p in np.flatnonzero(done):
-                cell = cells[rows[p]]
-                ends[rows[p]] = (PriceSystem(cell, Y[p].copy()), TravelerFlows(cell, q[p]),
-                                 DriverFlows(cell, E[p], E_H[p], Q[p]), ResidualReport(cell, r[p]))
-            if capped:
-                fail(np.flatnonzero(~done), lambda x, best: f"no convergence to {tol:g} within"
-                     f" {max_iter} iterations (best inf-norm {best:.3g})")
+        # each row's history and best iterate, and whether it goes on: it is
+        # solved on the residual and on dual accuracy (the step is the
+        # first-order error of y, Boyd & Vandenberghe, section 9.5.1), or
+        # fails at the iteration cap or on a step or slope that is not finite
+        for p, (i, x, s, g, y) in enumerate(zip(
+                rows.tolist(), np.abs(r).max(axis=-1).tolist(), size.tolist(), slope.tolist(), Y)):
+            histories[i].append(x)
+            if x < best[i]:  # the first, on ties
+                best[i], best_y[i] = x, y
+            if x <= tol and s <= 1e-9 * np.maximum(1.0, np.abs(y).max()):
+                ends[i] = (y.copy(), q[p], E[p], E_H[p], Q[p], r[p])
+            elif len(histories[i]) > max_iter:
+                ends[i] = (f"no convergence to {tol:g} within {max_iter} iterations"
+                           f" (best inf-norm {best[i]:.3g})")
+            elif not math.isfinite(s):
+                ends[i] = (f"Newton step failed at inf-norm {x:.3g}: singular Schur"
+                           " complement or non-finite step")
+            elif not math.isfinite(g):
+                ends[i] = f"line-search slope not finite at inf-norm {x:.3g}"
+        keep = [p for p, i in enumerate(rows.tolist()) if ends[i] is None]
+        if len(keep) < rows.size:
+            if not keep:
                 break
-            fail(np.flatnonzero(~done & ~np.isfinite(size)), lambda x, _: f"Newton step failed"
-                 f" at inf-norm {x:.3g}: singular Schur complement or non-finite step")
-            fail(np.flatnonzero(~done & np.isfinite(size) & ~go),
-                 lambda x, _: f"line-search slope not finite at inf-norm {x:.3g}")
-            keep = np.flatnonzero(go & ~done)
-            rows, Y, phi, allowance, step, size, slope, inf_norm, *flows = (a[keep] for a in (
-                rows, Y, phi, allowance, step, size, slope, inf_norm, *flows))
-            if not rows.size:
-                break
+            rows, Y, phi, allowance, step, size, slope, *flows = (a[keep] for a in (
+                rows, Y, phi, allowance, step, size, slope, *flows))
             cs_rows = cs_rows.cells(keep)
 
         # The line search (see the docstring), round 0 first: its trials per
@@ -560,29 +566,30 @@ def _newton(
         phi_t, allowance_t, flows_t = _potential(cs_trial, trial)
         evaluated = (trial, phi_t, allowance_t, *flows_t)
         state = tuple(a[: rows.size] for a in evaluated) if ups or downs else evaluated
-        # each direction's searching rows, as positions of the stack: phi
-        # falls by more than 0.6 (-r.d) = -6e3 slope and by more than its
-        # rounding allowance, so a climbing row passes Armijo too
-        up = np.flatnonzero(phi - state[1] > np.maximum(-6e3 * slope, allowance))
-        down = np.flatnonzero(~(state[1] <= phi + slope + allowance))
-        climbed = up.size > 0
-        if climbed or down.size:
-            # as Python floats: phi, its allowance and the Armijo slope at y,
-            # then phi and its allowance at the round's trials
-            n, f_y, a_y, s_y = rows.size, phi.tolist(), allowance.tolist(), slope.tolist()
-            f_t, a_t = phi_t.tolist(), allowance_t.tolist()
+        # as Python floats: phi, its allowance and the Armijo slope at y,
+        # then phi and its allowance at the round's trials
+        n, f_y, a_y, s_y = rows.size, phi.tolist(), allowance.tolist(), slope.tolist()
+        f_t, a_t = phi_t.tolist(), allowance_t.tolist()
+        # each row's t = 1 trial: the row climbs if phi falls there by more
+        # than 0.6 (-r.d) = -6e3 slope and by more than its rounding
+        # allowance, so that it passes Armijo too, and backtracks if the
+        # trial fails Armijo. A searching row's walk holds its position, the
+        # index j of its next doubling or halving and the indices in
+        # `evaluated` of its trials this round (round 0 holds a row's trials
+        # n apart, after the state's n rows); a climbing row also carries
+        # phi and the allowance of the step it climbs from
+        climbs, backs = [], []
+        for p, (f, a, s, f1) in enumerate(zip(f_y, a_y, s_y, f_t)):
+            if f - f1 > -6e3 * s and f - f1 > a:
+                climbs.append((p, 1, range(p + n, n * (ups + 1), n), f1, a_t[p]))
+            elif not f1 <= f + s + a:
+                backs.append((p, 1, range(p + n * (ups + 1), len(trial), n)))
+        climbed = bool(climbs)
+        if climbs or backs:
             moves = (cs_rows.beta3 * size[:, None])[:, 0].tolist()  # beta3 |d|_inf
             # the step length below which t d is below the float resolution
             # of y: a row stalls at the first halving there
             t_min = (_EPS * np.maximum(1.0, np.abs(Y).max(axis=-1)) / size).tolist()
-            # each searching row's walk: its position, the index j of its
-            # next doubling or halving and the indices in `evaluated` of its
-            # trials this round; a climbing row also carries phi and the
-            # allowance of the step it climbs from. Round 0 holds a row's
-            # trials n apart, after the state's n rows
-            climbs = [(p, 1, range(p + n, n * (ups + 1), n), f_t[p], a_t[p]) for p in up.tolist()]
-            backs = [(p, 1, range(p + n * (ups + 1), len(trial), n)) for p in down.tolist()]
-            dead = []  # the rows that stall
             while True:
                 # the trial each row accepts, and the walks that go on
                 chosen, climbing, backtracking = {}, [], []
@@ -605,7 +612,8 @@ def _newton(
                     while k < len(run) and not f_t[run[k]] <= f_y[p] + h[k] * s_y[p] + a_y[p]:
                         k += 1
                     if _HALVINGS[j + k] <= t_min[p]:
-                        dead.append(p)
+                        i = rows[p]
+                        ends[i] = f"line search stalled at inf-norm {histories[i][-1]:.3g}"
                     elif k < len(run):
                         chosen[p] = run[k]
                     else:
@@ -633,20 +641,16 @@ def _newton(
                 phi_t, allowance_t, flows_t = _potential(cs_rows.cells(at), trial)
                 evaluated = (trial, phi_t, allowance_t, *flows_t)
                 f_t, a_t = phi_t.tolist(), allowance_t.tolist()
-            if dead:
-                fail(dead, lambda x, _: f"line search stalled at inf-norm {x:.3g}")
-                live = np.isin(np.arange(rows.size), dead, invert=True)
-                rows, *state = (a[live] for a in (rows, *state))
-                cs_rows = cs_rows.cells(live)
         Y, phi, allowance, *flows = state
 
     wall_time = time.perf_counter() - started
-    for i, (end, history) in enumerate(zip(ends, histories)):
-        if isinstance(end, NotConverged):
-            end.wall_time = wall_time
-        else:
-            ends[i] = EquilibriumSolution(*end, wall_time, tuple(history))
-    return ends
+    return [
+        NotConverged(end, best_y[i].copy(), history, wall_time) if isinstance(end, str)
+        else EquilibriumSolution(PriceSystem(cell, end[0]), TravelerFlows(cell, end[1]),
+                                 DriverFlows(cell, *end[2:5]), ResidualReport(cell, end[5]),
+                                 wall_time, tuple(history))
+        for i, (end, history, cell) in enumerate(zip(ends, histories, cells))
+    ]
 
 
 def solve(

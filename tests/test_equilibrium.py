@@ -615,10 +615,16 @@ def assert_same_outcome(stacked, alone):
 
 def assert_rows_match_one_by_one(sc, starts, tol=TOL, max_iter=MAX_ITER):
     """Every row of a `_newton` stack returns what `solve` gives from its
-    start alone, bit for bit; returns the stack's outcomes."""
+    start alone, bit for bit, and carries the one wall time of the stack, a
+    failure with a best iterate that owns its data; returns the stack's
+    outcomes."""
     outcomes = _newton(compile_scenario(sc), starts, tol, max_iter)
     for outcome, start in zip(outcomes, starts, strict=True):
         assert_same_outcome(outcome, solve_alone(sc, start, tol=tol, max_iter=max_iter))
+        if isinstance(outcome, NotConverged):
+            assert outcome.best_y.base is None
+    assert len({outcome.wall_time for outcome in outcomes}) == 1
+    assert outcomes[0].wall_time > 0
     return outcomes
 
 
