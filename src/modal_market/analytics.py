@@ -129,7 +129,7 @@ def sweep(
     max_iter: int = MAX_ITER,
 ) -> list[SweepCell]:
     """One cell per value, in input order: `with_param(sc, param, value)`
-    solved from the zero start. The cells are solved as stacked Newton runs
+    solved from its default start. The cells are solved as stacked Newton runs
     (`solve_sweep`), and each equals its own `solve` bit for bit. A cell
     whose scenario fails validation or whose solve fails carries its error.
     Raises ValueError, before any cell is built, for a `param` that names

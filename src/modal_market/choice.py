@@ -94,6 +94,10 @@ class CompiledScenario:
     dQ: np.ndarray         # (n_nodes,) sign-in rates
     column_pairs: tuple[tuple[int, int], ...]  # (2m,) driver pair per column
     reloc: np.ndarray      # (n_nodes, 2m) minutes from node to column's origin
+    # a column's driver exponents depend on its origin only: A[:, c] is
+    # A[:, origin_cols[col_origin[c]]], one column per distinct origin
+    col_origin: np.ndarray     # (2m,) index of each column's origin
+    origin_cols: np.ndarray    # (n_origins,) first column of each origin
     # Flat positions of the traveler logit sensitivities in the Jacobian
     # blocks, for values ordered (ride,ride), (ride,multi), (multi,ride),
     # (multi,multi), each in od order: rho_lam_flat indexes a (2m, n_nodes)
@@ -240,6 +244,8 @@ def _compile(sc: Scenario) -> CompiledScenario:
         dQ=dQ,
         column_pairs=column_pairs,
         reloc=reloc,
+        col_origin=cols,
+        origin_cols=np.unique(cols, return_index=True)[1],
         rho_lam_flat=rho_lam_flat,
         lam_lam_flat=lam_lam_flat,
         phi_weights=phi_weights,

@@ -13,13 +13,14 @@ merit function, and stops once the residual and the Newton step (the
 first-order error of the duals) are both small. The Newton core (`_newton`)
 works on a stack of dual vectors: `solve` runs it on one start,
 `uniqueness_probe` on all of its starts at once, `solve_and_probe` (the CLI's
-`validate`) on the zero start and the probe's starts together, and
-`solve_sweep` on the cells of a parameter sweep, one zero start per cell,
-each row stepping exactly as it would alone. Each row ends in one outcome,
-what `solve` from that row returns or raises: a solution or a NotConverged,
-built once the stack has run, with its wall time. A row climbs when its
-full step lowers phi by 1.2 times what the quadratic model predicts, as
-far-above starts do, where a full Newton step on the exponential driver
+`validate`) on the default start and the probe's starts together, and
+`solve_sweep` on the cells of a parameter sweep, each from its own default
+start, each row stepping exactly as it would alone; the default start
+(`_start`, described in `solve`) is one closed-form balancing sweep of the
+clearing conditions. Each row ends in one outcome, what `solve` from that
+row returns or raises: a solution or a NotConverged, built once the stack
+has run, with its wall time. A row climbs when its full step lowers
+phi by 1.2 times what the quadratic model predicts, as far-above starts do, where a full Newton step on the exponential driver
 flows moves their exponents by only about one unit: it goes on to
 t = 2, 4, 8 while each doubling still passes Armijo, lowers phi and moves
 no driver exponent by more than CLIMB_REACH. A row that backtracks
@@ -653,6 +654,51 @@ def _newton(
     ]
 
 
+def _log_served(cs: CompiledScenario, eta: np.ndarray | float) -> np.ndarray:
+    """(..., 2m) log of the traveler demand each driver column serves at
+    traveler prices eta in column order (ride per OD, then multimodal per
+    OD), formed from the utilities, so a share that underflows still has a
+    finite log."""
+    U = np.concatenate([cs.u_ride, cs.u_multi], axis=-1) - cs.beta2 * eta
+    lse = np.logaddexp(np.logaddexp(cs.u_drive, U[..., : cs.m]), U[..., cs.m :]) - np.log(cs.d)
+    return U - np.concatenate([lse, lse], axis=-1)
+
+
+def _log_scatter(
+    cs: CompiledScenario, name: str, values: np.ndarray, log_extra: np.ndarray
+) -> np.ndarray:
+    """ln(_scatter(cs, name, e^values) + e^log_extra), with log_extra
+    (size,), summed in log space (np.logaddexp), so that no sum underflows
+    unless all its terms are -inf."""
+    total = np.empty(values.shape[:-1] + log_extra.shape)
+    total[...] = log_extra
+    rows = values.size // getattr(cs, name).size
+    np.logaddexp.at(total.reshape(-1), cs.stacked_index(name, log_extra.size, rows), values.ravel())
+    return total
+
+
+@np.errstate(divide="ignore")  # ln 0 = -inf: a node without sign-ins
+def _start(cs: CompiledScenario) -> np.ndarray:
+    """The default start of `solve`; a stack of sweep cells gets a (k, dim)
+    stack, each row what its cell alone gets.
+
+    With x_c = ln s_c - LSE_n A[n, c], s_c the demand column c serves at
+    zero prices: rho_c = min(x_c / beta3, x_c / (beta3 + beta2)) and
+    lambda_n = (ln(a_n + dQ_n) - LSE(A[n, :] + beta3 rho, a_H[n])) / beta3,
+    with a_n the drop-offs at node n at traveler prices eta = rho. The
+    log-sum-exps read one column per origin, since a column's driver
+    exponents depend on its origin only. Every sum is taken in log space,
+    by np.logaddexp, so that no log of an underflowing share or sum is
+    -inf, and no term overflows."""
+    A = cs.A[..., cs.origin_cols]  # (..., n, n_origins)
+    x = _log_served(cs, 0.0) - np.logaddexp.reduce(A, axis=-2)[..., cs.col_origin]
+    rho = np.minimum(x / cs.beta3, x / (cs.beta3 + cs.beta2))
+    log_stock = _log_scatter(cs, "drop_idx", _log_served(cs, rho), np.log(cs.dQ))
+    by_origin = _log_scatter(cs, "col_origin", cs.beta3 * rho, np.full(A.shape[-1], -np.inf))
+    lse_X = np.logaddexp(np.logaddexp.reduce(A + by_origin[..., None, :], axis=-1), cs.a_H)
+    return np.concatenate([rho, (log_stock - lse_X) / cs.beta3], axis=-1)
+
+
 def solve(
     sc: Scenario,
     tol: float = TOL,
@@ -684,6 +730,25 @@ def solve(
     y, is at most 1e-9 max(1, |y|_inf) in the inf-norm. It is `_newton` on
     a stack of one row, whose failure it raises.
 
+    The default start (`_start`) is one block sweep of the clearing
+    conditions in closed form, the balancing step of Furness/Sinkhorn
+    scaling (paired with Newton by Brauer, Clason, Lorenz & Wirth, 2017).
+    rho first: each driver column's supply at lambda = 0 meets the traveler
+    demand it serves at zero prices, times e^(-beta2 rho) where its price
+    rho is positive. That factor is the demand's response to a price rise
+    while the mode's share is small; a price cut is taken to leave the
+    demand as it is, as when the share is close to 1. Balancing against
+    the zero-price demand alone overshoots where drivers are scarce: the
+    high price it sets leaves both flows of the market below float
+    resolution, where Newton stalls (5node at beta0_r_default <= -500).
+    Then lambda: each node's driver stock meets its drop-offs at traveler
+    prices eta = rho plus its sign-ins. Far below the demand, as y = 0 is,
+    Newton's first passes backtrack; from the balanced start most of that
+    phase is gone. It is formed in log space, and no driver exponent at it
+    exceeds the log of its node's stock, so it overflows only where a stock
+    passes e^EXP_BOUND. y0 = np.zeros(dim) gives the zero start; both reach
+    the same duals within the stopping rule, not bit for bit.
+
     Raises NotConverged, with the iterate of lowest inf-norm, the inf-norm
     history and the run's wall time, if that does not happen within
     `max_iter` iterations, if the step cannot be formed (singular Schur
@@ -696,7 +761,7 @@ def solve(
     """
     _check_stopping(tol, max_iter)
     cs = _compiled(sc)
-    y = np.zeros(cs.dim) if y0 is None else _dual_vector(cs, y0, "y0")
+    y = _start(cs) if y0 is None else _dual_vector(cs, y0, "y0")
     (outcome,) = _newton(cs, y[None], tol, max_iter)
     if isinstance(outcome, NotConverged):
         raise outcome
@@ -735,7 +800,8 @@ def solve_sweep(
     tol: float = TOL, max_iter: int = MAX_ITER,
 ) -> list[EquilibriumSolution | Exception]:
     """`solve(with_param(sc, param, value), tol, max_iter)` for each value,
-    as stacked Newton runs from the zero start (`_newton` on the cells).
+    as stacked Newton runs from each cell's default start (`_newton` on the
+    cells, `_start` on their stack).
 
     Each entry is the outcome of its cell's row, what that solve returns,
     bit for bit in y, flows, residual and history, with the cell as its
@@ -758,8 +824,7 @@ def solve_sweep(
             outcomes.append(exc)
     for first in range(0, len(valid), STACK_CELLS):
         index, cells = zip(*valid[first : first + STACK_CELLS])
-        Y = np.zeros((len(cells), cells[0].dim))
-        for i, outcome in zip(index, _newton(cells, Y, tol, max_iter)):
+        for i, outcome in zip(index, _newton(cells, _start(stack_cells(cells)), tol, max_iter)):
             outcomes[i] = outcome
     return outcomes
 
@@ -801,7 +866,7 @@ def solve_and_probe(
     sc: Scenario, k: int = 5, seed: int = 0
 ) -> tuple[EquilibriumSolution, float | NotConverged]:
     """`solve(sc)` and `uniqueness_probe(sc, k, seed)` as one stacked Newton
-    run, with the zero start as row 0 of the probe's stack.
+    run, with the default start as row 0 of the probe's stack.
 
     Row 0's outcome is what `solve` returns or raises: the solution is
     returned, bit for bit, and a NotConverged is raised, after the probe's
@@ -811,7 +876,7 @@ def solve_and_probe(
     ValueError if k < 2.
     """
     cs, starts = _probe_starts(sc, k, seed)
-    solution, *probe = _newton(cs, np.vstack([np.zeros(cs.dim), starts]), TOL, MAX_ITER)
+    solution, *probe = _newton(cs, np.vstack([_start(cs), starts]), TOL, MAX_ITER)
     if isinstance(solution, NotConverged):
         raise solution
     return solution, _deviation(probe)

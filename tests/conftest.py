@@ -38,7 +38,7 @@ def grid_duals(micros):
 
 @pytest.fixture(scope="session")
 def solved_corpus(five_node, five_node_solution, sioux_scenarios, sioux_solutions):
-    """{name: (scenario, zero-start solution)} for the builtins and
+    """{name: (scenario, default-start solution)} for the builtins and
     random_scenario 0-99, in that order; the solves take seconds, so they
     run once per session."""
     cases = [(five_node, five_node_solution)]

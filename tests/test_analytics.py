@@ -197,22 +197,34 @@ class TestSweep:
         assert stacks == [5, 2, 2, 1]
 
     def test_failed_cells_keep_their_solo_messages(self, five_node):
-        # with a sign-out bonus at node 5, beta3 = 800 overflows the driver
-        # flows at the zero start, beta3 = -1 fails validation and beta3 = 3
-        # needs 8 iterations; the other cells converge in 7
+        # with a sign-out bonus at node 5, beta3 = -1 fails validation and
+        # beta3 = 0.1 needs 7 iterations; the other cells converge in 6 or
+        # fewer
         sc = dataclasses.replace(five_node, signout_bonus={5: 1.0})
-        grid = [0.5, -1.0, 800.0, 3.0, 1.0]
-        cells = sweep(sc, "driver_params.beta3", grid, max_iter=7)
+        grid = [0.5, -1.0, 800.0, 0.1, 1.0]
+        cells = sweep(sc, "driver_params.beta3", grid, max_iter=6)
         assert list(map(repr, cells)) == [
-            repr(solo_cell(sc, "driver_params.beta3", v, max_iter=7)) for v in grid
+            repr(solo_cell(sc, "driver_params.beta3", v, max_iter=6)) for v in grid
         ]
-        outcomes = solve_sweep(sc, "driver_params.beta3", grid, max_iter=7)
+        outcomes = solve_sweep(sc, "driver_params.beta3", grid, max_iter=6)
         assert [type(o).__name__ for o in outcomes] == [
-            "EquilibriumSolution", ValidationFailed.__name__, NotConverged.__name__,
+            "EquilibriumSolution", ValidationFailed.__name__, "EquilibriumSolution",
             NotConverged.__name__, "EquilibriumSolution",
         ]
+        assert cells[3].error.startswith("no convergence to 1e-10 within 6 iterations")
+        # a sign-in of 1e305 at node 1 overflows the driver flows at every
+        # start of every valid cell: the stock there passes e^EXP_BOUND
+        sc = dataclasses.replace(sc, signin={**sc.signin, 1: 1e305})
+        cells = sweep(sc, "driver_params.beta3", grid, max_iter=6)
+        assert list(map(repr, cells)) == [
+            repr(solo_cell(sc, "driver_params.beta3", v, max_iter=6)) for v in grid
+        ]
+        outcomes = solve_sweep(sc, "driver_params.beta3", grid, max_iter=6)
+        assert [type(o).__name__ for o in outcomes] == [
+            NotConverged.__name__, ValidationFailed.__name__, NotConverged.__name__,
+            NotConverged.__name__, NotConverged.__name__,
+        ]
         assert cells[2].error == "initial dual vector overflows the driver flows"
-        assert cells[3].error.startswith("no convergence to 1e-10 within 7 iterations")
 
 
 class TestHubStudy:

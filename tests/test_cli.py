@@ -537,12 +537,21 @@ def five_node_file(path, **driver_params):
     return str(path)
 
 
+def huge_signin_file(path):
+    """A 5node scenario document with a sign-in of 1e305 at node 1, at path:
+    the driver stock there passes e^EXP_BOUND, so the driver flows overflow
+    at every start."""
+    doc = to_document(builtin_5node())
+    doc["signin"]["1"] = 1e305
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestOverflowingStart:
     """Driver flows that overflow at a start are a non-convergence."""
 
     def test_solve_exits_3_with_one_error_line(self, tmp_path, capsys):
-        # beta0_r = 800 puts driver exponents beyond the bound at zero prices
-        scenario = five_node_file(tmp_path / "s.json", beta0_r=800.0)
+        scenario = huge_signin_file(tmp_path / "s.json")
         assert main(["solve", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
         assert captured.err == f"error: {OVERFLOW}\n"
@@ -550,7 +559,7 @@ class TestOverflowingStart:
         assert not (tmp_path / "out").exists()
 
     def test_validate_records_a_market_clearing_fail_row(self, tmp_path, capsys):
-        scenario = five_node_file(tmp_path / "s.json", beta0_r=800.0)
+        scenario = huge_signin_file(tmp_path / "s.json")
         assert main(["validate", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().out.splitlines() == [
             "PASS scenario_valid: 0 violations",
@@ -560,7 +569,7 @@ class TestOverflowingStart:
         assert report["checks"]["market_clearing"] == {"passed": False, "detail": OVERFLOW}
 
     def test_validate_records_a_uniqueness_fail_row(self, tmp_path, capsys):
-        # beta3 = 80: the zero start converges, but a probe start in
+        # beta3 = 80: the default start converges, but a probe start in
         # [-10, 10] puts a driver exponent beyond the bound
         scenario = five_node_file(tmp_path / "s.json", beta3=80.0)
         assert main(["validate", "--scenario", scenario]) == 3
@@ -569,13 +578,15 @@ class TestOverflowingStart:
         assert lines[-1] == f"FAIL uniqueness: {OVERFLOW}"
 
     def test_sweep_cell_carries_the_message(self, tmp_path, capsys):
-        code = main(["sweep", "--scenario", "builtin:5node",
+        # no swept scalar moves a stock, so every cell overflows
+        scenario = huge_signin_file(tmp_path / "s.json")
+        code = main(["sweep", "--scenario", scenario,
                      "--param", "driver_params.beta0_r_default", "--values", "0,800",
                      "--out", str(tmp_path)])
         assert code == 1
         rows = read_csv(tmp_path / "sweep_beta0_r_default.csv")
-        assert [row[1] for row in rows[1:]] == ["1", "0"]
-        assert rows[2][-1] == OVERFLOW
+        assert [row[1] for row in rows[1:]] == ["0", "0"]
+        assert rows[1][-1] == rows[2][-1] == OVERFLOW
         out = capsys.readouterr().out
         assert f"driver_params.beta0_r_default=800.0: FAILED ({OVERFLOW}) winner=-" in out
 

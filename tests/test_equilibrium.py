@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modal_market import equilibrium
@@ -14,6 +14,7 @@ from modal_market.choice import (
     PriceSystem,
     compile_scenario,
     driver_flows_dual,
+    stack_cells,
     traveler_flows,
 )
 from modal_market.equilibrium import (
@@ -29,6 +30,7 @@ from modal_market.equilibrium import (
     _probe_starts,
     _residual_of_flows,
     _residual_vector,
+    _start,
     extract_prices,
     objective_value,
     residual,
@@ -417,7 +419,7 @@ class TestSolve:
         # random_scenario(seed) with the sign-ins of a drawn subset of its
         # nodes (the bits of mask, in node order; half the draws take every
         # node) set to 0: a document that validation accepts has an
-        # equilibrium, which the zero start and the uniqueness probe's
+        # equilibrium, which the default start and the uniqueness probe's
         # starts reach, and one it refuses fails `solve` with
         # ValidationFailed, never with NotConverged
         sc = random_scenario(seed)
@@ -504,7 +506,7 @@ class TestSolve:
 
     def test_zero_iterations_evaluate_the_start(self, five_node):
         with pytest.raises(NotConverged, match="within 0 iterations") as err:
-            solve(five_node, max_iter=0)
+            solve(five_node, max_iter=0, y0=np.zeros(9))
         assert len(err.value.residual_history) == 1
         assert np.array_equal(err.value.best_y, np.zeros(9))
 
@@ -626,6 +628,94 @@ def assert_rows_match_one_by_one(sc, starts, tol=TOL, max_iter=MAX_ITER):
     assert len({outcome.wall_time for outcome in outcomes}) == 1
     assert outcomes[0].wall_time > 0
     return outcomes
+
+
+class TestStart:
+    """`_start`, the default start: one closed-form balancing sweep."""
+
+    def test_each_half_balances_its_conditions(self, five_node, sioux_scenarios):
+        # rho alone (lambda = 0) lets each driver column's supply meet its
+        # demand at zero prices times e^(-beta2 rho) where rho > 0; with
+        # lambda, each node's stock meets the drop-offs at traveler prices
+        # eta = rho plus its sign-ins. 5node at beta0_r_default = -100 has
+        # every rho > 0, the others rho of both signs
+        far_below = with_param(five_node, "driver_params.beta0_r_default", -100.0)
+        for sc in (five_node, far_below, *sioux_scenarios.values(), random_scenario(3)):
+            cs = compile_scenario(sc)
+            y = _start(cs)
+            rho_only = np.concatenate([y[: 2 * cs.m], np.zeros(cs.n_nodes)])
+            served = _flows_at(cs, np.zeros(cs.dim))[0][:, 1:].T.ravel()
+            served *= np.exp(-cs.beta2 * np.maximum(y[: 2 * cs.m], 0.0))
+            q, _, _, E, _, _ = _flows_at(cs, rho_only)
+            assert np.allclose(E.sum(axis=0), served, rtol=1e-12, atol=0), sc.name
+            arrivals = np.bincount(cs.drop_idx, q[:, 1:].T.ravel(), minlength=cs.n_nodes)
+            Q = _flows_at(cs, y)[5]
+            assert np.allclose(Q, arrivals + cs.dQ, rtol=1e-12, atol=0), sc.name
+
+    def test_sweep_cells_get_their_solo_starts(self, sioux_scenarios):
+        for p in ("driver_params.beta3", "traveler_params.beta2", "driver_params.beta1"):
+            cells = [compile_scenario(with_param(sioux_scenarios[3], p, v))
+                     for v in (0.25, 0.5, 1.0, 2.0, 4.0)]
+            stacked = _start(stack_cells(cells))
+            for row, cell in zip(stacked, cells, strict=True):
+                assert np.array_equal(row, _start(cell)), p
+
+    def test_far_above_5node_converges_from_the_default_start(self, five_node):
+        # 5node with beta0_r_default far above 0. From zero, 130, 170, 210
+        # and 250 fail with a non-finite Newton step and 800 overflows the
+        # driver flows; the default start converges at every value, to the
+        # duals the zero start reaches where it converges too
+        zero_fails = {v: "Newton step failed" for v in (130, 170, 210, 250)}
+        zero_fails[800] = "initial dual vector overflows the driver flows"
+        for v in [*range(50, 301, 10), 400, *range(680, 696), 800]:
+            sc = with_param(five_node, "driver_params.beta0_r_default", float(v))
+            sol = solve(sc)
+            try:
+                zero = solve(sc, y0=np.zeros(9))
+            except NotConverged as exc:
+                assert str(exc).startswith(zero_fails[v]), v
+            else:
+                assert v not in zero_fails
+                assert np.abs(sol.y - zero.y).max() <= 2e-9 * max(1.0, np.abs(zero.y).max()), v
+
+    def test_far_below_5node_converges_from_the_default_start(self, five_node):
+        # 5node with beta0_r_default far below 0: drivers are scarce, and the
+        # zero start converges in 7 to 137 iterations. A rho that balanced
+        # supply against the zero-price demand alone would set prices so
+        # high that both flows of each market underflow, and stall there at
+        # -500 and below; the default start converges in at most 5
+        for v in (-50, -100, -200, -400, -500, -600, -700, -750):
+            sc = with_param(five_node, "driver_params.beta0_r_default", float(v))
+            sol, zero = solve(sc), solve(sc, y0=np.zeros(9))
+            assert sol.iterations <= 5, v
+            assert np.abs(sol.y - zero.y).max() <= 2e-9 * max(1.0, np.abs(zero.y).max()), v
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 199), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    @example(13, 0.0, 2.0, 0.0)
+    @example(86, -3.0, 2.0, -2.0)
+    def test_finite_and_below_the_exponent_bound(self, seed, u, v2, v3):
+        # random_scenario(seed) with every OD demand x 10^u, beta2 x 10^v2
+        # and beta3 x 10^v3: a document that validation accepts gets a
+        # finite start at which no driver exponent passes EXP_BOUND, also
+        # where a share at zero prices underflows to 0, as in the two
+        # examples
+        sc = random_scenario(seed)
+        tp, dp = sc.traveler_params, sc.driver_params
+        sc = dataclasses.replace(
+            sc,
+            ods=tuple(dataclasses.replace(od, demand=od.demand * 10**u) for od in sc.ods),
+            traveler_params=dataclasses.replace(tp, beta2=tp.beta2 * 10**v2),
+            driver_params=dataclasses.replace(dp, beta3=dp.beta3 * 10**v3),
+        )
+        if violations(sc):
+            return
+        cs = compile_scenario(sc)
+        y = _start(cs)
+        assert np.isfinite(y).all()
+        rho, lam = cs.rho_lam(y)
+        assert (cs.A + cs.beta3 * (rho[None, :] + lam[:, None])).max() <= EXP_BOUND
+        assert (cs.a_H + cs.beta3 * lam).max() <= EXP_BOUND
 
 
 class TestStackedNewton:
@@ -914,7 +1004,7 @@ class TestLadder:
         # the Newton step stops being a descent direction
         for v in range(50, 121, 10):
             sc = with_param(five_node, "driver_params.beta0_r_default", float(v))
-            sol = solve(sc)
+            sol = solve(sc, y0=np.zeros(9))
             history, y = halving_only(compile_scenario(sc), np.zeros(sol.y.size))
             assert 52 <= len(history) - 1 <= 122 and sol.iterations <= 24, v
             assert np.abs(sol.y - y).max() <= 1e-9 * max(1.0, np.abs(y).max()), v
@@ -1016,7 +1106,7 @@ class TestSolveAndProbe:
                 assert deviation == expected, sc.name
 
     def test_probe_failure_is_returned(self, five_node):
-        # beta3 = 80: every probe start overflows, the zero start converges
+        # beta3 = 80: every probe start overflows, the default start converges
         sc = with_param(five_node, "driver_params.beta3", 80.0)
         sol, deviation = solve_and_probe(sc)
         assert np.array_equal(sol.y, solve(sc).y)
@@ -1025,8 +1115,9 @@ class TestSolveAndProbe:
         assert_same_outcome(deviation, err.value)
 
     def test_zero_start_failure_is_raised(self, five_node):
-        # beta0_r = 800 overflows the driver flows at the zero start
-        sc = with_param(five_node, "driver_params.beta0_r_default", 800.0)
+        # a sign-in of 1e305 overflows the driver flows at every start,
+        # row 0's default start included: its stock passes e^EXP_BOUND
+        sc = dataclasses.replace(five_node, signin={**five_node.signin, 1: 1e305})
         with pytest.raises(NotConverged) as alone:
             solve(sc)
         with pytest.raises(NotConverged) as err:
