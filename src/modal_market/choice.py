@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .scenario import MODES, Scenario
+from .scenario import MODES, Scenario, _relocation_matrix
 
 #: Largest raw exponent materialized by the dual flow form (natural log units).
 EXP_BOUND = 700.0
@@ -165,7 +165,7 @@ class CompiledScenario:
 
 
 def _od_fields(sc: Scenario, *names: str) -> list[np.ndarray]:
-    """(m,) array of each named OD field, in od order."""
+    """(m,) array of each named OD field, in od order, read from `sc.ods`."""
     return [np.array([getattr(od, name) for od in sc.ods], dtype=float) for name in names]
 
 
@@ -174,56 +174,36 @@ def _compile(sc: Scenario) -> CompiledScenario:
     dp = sc.driver_params
     node_ids = tuple(sc.network.nodes)
     node_index = {n: i for i, n in enumerate(node_ids)}
-    m = len(sc.ods)
+    table = sc._od_table
+    m = len(table.r)
 
-    s_idx = np.array([node_index[od.s] for od in sc.ods], dtype=int)
-    h_idx = np.array([node_index[od.hub] for od in sc.ods], dtype=int)
-    d, dt, pt, dc, pc, at, tt, tw, fare = _od_fields(
-        sc, "demand", "drive_time", "parking_time", "drive_cost", "parking_cost",
-        "hub_access_time", "transit_time", "transit_wait", "transit_fare",
-    )
+    s_list = list(map(node_index.__getitem__, table.s))
+    h_list = list(map(node_index.__getitem__, table.hub))
+    d, dt, at, tt, tw, fare, dc, pt, pc = table.values  # _OD_NUMBERS order
     u_drive = tp.beta0_drive - tp.beta1_drive * (dt + pt) - tp.beta2 * (dc + pc)
     u_ride = tp.beta0_ride - tp.beta1_ride * dt
     u_multi = tp.beta0_multi - tp.beta1_multi * (at + tt) - tp.beta1_wait * tw - tp.beta2 * fare
 
     n_nodes = len(node_ids)
-    column_pairs = tuple(
-        [(od.r, od.s) for od in sc.ods] + [(od.r, od.hub) for od in sc.ods]
-    )
+    column_pairs = sc.rs_pairs + tuple(zip(table.r, table.hub))
     # every column's driver pair starts at its od's origin, so relocation
     # times are needed only towards the distinct origins
     origin_index = {r: k for k, r in enumerate(sc.origins)}
-    T = np.array(
-        [[sc.relocation_time(n, r) for r in sc.origins] for n in node_ids]
-    ).reshape(n_nodes, len(sc.origins))
+    cols = np.array(list(map(origin_index.__getitem__, table.r)) * 2, dtype=int)
+    reloc = _relocation_matrix(sc)[:, cols]
     beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
-    cols = np.array([origin_index[r] for r, _ in column_pairs], dtype=int)
-    reloc = T[:, cols]
     A = beta0[cols] - dp.beta1 * reloc
     a_H = np.array(
         [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in node_ids]
     )
     dQ = np.array([sc.signin_at(n) for n in node_ids], dtype=float)
 
-    ride_row, multi_row = np.arange(m), m + np.arange(m)
-    rho_lam_flat = np.concatenate(
-        [
-            ride_row * n_nodes + s_idx,
-            ride_row * n_nodes + h_idx,
-            multi_row * n_nodes + s_idx,
-            multi_row * n_nodes + h_idx,
-        ]
-    )
-    lam_lam_flat = np.concatenate(
-        [
-            np.arange(n_nodes) * (n_nodes + 1),
-            s_idx * n_nodes + s_idx,
-            s_idx * n_nodes + h_idx,
-            h_idx * n_nodes + s_idx,
-            h_idx * n_nodes + h_idx,
-        ]
-    )
-
+    # s_idx and h_idx as rows, the offsets n_nodes * i of the Jacobian rows
+    # of the ride prices (row 0) and the multimodal prices (row 1), and each
+    # origin's first od
+    sh = np.array([s_list, h_list], dtype=int)
+    rows = (np.arange(2 * m) * n_nodes).reshape(2, 1, m)
+    first = dict(zip(reversed(table.r), range(m - 1, -1, -1)))
     phi_weights = np.concatenate([np.full(n_nodes, 1.0 / dp.beta3), d / tp.beta2, -dQ])
     return CompiledScenario(
         rs_pairs=sc.rs_pairs,
@@ -231,9 +211,9 @@ def _compile(sc: Scenario) -> CompiledScenario:
         m=m,
         n_nodes=n_nodes,
         d=d,
-        s_idx=s_idx,
-        h_idx=h_idx,
-        drop_idx=np.concatenate([s_idx, h_idx]),
+        s_idx=sh[0],
+        h_idx=sh[1],
+        drop_idx=sh.ravel(),
         u_drive=u_drive,
         u_ride=u_ride,
         u_multi=u_multi,
@@ -245,9 +225,10 @@ def _compile(sc: Scenario) -> CompiledScenario:
         column_pairs=column_pairs,
         reloc=reloc,
         col_origin=cols,
-        origin_cols=np.unique(cols, return_index=True)[1],
-        rho_lam_flat=rho_lam_flat,
-        lam_lam_flat=lam_lam_flat,
+        origin_cols=np.array([first[r] for r in sc.origins], dtype=int),
+        rho_lam_flat=(rows + sh).ravel(),
+        lam_lam_flat=np.concatenate([np.arange(0, n_nodes * (n_nodes + 1), n_nodes + 1),
+                                     (sh[:, None] * n_nodes + sh).ravel()]),
         phi_weights=phi_weights,
         phi_sizes=np.abs(phi_weights),
         beta2_d=tp.beta2 * d,

@@ -348,15 +348,17 @@ def violations(sc: Scenario) -> tuple[str, ...]:
 def _overflows(sc: Scenario) -> tuple[str, ...]:
     """One violation per finite coefficient that overflows what the solver
     forms from it: the compiled utilities, the driver and sign-out
-    exponents, or the solver weights, phi's (1/beta3, d/beta2, dQ) and the
-    Newton step's (beta2 d, and beta3 times the stocks, which total at most
-    the demand plus the sign-ins at the equilibrium). A quantity that is not
-    finite is blamed on its largest term: a constant, or a coefficient times
-    the largest time, cost or weight it scales."""
+    exponents, or the solver weights, phi's (1/beta3, d/beta2, dQ, and the
+    stocks over beta3) and the Newton step's (beta2 d, and beta3 times the
+    stocks); the stocks total the demand plus the sign-ins at the
+    equilibrium. A quantity that is not finite is blamed on its largest
+    term: a constant, or a coefficient times the largest time, cost or
+    weight it scales."""
     with np.errstate(over="ignore", invalid="ignore"):
         cs = compile_scenario(sc)
-        stocks = cs.beta3 * (cs.d.sum() + cs.dQ.sum())
-        weights = np.concatenate([cs.phi_weights, cs.beta2_d, [stocks]])
+        stocks = cs.d.sum() + cs.dQ.sum()
+        weights = np.concatenate(
+            [cs.phi_weights, cs.beta2_d, [cs.beta3 * stocks, stocks / cs.beta3]])
     formed = (cs.u_drive, cs.u_ride, cs.u_multi, cs.A, cs.a_H, weights)
     if all(np.isfinite(a).all() for a in formed):
         return ()
@@ -391,7 +393,8 @@ def _overflows(sc: Scenario) -> tuple[str, ...]:
         [beta0_r, term(dp, "beta1", max(sc.relocation_times.values()))],
         [term(dp, "beta0_H"), signout],
         [("/traveler_params/beta2", tp.beta2, max(demand / tp.beta2, tp.beta2 * demand)),
-         ("/driver_params/beta3", dp.beta3, max(1.0 / dp.beta3, dp.beta3 * stocks))],
+         ("/driver_params/beta3", dp.beta3,
+          max(1.0 / dp.beta3, dp.beta3 * stocks, stocks / dp.beta3))],
     )
     whats = ("utilities",) * 3 + ("driver exponents",) * 2 + ("solver weights",)
     found: dict[str, str] = {}

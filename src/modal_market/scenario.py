@@ -11,14 +11,16 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import repeat
-from operator import ge, itemgetter
-from typing import Any, Mapping
+from itertools import chain, product, repeat
+from operator import eq, ge, itemgetter
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from .netgraph import INF, Network, parse_tntp, time_matrix
+import numpy as np
+
+from .netgraph import INF, Network, TimeMatrix, parse_tntp, time_matrix
 
 MODES = ("drive", "ride", "multi")
 
@@ -98,6 +100,17 @@ class ODSpec:
     parking_cost: float
 
 
+class _ODTable(NamedTuple):
+    """A scenario's OD data in array form, in od order: the ids as the
+    exact ints of the ODs, and every numeric field as one row of a float
+    array, the rows in `_OD_NUMBERS` order."""
+
+    r: Sequence[int]
+    s: Sequence[int]
+    hub: Sequence[int]
+    values: np.ndarray  # (len(_OD_NUMBERS), m)
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -110,16 +123,26 @@ class Scenario:
     signout_bonus: Mapping[int, float] = field(default_factory=dict)
 
     @cached_property
+    def _od_table(self) -> _ODTable:
+        """The OD table, the one cache derived from `ods`: `load` fills it
+        from the document's columns, any other scenario builds it here on
+        first use."""
+        ods = self.ods
+        values = [[getattr(od, name) for od in ods] for name in _OD_NUMBERS]
+        return _ODTable([od.r for od in ods], [od.s for od in ods], [od.hub for od in ods],
+                        np.array(values, dtype=float))
+
+    @cached_property
     def origins(self) -> tuple[int, ...]:
-        return tuple(sorted({od.r for od in self.ods}))
+        return tuple(sorted(set(self._od_table.r)))
 
     @cached_property
     def dests(self) -> tuple[int, ...]:
-        return tuple(sorted({od.s for od in self.ods}))
+        return tuple(sorted(set(self._od_table.s)))
 
     @cached_property
     def hubs(self) -> tuple[int, ...]:
-        return tuple(sorted({od.hub for od in self.ods}))
+        return tuple(sorted(set(self._od_table.hub)))
 
     @cached_property
     def dropoffs(self) -> tuple[int, ...]:
@@ -128,7 +151,7 @@ class Scenario:
 
     @cached_property
     def rs_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((od.r, od.s) for od in self.ods)
+        return tuple(zip(self._od_table.r, self._od_table.s))
 
     @cached_property
     def driver_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -168,21 +191,32 @@ class Scenario:
 
 
 def validate(sc: Scenario) -> list[str]:
-    """Collect every invariant violation; empty list means solvable input."""
+    """Collect every invariant violation; empty list means solvable input.
+
+    The OD and relocation checks run on the OD table, the relocation matrix
+    and sets of ids; only the ODs and relocation entries that fail one are
+    walked, in order, to word their violations."""
     out: list[str] = []
     nodes = set(sc.network.nodes)
+    table = sc._od_table
+    pairs = list(zip(table.r, table.s))
 
-    if not sc.ods:
+    if not pairs:
         out.append("/ods: scenario defines no OD pairs")
 
-    seen_rs: set[tuple[int, int]] = set()
-    for i, od in enumerate(sc.ods):
-        p = f"/ods/{i}"
+    fine = (table.values >= _OD_LEAST) & (table.values < INF)
+    failing = set() if fine.all() else set(np.flatnonzero(~fine.all(axis=0)).tolist())
+    repeated = _repeats(pairs)
+    failing |= repeated
+    if any(map(eq, table.r, table.s)) or not nodes.issuperset(chain(table.r, table.s, table.hub)):
+        failing.update(i for i, ids in enumerate(zip(table.r, table.s, table.hub))
+                       if ids[0] == ids[1] or not nodes.issuperset(ids))
+    for i in sorted(failing):
+        od, p = sc.ods[i], f"/ods/{i}"
         if od.r == od.s:
             out.append(f"{p}: origin equals destination ({od.r})")
-        if (od.r, od.s) in seen_rs:
+        if i in repeated:
             out.append(f"{p}: duplicate OD pair ({od.r},{od.s})")
-        seen_rs.add((od.r, od.s))
         for label, node in (("r", od.r), ("s", od.s), ("hub", od.hub)):
             if node not in nodes:
                 out.append(f"{p}/{label}: node {node} absent from network")
@@ -198,32 +232,35 @@ def validate(sc: Scenario) -> list[str]:
 
     # one price per driver OD pair: a hub leg may not collide with a direct
     # pair or with another od's hub leg from the same origin
-    direct_set = set(sc.rs_pairs)
-    hub_seen: set[tuple[int, int]] = set()
-    for i, od in enumerate(sc.ods):
-        leg = (od.r, od.hub)
-        if leg in direct_set:
+    legs = list(zip(table.r, table.hub))
+    direct = set(pairs)
+    collides = set() if direct.isdisjoint(legs) else {
+        i for i, leg in enumerate(legs) if leg in direct}
+    reused = _repeats(legs)
+    for i in sorted(collides | reused):
+        if i in collides:
             out.append(
-                f"/ods/{i}/hub: hub leg {leg} collides with a direct OD pair; "
+                f"/ods/{i}/hub: hub leg {legs[i]} collides with a direct OD pair; "
                 "driver market for that pair would be ambiguous"
             )
-        if leg in hub_seen:
+        if i in reused:
             out.append(
-                f"/ods/{i}/hub: hub leg {leg} already used by another OD; "
+                f"/ods/{i}/hub: hub leg {legs[i]} already used by another OD; "
                 "driver market for that pair would be ambiguous"
             )
-        hub_seen.add(leg)
 
-    for n in sc.network.nodes:
-        for r in sc.origins:
-            t = sc.relocation_times.get((n, r))
-            if t is None:
-                out.append(f"/relocation_times/{n}/{r}: missing entry")
-            elif not 0 <= t < INF:
-                out.append(
-                    f"/relocation_times/{n}/{r}: {t} must be finite and >= 0 "
-                    "(unreachable relocation leg)"
-                )
+    T = _relocation_matrix(sc)
+    fine = (T >= 0) & (T < INF)
+    for k, j in [] if fine.all() else np.argwhere(~fine).tolist():
+        n, r = sc.network.nodes[k], sc.origins[j]
+        t = sc.relocation_times.get((n, r))
+        if t is None:
+            out.append(f"/relocation_times/{n}/{r}: missing entry")
+        else:
+            out.append(
+                f"/relocation_times/{n}/{r}: {t} must be finite and >= 0 "
+                "(unreachable relocation leg)"
+            )
 
     dropoffs = set(sc.dropoffs)
     for n, rate in sc.signin.items():
@@ -274,6 +311,23 @@ def validate(sc: Scenario) -> list[str]:
     return out
 
 
+def _repeats(keys: list) -> set[int]:
+    """The indices of the keys that occur at an earlier index."""
+    if len(set(keys)) == len(keys):
+        return set()
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return {i for i, key in enumerate(keys) if first[key] != i}
+
+
+def _relocation_matrix(sc: Scenario) -> np.ndarray:
+    """(n_nodes, n_origins) relocation minutes from each node, in node
+    order, to each origin, NaN where the table has no entry. Read from the
+    `relocation_times` mapping on every call, since the mapping may change."""
+    nodes, origins = sc.network.nodes, sc.origins
+    minutes = map(sc.relocation_times.get, product(nodes, origins), repeat(math.nan))
+    return np.array(list(minutes), dtype=float).reshape(len(nodes), len(origins))
+
+
 # ---------------------------------------------------------------------------
 # builtin instances
 
@@ -305,8 +359,12 @@ def _relocation_from_network(
     net: Network,
     origins: tuple[int, ...],
     overrides: Mapping[tuple[int, int], float] | None = None,
+    tm: TimeMatrix | None = None,
 ) -> dict[tuple[int, int], float]:
-    tm = time_matrix(net, net.nodes, origins)
+    """Shortest times from every node to every origin, taken from `tm`
+    where it is given, then the overrides."""
+    if tm is None:
+        tm = time_matrix(net, net.nodes, origins)
     out = {(n, r): tm.time(n, r) for n in net.nodes for r in origins}
     if overrides:
         out.update(overrides)
@@ -399,6 +457,13 @@ def sioux_network() -> Network:
     return parse_tntp(text, name="siouxfalls")
 
 
+@lru_cache(maxsize=1)
+def _sioux_times() -> TimeMatrix:
+    """Free-flow shortest times between all nodes of `sioux_network`."""
+    net = sioux_network()
+    return time_matrix(net, net.nodes, net.nodes)
+
+
 def builtin_sioux(hubs: int) -> Scenario:
     """Sioux Falls instance `hubs` in {1,2,3}: 2, 3 or 7 transit hubs.
 
@@ -410,7 +475,7 @@ def builtin_sioux(hubs: int) -> Scenario:
     net = sioux_network()
     hub_map = _SIOUX_HUBS[hubs]
     cfg = SIOUX_DEFAULTS
-    tm = time_matrix(net, net.nodes, net.nodes)
+    tm = _sioux_times()
 
     ods = []
     for (r, s), demand in _SIOUX_DEMANDS.items():
@@ -437,7 +502,7 @@ def builtin_sioux(hubs: int) -> Scenario:
         name=f"sioux{hubs}",
         network=net,
         ods=ods_tuple,
-        relocation_times=_relocation_from_network(net, origins),
+        relocation_times=_relocation_from_network(net, origins, tm=tm),
         signin={n: cfg["signin"] for n in net.nodes},
         traveler_params=TravelerParams(),
         driver_params=DriverParams(),
@@ -512,6 +577,12 @@ _OD_FIELDS = (
     ("parking_time", "nonneg"), ("parking_cost", "nonneg"),
 )
 _OVERRIDE_FIELDS = (("n", "int"), ("r", "int"), ("minutes", "nonneg"))
+#: The rows of an OD table's values: the numeric OD fields in `_OD_FIELDS` order.
+_OD_NUMBERS = tuple(fname for fname, kind in _OD_FIELDS if kind != "int")
+#: The least valid value of each row: demand must be > 0, that is at least
+#: the least positive float, every other field >= 0.
+_OD_LEAST = np.array([math.ulp(0.0)] + [0.0] * (len(_OD_NUMBERS) - 1))[:, None]
+_OD_SPEC_FIELDS = tuple(f.name for f in fields(ODSpec))
 
 _TRAVELER_FIELDS = (
     "beta0_drive", "beta0_ride", "beta0_multi",
@@ -537,13 +608,14 @@ def _walk_entry(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> 
     return tuple(values)
 
 
-def _quick_table(doc: Any, fields: tuple[tuple[str, str], ...]) -> list[tuple] | None:
-    """Every entry's values as `_walk_entry` returns them, or None unless the
-    whole table passes one quick test: an exact list of exact dicts holding
-    every field, ids exact ints, numbers exact ints or floats within float
-    range and nonneg numbers >= 0. The test accepts a subset of what the
-    walk accepts (a float subclass or a NaN goes to the walk), so it never
-    decides whether a document loads, only how fast."""
+def _quick_table(doc: Any, fields: tuple[tuple[str, str], ...]) -> list[Sequence] | None:
+    """Every entry's values as `_walk_entry` returns them, one column per
+    field, or None unless the whole table passes one quick test: an exact
+    list of exact dicts holding every field, ids exact ints, numbers exact
+    ints or floats within float range and nonneg numbers >= 0. The test
+    accepts a subset of what the walk accepts (a float subclass or a NaN
+    goes to the walk), so it never decides whether a document loads, only
+    how fast."""
     if type(doc) is not list or not set(map(type, doc)) <= {dict}:
         return None
     try:
@@ -560,24 +632,38 @@ def _quick_table(doc: Any, fields: tuple[tuple[str, str], ...]) -> list[tuple] |
             kind == "nonneg" and not all(map(ge, column, repeat(0)))
         ):
             return None
-        else:
-            column = map(float, column)
+        elif int in types:
+            try:
+                column = tuple(map(float, column))
+            except OverflowError:
+                return None
         columns.append(column)
-    try:
-        return list(zip(*columns))
-    except OverflowError:
-        return None
+    return columns
 
 
-def _table(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> list[tuple]:
+def _table(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> list[Sequence]:
     """The values of every entry of the schema table, an array, at
-    `pointer`. A table that fails the quick test is walked from its first
-    entry, so a fault is named exactly as the walk alone would name it."""
+    `pointer`, one column per field. A table that fails the quick test is
+    walked from its first entry, so a fault is named exactly as the walk
+    alone would name it."""
     _want(doc, pointer, list, "an array")
-    rows = _quick_table(doc, fields)
-    if rows is None:
-        rows = [_walk_entry(entry, f"{pointer}/{i}", fields) for i, entry in enumerate(doc)]
-    return rows
+    columns = _quick_table(doc, fields)
+    if columns is None:
+        columns = list(zip(*[_walk_entry(entry, f"{pointer}/{i}", fields)
+                             for i, entry in enumerate(doc)]))
+    return columns or [()] * len(fields)
+
+
+def _od_specs(rows: Iterable[tuple]) -> tuple[ODSpec, ...]:
+    """ODSpecs from rows of values in field order, each built as `copy` and
+    `pickle` restore a frozen dataclass, through its instance `__dict__`,
+    not through one `object.__setattr__` call per field."""
+    new, out = object.__new__, []
+    for row in rows:
+        od = new(ODSpec)
+        od.__dict__.update(zip(_OD_SPEC_FIELDS, row))
+        out.append(od)
+    return tuple(out)
 
 
 def load(doc: bytes | str | dict) -> Scenario:
@@ -600,26 +686,24 @@ def load(doc: bytes | str | dict) -> Scenario:
     nodes = tuple(_want_int(n, f"/network/nodes/{i}") for i, n in enumerate(nodes_doc))
     links = _table(_want_key(net_doc, "links", "/network"), "/network/links", _LINK_FIELDS)
     try:
-        network = Network.from_links(links, nodes=nodes, name=net_name)
+        network = Network.from_links(zip(*links), nodes=nodes, name=net_name)
     except Exception as exc:
         raise SchemaViolation("/network", str(exc)) from None
 
-    ods_tuple = tuple(
-        ODSpec(r, s, demand, hub, *rest)  # _OD_FIELDS checks hub before demand
-        for r, s, hub, demand, *rest in _table(_want_key(root, "ods", ""), "/ods", _OD_FIELDS)
-    )
+    r, s, hub, demand, *rest = _table(_want_key(root, "ods", ""), "/ods", _OD_FIELDS)
+    # _OD_FIELDS checks hub before demand, ODSpec holds demand first
+    ods_tuple = _od_specs(zip(r, s, demand, hub, *rest))
+    od_table = _ODTable(r, s, hub, np.array([demand, *rest], dtype=float))
 
     reloc_doc = _want(_want_key(root, "relocation_times", ""),
                       "/relocation_times", dict, "an object")
     auto = _want_key(reloc_doc, "auto_shortest_path", "/relocation_times")
     if not isinstance(auto, bool):
         raise SchemaViolation("/relocation_times/auto_shortest_path", "expected a boolean")
-    overrides = {
-        (n, r): minutes
-        for n, r, minutes in _table(reloc_doc.get("overrides", []),
-                                    "/relocation_times/overrides", _OVERRIDE_FIELDS)
-    }
-    origins = tuple(sorted({od.r for od in ods_tuple}))
+    at, to, minutes = _table(reloc_doc.get("overrides", []),
+                             "/relocation_times/overrides", _OVERRIDE_FIELDS)
+    overrides = dict(zip(zip(at, to), minutes))
+    origins = tuple(sorted(set(r)))
     if auto:
         relocation = _relocation_from_network(network, origins, overrides)
     else:
@@ -665,7 +749,7 @@ def load(doc: bytes | str | dict) -> Scenario:
 
     bonus = _node_map(root.get("signout_bonus", {}), "/signout_bonus")
 
-    return Scenario(
+    sc = Scenario(
         name=name,
         network=network,
         ods=ods_tuple,
@@ -675,6 +759,8 @@ def load(doc: bytes | str | dict) -> Scenario:
         driver_params=driver,
         signout_bonus=bonus,
     )
+    sc.__dict__["_od_table"] = od_table
+    return sc
 
 
 def params_document(tp: TravelerParams, dp: DriverParams) -> dict[str, Any]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from modal_market.choice import (
     EXP_BOUND,
+    CompiledScenario,
     PriceSystem,
     compile_scenario,
     driver_flows_dual,
@@ -27,7 +28,12 @@ from modal_market.scenario import (
     ODSpec,
     Scenario,
     TravelerParams,
+    _relocation_from_network,
+    builtin,
     builtin_5node,
+    load,
+    save,
+    sioux_network,
 )
 from modal_market.equilibrium import solve
 from modal_market.oracle import random_scenario
@@ -376,3 +382,47 @@ class TestCompileScenario:
         del cs
         again = compile_scenario(sc)
         assert all(a is b for a, b in zip((again.A, again.phi_weights, again._stacks), arrays))
+
+
+def many_od_scenario() -> Scenario:
+    """120 ODs on Sioux Falls, five per origin, with seeded times and costs:
+    each origin's destinations and hubs are ten distinct other nodes, so no
+    hub leg collides."""
+    net = sioux_network()
+    nodes = net.nodes
+    rng = np.random.default_rng(3)
+    ods = []
+    for k, r in enumerate(nodes):
+        for j in range(1, 6):
+            ods.append(ODSpec(
+                r, nodes[(k + j) % len(nodes)], float(rng.uniform(1.0, 500.0)),
+                nodes[(k + j + 5) % len(nodes)], *map(float, rng.uniform(0.0, 40.0, 8)),
+            ))
+    return Scenario(
+        name="many-ods",
+        network=net,
+        ods=tuple(ods),
+        relocation_times=_relocation_from_network(net, nodes),
+        signin={n: 20.0 for n in nodes},
+        traveler_params=TravelerParams(),
+        driver_params=DriverParams(beta0_r={1: 0.5, 7: -0.25}),
+    )
+
+
+@pytest.mark.parametrize("sc", [
+    *(builtin(name) for name in ("5node", "sioux1", "sioux2", "sioux3")),
+    *map(random_scenario, range(100)),
+    many_od_scenario(),
+], ids=lambda sc: sc.name)
+def test_loaded_document_compiles_bit_for_bit(sc):
+    # `load` fills the OD table from the document's columns, a constructed
+    # scenario builds it from its ODSpecs: both compile to the same arrays
+    ours, theirs = compile_scenario(load(save(sc))), compile_scenario(sc)
+    for f in dataclasses.fields(CompiledScenario):
+        if f.name == "_stacks":
+            continue
+        a, b = getattr(ours, f.name), getattr(theirs, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert (type(a), a) == (type(b), b), f.name

@@ -630,6 +630,21 @@ def test_overflowing_coefficient_is_an_input_error(block, field, what, tmp_path,
     assert captured.err == f"  violation: {violation}\n"
 
 
+def test_stock_term_overflow_is_an_input_error(tmp_path, capsys):
+    # 5node at beta3 = 1e-307 passes every range and finiteness test, but
+    # phi's stock term, its 300 drivers over beta3, overflows at every point:
+    # an input error (exit 2), not a solve that fails from its start (exit 3)
+    path = tmp_path / "s.json"
+    write_coefficient(path, "driver_params", "beta3", 1e-307)
+    violation = "/driver_params/beta3: 1e-307 overflows the solver weights"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: scenario failed validation:\n  {violation}\n"
+        assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"  violation: {violation}\n"
+
+
 def test_infinite_demand_is_an_input_error(tmp_path, capsys):
     # +inf passes the `> 0` demand test; it is reported, not solved
     doc = to_document(builtin_5node())

@@ -453,6 +453,8 @@ class TestSolve:
         ("traveler_params.beta0_drive", -1.7e308, "utilities",
          {"traveler_params.beta1_drive": 5e306}),
         ("signout_bonus.2", 1e308, "driver exponents", {"driver_params.beta3": 2.0}),
+        # 1/beta3 is finite, but phi's stock term, 300 drivers over beta3, is not
+        ("driver_params.beta3", 1e-307, "solver weights", {}),
     ])
     def test_overflowing_coefficient_is_a_validation_failure(
         self, five_node, path, value, what, others

@@ -1,16 +1,29 @@
 """Builtin instances, validation, and the JSON schema round-trips."""
+import copy
 import dataclasses
 import json
 import math
+import pickle
+from itertools import product
 from typing import Any
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modal_market.netgraph import shortest_time
 from modal_market.oracle import random_scenario
 from modal_market.scenario import (
+    _DRIVER_FIELDS,
+    _TRAVELER_FIELDS,
+    INF,
+    DriverParams,
+    Network,
+    ODSpec,
+    Scenario,
     SchemaViolation,
+    TravelerParams,
     UnknownScenarioId,
     builtin,
     builtin_sioux,
@@ -577,3 +590,171 @@ def test_nan_and_infinity_in_nonneg_fields_load():
     assert math.isnan(sc.relocation_times[(n, r)])
     assert sc.signin[3] == math.inf
     assert validate(sc)
+
+
+def test_loaded_odspecs_behave_like_constructed_ones(sioux_scenarios):
+    # `load` builds its ODSpecs through the instance __dict__
+    built = sioux_scenarios[3].ods
+    loaded = load(save(sioux_scenarios[3])).ods
+    assert len(set(built + loaded)) == len(built)
+    for od, twin in zip(loaded, built):
+        assert od == twin and hash(od) == hash(twin) and repr(od) == repr(twin)
+        assert list(vars(od).items()) == list(vars(twin).items())
+        assert dataclasses.replace(od, demand=1.0) == dataclasses.replace(twin, demand=1.0)
+        assert copy.deepcopy(od) == pickle.loads(pickle.dumps(od)) == twin
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            od.demand = 1.0
+
+
+def reference_validate(sc: Scenario) -> list[str]:
+    """`validate` as it was written before its checks ran on arrays: one
+    walk over every OD field and relocation entry."""
+    out: list[str] = []
+    nodes = set(sc.network.nodes)
+
+    if not sc.ods:
+        out.append("/ods: scenario defines no OD pairs")
+
+    seen_rs: set[tuple[int, int]] = set()
+    for i, od in enumerate(sc.ods):
+        p = f"/ods/{i}"
+        if od.r == od.s:
+            out.append(f"{p}: origin equals destination ({od.r})")
+        if (od.r, od.s) in seen_rs:
+            out.append(f"{p}: duplicate OD pair ({od.r},{od.s})")
+        seen_rs.add((od.r, od.s))
+        for label, node in (("r", od.r), ("s", od.s), ("hub", od.hub)):
+            if node not in nodes:
+                out.append(f"{p}/{label}: node {node} absent from network")
+        if not od.demand > 0:
+            out.append(f"{p}/demand: OD ({od.r},{od.s}) demand {od.demand} must be > 0")
+        elif not od.demand < INF:
+            out.append(f"{p}/demand: OD ({od.r},{od.s}) demand {od.demand} must be finite")
+        for label in ("drive_time", "hub_access_time", "transit_time", "transit_wait",
+                      "parking_time", "transit_fare", "drive_cost", "parking_cost"):
+            value = getattr(od, label)
+            if not 0 <= value < INF:
+                out.append(f"{p}/{label}: {value} must be finite and >= 0")
+
+    # one price per driver OD pair: a hub leg may not collide with a direct
+    # pair or with another od's hub leg from the same origin
+    direct_set = set(sc.rs_pairs)
+    hub_seen: set[tuple[int, int]] = set()
+    for i, od in enumerate(sc.ods):
+        leg = (od.r, od.hub)
+        if leg in direct_set:
+            out.append(
+                f"/ods/{i}/hub: hub leg {leg} collides with a direct OD pair; "
+                "driver market for that pair would be ambiguous"
+            )
+        if leg in hub_seen:
+            out.append(
+                f"/ods/{i}/hub: hub leg {leg} already used by another OD; "
+                "driver market for that pair would be ambiguous"
+            )
+        hub_seen.add(leg)
+
+    for n in sc.network.nodes:
+        for r in sc.origins:
+            t = sc.relocation_times.get((n, r))
+            if t is None:
+                out.append(f"/relocation_times/{n}/{r}: missing entry")
+            elif not 0 <= t < INF:
+                out.append(
+                    f"/relocation_times/{n}/{r}: {t} must be finite and >= 0 "
+                    "(unreachable relocation leg)"
+                )
+
+    dropoffs = set(sc.dropoffs)
+    for n, rate in sc.signin.items():
+        if n not in nodes:
+            out.append(f"/signin/{n}: node absent from network")
+        elif not 0 <= rate < INF:
+            out.append(f"/signin/{n}: rate {rate} must be finite and >= 0")
+    for n in sc.network.nodes:
+        if n not in dropoffs and not sc.signin_at(n) > 0:
+            out.append(
+                f"/signin/{n}: node {n} receives no drop-offs, so a zero "
+                "sign-in rate leaves its driver stock equation unsatisfiable"
+            )
+    # drivers sign out at every node, so stocks that balance need some
+    # sign-in: with none, phi has no minimizer and the prices no solution
+    total = sum(sc.signin.values())
+    if not total > 0:
+        out.append(
+            f"/signin: total sign-in rate {total} must be > 0; without sign-ins "
+            "the sign-outs leave no driver stocks that clear the market"
+        )
+
+    for n in sc.signout_bonus:
+        if n not in nodes:
+            out.append(f"/signout_bonus/{n}: node absent from network")
+
+    tp, dp = sc.traveler_params, sc.driver_params
+    coefficients = {
+        **{f"/traveler_params/{name}": getattr(tp, name) for name in _TRAVELER_FIELDS},
+        **{f"/driver_params/{name}": getattr(dp, name) for name in _DRIVER_FIELDS},
+        **{f"/driver_params/beta0_r/{n}": value for n, value in dp.beta0_r.items()},
+        **{f"/signout_bonus/{n}": value for n, value in sc.signout_bonus.items()},
+    }
+    # a coefficient is reported once: by its range if it has one and fails
+    # it, else if it is not finite (NaN and +inf pass the `>= 0` test, and
+    # +inf the `> 0` test)
+    ranges = [("/traveler_params/beta2", "> 0")]
+    ranges += [(f"/traveler_params/beta1_{x}", ">= 0") for x in ("drive", "ride", "multi", "wait")]
+    ranges += [("/driver_params/beta3", "> 0"), ("/driver_params/beta1", ">= 0")]
+    for pointer, need in ranges:
+        value = coefficients[pointer]
+        if value < 0 or (need == "> 0" and not value > 0):
+            out.append(f"{pointer}: {coefficients.pop(pointer)} must be {need}")
+    for pointer, value in coefficients.items():
+        if not math.isfinite(value):
+            out.append(f"{pointer}: {value} must be finite")
+
+    return out
+
+
+#: A 4-node network; the OD ids 0 and 5 are absent from it.
+PROPERTY_NODES = (1, 2, 3, 4)
+PROPERTY_NETWORK = Network.from_links(
+    [(a, b, 1.0 + a + b) for a, b in product(PROPERTY_NODES, repeat=2) if a != b],
+    name="property",
+)
+#: Mostly valid values, and zero, negative, NaN and infinite ones.
+property_values = st.one_of(
+    st.floats(0.5, 60.0),
+    st.sampled_from([0.0, -0.0, -2.5, math.nan, math.inf, -math.inf]),
+)
+property_ods = st.builds(
+    ODSpec,
+    r=st.integers(0, 5), s=st.integers(0, 5), demand=property_values, hub=st.integers(0, 5),
+    **{name: property_values for name in (
+        "drive_time", "hub_access_time", "transit_time", "transit_wait",
+        "transit_fare", "drive_cost", "parking_time", "parking_cost")},
+)
+#: Entries towards origins 0-5, each possibly missing.
+property_relocation = st.dictionaries(
+    st.sampled_from(list(product(PROPERTY_NODES, range(6)))), property_values, min_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ods=st.lists(property_ods, max_size=6), relocation=property_relocation)
+def test_validate_words_violations_as_the_walk_does(ods, relocation):
+    # every message of the walk, in its order, for a constructed scenario
+    # and, where its document loads, for the loaded one
+    sc = Scenario(
+        name="property",
+        network=PROPERTY_NETWORK,
+        ods=tuple(ods),
+        relocation_times=relocation,
+        signin={n: 1.0 for n in PROPERTY_NODES},
+        traveler_params=TravelerParams(),
+        driver_params=DriverParams(),
+    )
+    assert validate(sc) == reference_validate(sc)
+    try:
+        loaded = load(save(sc))
+    except SchemaViolation:
+        return
+    assert validate(loaded) == reference_validate(loaded)
