@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 from dataclasses import replace
@@ -45,6 +44,7 @@ from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
 # `validate` stays importable here: bench/tracing.py wraps cli.validate
 from .scenario import MODES, ScenarioError, builtin, load, validate  # noqa: F401
 from .scenario import DriverParams, TravelerParams, network_document, params_document
+from .scenario import canonical_json
 from .choice import _logit, driver_flows_logit, traveler_utilities
 
 EXIT_OK = 0
@@ -71,15 +71,13 @@ def _od_key(rs: tuple[int, int]) -> str:
 
 
 def _write_json(path: Path, doc: Any) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(canonical_json(doc) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
+    """csv's writer writes each float as its shortest round-trip repr."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, **resolved: Any) -> None:
@@ -99,28 +97,34 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, **resolved: Any) ->
 
 
 def _solution_document(sc, sol: EquilibriumSolution) -> dict[str, Any]:
+    """The solution's prices and flows, read from its arrays and keyed by
+    OD, node and driver-pair strings."""
+    cs = sol.prices.cs
+    ods = [_od_key(rs) for rs in cs.rs_pairs]
+    nodes = [str(n) for n in cs.node_ids]
+    pairs = [_od_key(pair) for pair in cs.column_pairs]
+    rho_d, rho_h, lam = cs.split(sol.y)
+    eta_d, eta_h = cs.eta(sol.y)
+    driver = sol.driver
     return {
         "scenario": sc.name,
         "converged": sol.converged,
         "iterations": sol.iterations,
         "residual_inf_norm": sol.residual.inf_norm,
         "prices": {
-            "rho_direct": {_od_key(rs): v for rs, v in sol.prices.rho_direct.items()},
-            "rho_hub": {_od_key(rs): v for rs, v in sol.prices.rho_hub.items()},
-            "lambda": {str(n): v for n, v in sol.prices.lam.items()},
-            "eta_direct": {_od_key(rs): v for rs, v in sol.prices.eta_direct.items()},
-            "eta_hub": {_od_key(rs): v for rs, v in sol.prices.eta_hub.items()},
+            "rho_direct": dict(zip(ods, rho_d.tolist())),
+            "rho_hub": dict(zip(ods, rho_h.tolist())),
+            "lambda": dict(zip(nodes, lam.tolist())),
+            "eta_direct": dict(zip(ods, eta_d.tolist())),
+            "eta_hub": dict(zip(ods, eta_h.tolist())),
         },
         "flows": {
             "traveler": {
-                _od_key(rs): dict(modes) for rs, modes in sol.traveler.q.items()
+                od: dict(zip(MODES, row)) for od, row in zip(ods, sol.traveler.matrix.tolist())
             },
-            "driver": {
-                str(n): {_od_key(pair): v for pair, v in row.items()}
-                for n, row in sol.driver.q.items()
-            },
-            "signout": {str(n): v for n, v in sol.driver.q_H.items()},
-            "stocks": {str(n): v for n, v in sol.driver.Q.items()},
+            "driver": {n: dict(zip(pairs, row)) for n, row in zip(nodes, driver.E.tolist())},
+            "signout": dict(zip(nodes, driver.E_H.tolist())),
+            "stocks": dict(zip(nodes, driver.stock.tolist())),
         },
     }
 

@@ -232,7 +232,10 @@ def _newton_step(
     c = -bp1 * p2
     e = bp2 * (p0 + p1)
     sens = np.concatenate([a, c, c, e], axis=-1)
-    C = b3[..., None] * E.swapaxes(-1, -2) + _scatter(cs, "rho_lam_flat", sens, (2 * m, n))
+    # summed into the scatter's fresh array, so C is laid out in its own
+    # row order, not in E's transposed one
+    C = _scatter(cs, "rho_lam_flat", sens, (2 * m, n))
+    C += b3[..., None] * E.swapaxes(-1, -2)
     L = _scatter(cs, "lam_lam_flat", np.concatenate([b3 * Q, sens], axis=-1), (n, n))
 
     # each 2x2 block [[b11, c], [c, b22]] is factored on the b11 pivot; its

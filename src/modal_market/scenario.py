@@ -816,9 +816,50 @@ def to_document(sc: Scenario) -> dict:
     return doc
 
 
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """json's encoder for a container of scalars whose items sit `depth`
+    indents deep: the item separator carries the newline and indent that
+    json.dumps(..., indent=2) writes between them. With no `indent` of its
+    own, the encoder runs json's C encoder where there is one."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def canonical_json(doc: Any, depth: int = 0) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, for a
+    document `depth` indents deep.
+
+    Given an `indent`, json.dumps walks every value with json's pure-Python
+    encoder. Here Python walks only the dicts, lists and tuples that hold
+    another one; each that holds scalars alone is encoded in one call
+    (`_flat_encoder`), then wrapped in its brackets' newlines and indent.
+    The dicts that Python walks must have str keys.
+    """
+    if isinstance(doc, dict):
+        values = doc.values()
+    elif isinstance(doc, (list, tuple)):
+        values = doc
+    else:
+        return _flat_encoder(depth).encode(doc)
+    indent, inner = "  " * depth, "  " * (depth + 1)
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        text = _flat_encoder(depth + 1).encode(doc)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}" if doc else text
+    if isinstance(doc, dict):
+        items = [
+            f"{json.encoder.encode_basestring_ascii(key)}: {canonical_json(value, depth + 1)}"
+            for key, value in sorted(doc.items())
+        ]
+        brackets = "{}"
+    else:
+        items = [canonical_json(value, depth + 1) for value in doc]
+        brackets = "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def save(sc: Scenario) -> bytes:
     """Serialize a Scenario to canonical JSON bytes."""
-    return (json.dumps(to_document(sc), indent=2, sort_keys=True) + "\n").encode()
+    return (canonical_json(to_document(sc)) + "\n").encode()
 
 
 def with_param(sc: Scenario, path: str, value: float) -> Scenario:

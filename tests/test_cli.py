@@ -11,7 +11,7 @@ import pytest
 
 from modal_market.choice import compile_scenario
 from modal_market import __version__
-from modal_market.cli import build_parser, main
+from modal_market.cli import _write_csv, build_parser, main
 from modal_market.equilibrium import solve
 from modal_market.oracle import random_scenario
 from modal_market.scenario import MODES, builtin, builtin_5node, load, save, to_document
@@ -304,6 +304,54 @@ def test_artifacts_agree_with_solution_arrays(ref, tmp_path):
     shares_doc = [[metrics_doc["mode_share"][key][m] for m in MODES] for key in od_keys]
     np.testing.assert_array_equal(bits(shares_doc), bits(shares))
     assert [metrics_doc["subsidy"][key] for key in od_keys] == subsidized.tolist()
+    flows = solution["flows"]
+    traveler_doc = [[flows["traveler"][key][m] for m in MODES] for key in od_keys]
+    np.testing.assert_array_equal(bits(traveler_doc), bits(sol.traveler.matrix))
+    # a driver pair that two columns share keeps the last one's flow
+    last = {f"{r}-{s}": c for c, (r, s) in enumerate(cs.column_pairs)}
+    assert all(set(flows["driver"][str(n)]) == set(last) for n in cs.node_ids)
+    driver_doc = [[flows["driver"][str(n)][key] for key in last] for n in cs.node_ids]
+    np.testing.assert_array_equal(bits(driver_doc), bits(sol.driver.E[:, list(last.values())]))
+
+
+def test_json_artifacts_are_their_stdlib_encoding(tmp_path, monkeypatch):
+    # every JSON artifact is json.dumps(..., indent=2, sort_keys=True) of
+    # the document it reads back as, byte for byte
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "net.tntp").write_text(resources_text())
+    (tmp_path / "random.json").write_bytes(save(random_scenario(7)))
+    runs = {
+        "solve-csv": ["solve", "--scenario", "builtin:sioux1"],
+        "solve-json": ["solve", "--scenario", "random.json", "--format", "json"],
+        "solve-stopped": ["solve", "--scenario", "builtin:5node", "--format", "json",
+                          "--max-iter", "1"],
+        "validate": ["validate", "--scenario", "builtin:sioux1"],
+        "validate-random": ["validate", "--scenario", "random.json"],
+        "sweep": ["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta2",
+                  "--values", "0.5,1,2"],
+        "hub-study": ["hub-study"],
+    }
+    for out, argv in runs.items():
+        main([*argv, "--out", out])
+    main(["import-tntp", "--net", "net.tntp", "--out", "import-tntp/skeleton.json"])
+    paths = sorted(tmp_path.glob("*/*.json"))
+    assert {f"{path.parent.name}/{path.name}" for path in paths} == {
+        *(f"{out}/run_manifest.json" for out in (*runs, "import-tntp")),
+        "solve-csv/solution.json", "solve-json/solution.json", "solve-json/metrics.json",
+        "solve-stopped/solution.json", "solve-stopped/metrics.json",
+        "validate/oracle_report.json", "validate-random/oracle_report.json",
+        "import-tntp/skeleton.json",
+    }
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
+def test_csv_cells_are_written_as_repr(tmp_path):
+    # numpy's float64 too, which repr() writes as "np.float64(1.5)"
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ["a", "b"], [[np.float64(1.5), 0.1, math.nan, -math.inf, -0.0, 3, True, ""]])
+    assert path.read_bytes() == b"a,b\r\n1.5,0.1,nan,-inf,-0.0,3,True,\r\n"
 
 
 class TestValidateCommand:

@@ -27,8 +27,10 @@ from modal_market.scenario import (
     UnknownScenarioId,
     builtin,
     builtin_sioux,
+    canonical_json,
     load,
     save,
+    sioux_network,
     to_document,
     validate,
     with_param,
@@ -558,6 +560,68 @@ def test_round_trip_keeps_values_and_types(sioux_scenarios):
         assert back == sc, sc.name
         assert save(back) == text, sc.name
         _assert_value_types(back)
+
+
+#: Every kind of scalar json encodes: strings with non-ASCII characters,
+#: quotes, brackets and control characters, ints big and small, bools,
+#: floats with the non-finite, signed-zero, subnormal and largest values, None.
+json_scalars = st.one_of(
+    st.text(),
+    st.sampled_from(['', 'é"{}[]\\', "\x00\n\t\x1f\u2028", "\U0001f600"]),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e308]),
+    st.none(),
+)
+
+
+def json_containers(children, min_size=0, max_size=4):
+    return st.one_of(
+        st.dictionaries(st.text(max_size=4), children, min_size=min_size, max_size=max_size),
+        st.lists(children, min_size=min_size, max_size=max_size),
+        st.lists(children, min_size=min_size, max_size=max_size).map(tuple),
+    )
+
+
+json_trees = st.recursive(json_scalars, json_containers, max_leaves=8)
+deep_json_trees = json_trees
+for _ in range(4):
+    deep_json_trees = json_containers(deep_json_trees, min_size=1, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(deep_json_trees)
+def test_canonical_json_is_json_dumps(doc):
+    # four non-empty container levels above trees that hold empty ones
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_save_is_json_dumps_of_the_document(sioux_scenarios, micros):
+    net = sioux_network()
+    rng = np.random.default_rng(0)
+    pairs = [(r, s) for r in net.nodes for s in net.nodes if r != s][::5]
+    many = Scenario(
+        name="sioux-many",
+        network=net,
+        ods=tuple(
+            ODSpec(r, s, float(rng.uniform(1.0, 500.0)), s % 24 + 1,
+                   *map(float, rng.uniform(0.0, 40.0, 8)))
+            for r, s in pairs
+        ),
+        relocation_times={(n, r): float(rng.uniform(1.0, 60.0))
+                          for n in net.nodes for r in sorted({r for r, _ in pairs})},
+        signin={n: 20.0 for n in net.nodes},
+        traveler_params=TravelerParams(),
+        driver_params=DriverParams(beta0_r={1: 0.5}),
+    )
+    assert len(many.ods) >= 100
+    scenarios = [builtin("5node"), *sioux_scenarios.values(), *micros, many]
+    scenarios += [random_scenario(seed) for seed in range(50)]
+    for sc in scenarios:
+        expected = json.dumps(to_document(sc), indent=2, sort_keys=True) + "\n"
+        assert save(sc) == expected.encode(), sc.name
 
 
 def test_numpy_floats_load_as_floats(five_node):
