@@ -68,26 +68,29 @@ def _mode_totals(sol: EquilibriumSolution) -> dict[str, float]:
     return dict(zip(MODES, np.cumsum(sol.traveler.matrix, axis=0)[-1].tolist()))
 
 
+_NAN = float("nan")
+
+
 @dataclass(frozen=True)
 class SweepCell:
-    """One solve of a parameter sweep; `error` is set instead of aborting."""
+    """One solve of a parameter sweep, and one row of its CSV: the fields
+    are the columns, in order. A cell whose solve failed keeps the defaults
+    (NaN metrics, no winner) and carries the message in `error` instead of
+    aborting the sweep."""
 
     value: float
     converged: bool
-    error: str | None
-    iterations: int
-    residual_inf: float
-    total_drive: float
-    total_ride: float
-    total_multi: float
-    winner: str
-    min_rho_direct: float
-    min_rho_hub: float
-    min_eta_direct: float
-    min_eta_hub: float
-
-
-_NAN = float("nan")
+    iterations: int = 0
+    residual_inf: float = _NAN
+    total_drive: float = _NAN
+    total_ride: float = _NAN
+    total_multi: float = _NAN
+    winner: str = ""
+    min_rho_direct: float = _NAN
+    min_rho_hub: float = _NAN
+    min_eta_direct: float = _NAN
+    min_eta_hub: float = _NAN
+    error: str | None = None
 
 
 def _cell_from_solution(value: float, sol: EquilibriumSolution) -> SweepCell:
@@ -98,7 +101,6 @@ def _cell_from_solution(value: float, sol: EquilibriumSolution) -> SweepCell:
     return SweepCell(
         value=value,
         converged=sol.converged,
-        error=None,
         iterations=sol.iterations,
         residual_inf=sol.residual.inf_norm,
         total_drive=totals["drive"],
@@ -109,15 +111,6 @@ def _cell_from_solution(value: float, sol: EquilibriumSolution) -> SweepCell:
         min_rho_hub=float(rho_h.min()),
         min_eta_direct=float(eta_d.min()),
         min_eta_hub=float(eta_h.min()),
-    )
-
-
-def _failed_cell(value: float, error: Exception) -> SweepCell:
-    return SweepCell(
-        value=value, converged=False, error=str(error), iterations=0,
-        residual_inf=_NAN, total_drive=_NAN, total_ride=_NAN,
-        total_multi=_NAN, winner="", min_rho_direct=_NAN,
-        min_rho_hub=_NAN, min_eta_direct=_NAN, min_eta_hub=_NAN,
     )
 
 
@@ -135,7 +128,7 @@ def sweep(
     Raises ValueError, before any cell is built, for a `param` that names
     no scalar of the scenario and for an unmeetable tol or max_iter."""
     return [
-        _failed_cell(value, outcome) if isinstance(outcome, Exception)
+        SweepCell(value, False, error=str(outcome)) if isinstance(outcome, Exception)
         else _cell_from_solution(value, outcome)
         for value, outcome in zip(values, solve_sweep(sc, param, values, tol, max_iter))
     ]

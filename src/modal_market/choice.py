@@ -13,7 +13,8 @@ evaluations exist on purpose:
   logit. The equilibrium solver iterates on this form.
 
 The replay has the array shape of the results: `traveler_utilities` gives
-the (m, 3) utilities, `driver_utilities` the (n, 2m + 1) utilities of the
+the (m, 3) utilities and `traveler_flows_logit` the (m, 3) flows from one
+logit over them, `driver_utilities` the (n, 2m + 1) utilities of the
 driver columns in compiled order then sign-out, and `driver_flows_logit`
 the (n, 2m + 1) flows from one logit over them. Both utility tables are
 written out from the scenario data (the OD fields, the relocation table
@@ -459,6 +460,13 @@ def driver_utilities(sc: Scenario, prices: PriceSystem) -> np.ndarray:
     U[:, :-1] = beta0 - dp.beta1 * reloc + dp.beta3 * compile_scenario(sc).rho_lam(prices.y)[0]
     U[:, -1] = [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in nodes]
     return U
+
+
+def traveler_flows_logit(sc: Scenario, prices: PriceSystem) -> np.ndarray:
+    """(m, 3) logit split of each OD's demand over drive, ride and
+    multimodal, from `traveler_utilities` at the given prices."""
+    P, _ = _logit(traveler_utilities(sc, prices))
+    return _od_fields(sc, "demand")[0][:, None] * P
 
 
 def driver_flows_logit(sc: Scenario, stock: np.ndarray, prices: PriceSystem) -> np.ndarray:

@@ -15,15 +15,16 @@ import csv
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import __version__
+from .analytics import HubStudyRow, HubStudyTotals, MetricsReport, SweepCell
 # `sweep_cell` stays importable here: bench/tracing.py wraps cli.sweep_cell
-from .analytics import HubStudy, MetricsReport, hub_study, metrics, sweep, sweep_cell  # noqa: F401
+from .analytics import hub_study, metrics, sweep, sweep_cell  # noqa: F401
 from .equilibrium import (
     MAX_ITER,
     TOL,
@@ -40,12 +41,12 @@ from .equilibrium import (
 # `uniqueness_probe` stays importable here: bench/tracing.py wraps cli.uniqueness_probe
 from .equilibrium import uniqueness_probe  # noqa: F401
 from .netgraph import NetgraphError, parse_tntp
-from .oracle import _FD_REL_STEP, kkt_check, perturbation_probe
+from .oracle import FD_REL_STEP, kkt_check, perturbation_probe
 # `validate` stays importable here: bench/tracing.py wraps cli.validate
 from .scenario import MODES, ScenarioError, builtin, load, validate  # noqa: F401
 from .scenario import DriverParams, TravelerParams, network_document, params_document
 from .scenario import canonical_json
-from .choice import _logit, driver_flows_logit, traveler_utilities
+from .choice import driver_flows_logit, traveler_flows_logit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,6 +79,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
     """csv's writer writes each float as its shortest round-trip repr."""
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
+
+
+def _values(row: Any) -> list[Any]:
+    """The row's attributes, in field order."""
+    return [getattr(row, f.name) for f in fields(row)]
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, **resolved: Any) -> None:
@@ -220,11 +226,10 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
     """Max relative error of the standalone logit replays of the solution.
 
     Both replays take their utilities from the scenario data
-    (`traveler_utilities`, `driver_flows_logit`), not from the compiled
+    (`traveler_flows_logit`, `driver_flows_logit`), not from the compiled
     arrays the solver used.
     """
-    P, _ = _logit(traveler_utilities(sc, sol.prices))
-    traveler = np.array([od.demand for od in sc.ods])[:, None] * P
+    traveler = traveler_flows_logit(sc, sol.prices)
     driver = driver_flows_logit(sc, sol.driver.stock, sol.prices)
     return (
         _rel_err(traveler, sol.traveler.matrix),
@@ -352,7 +357,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 for name, ok, detail in checks
             },
             "schedules": {
-                "kkt_fd_relative_step": _FD_REL_STEP,
+                "kkt_fd_relative_step": FD_REL_STEP,
                 "seed": seed,
             },
             **figures,
@@ -384,19 +389,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     _write_manifest(out_dir, args, values=values, out=str(out_dir))
     name = args.param.split(".")[-1]
-    _write_csv(
-        out_dir / f"sweep_{name}.csv",
-        ["value", "converged", "iterations", "residual_inf", "total_drive",
-         "total_ride", "total_multi", "winner", "min_rho_direct",
-         "min_rho_hub", "min_eta_direct", "min_eta_hub", "error"],
-        [
-            [c.value, int(c.converged), c.iterations, c.residual_inf,
-             c.total_drive, c.total_ride, c.total_multi, c.winner,
-             c.min_rho_direct, c.min_rho_hub, c.min_eta_direct,
-             c.min_eta_hub, c.error or ""]
-            for c in cells
-        ],
-    )
+    # a CSV writes the flag as 0/1 and no error as ""
+    rows = [_values(replace(c, converged=int(c.converged), error=c.error or "")) for c in cells]
+    _write_csv(out_dir / f"sweep_{name}.csv", [f.name for f in fields(SweepCell)], rows)
     for c in cells:
         status = "ok" if c.converged else f"FAILED ({c.error})"
         print(f"{args.param}={c.value}: {status} winner={c.winner or '-'}")
@@ -405,29 +400,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_hub_study(args: argparse.Namespace) -> int:
-    study: HubStudy = hub_study(tol=args.tol, max_iter=args.max_iter)
+    study = hub_study(tol=args.tol, max_iter=args.max_iter)
     out_dir = Path(args.out)
     _write_manifest(out_dir, args, out=str(out_dir))
-    totals_by_scenario = {t.scenario: t for t in study.totals}
-    _write_csv(
-        out_dir / "hub_study.csv",
-        ["scenario", "n_hubs", "od", "drive", "ride", "multi", "eta_hub",
-         "rho_hub", "total_drive", "total_ride", "total_multi",
-         "total_relocation_time"],
-        [
-            [
-                row.scenario,
-                totals_by_scenario[row.scenario].n_hubs,
-                _od_key(row.od),
-                row.drive, row.ride, row.multi, row.eta_hub, row.rho_hub,
-                totals_by_scenario[row.scenario].total_drive,
-                totals_by_scenario[row.scenario].total_ride,
-                totals_by_scenario[row.scenario].total_multi,
-                totals_by_scenario[row.scenario].total_relocation_time,
-            ]
-            for row in study.rows
-        ],
-    )
+    totals = {t.scenario: _values(t) for t in study.totals}
+    table = [([f.name for f in fields(HubStudyRow)], [f.name for f in fields(HubStudyTotals)])]
+    table += [(_values(replace(row, od=_od_key(row.od))), totals[row.scenario])
+              for row in study.rows]
+    # each row joins its scenario's totals: their scenario and n_hubs, the
+    # row's fields after scenario, then the remaining totals
+    joined = [[*t[:2], *r[1:], *t[2:]] for r, t in table]
+    _write_csv(out_dir / "hub_study.csv", joined[0], joined[1:])
     for t in study.totals:
         print(
             f"scenario {t.scenario} ({t.n_hubs} hubs): drive={t.total_drive:.2f} "

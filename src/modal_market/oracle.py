@@ -16,7 +16,8 @@ Three checks of a solution against the model itself:
 The first two avoid the solver's code paths. The probe's projection solves
 its normal equations with the solver's Newton step (`_newton_step`), which
 factors that very system at the solution; its constraint map B and the
-adjoint of B are written out here, and `kkt_check` does not use the step.
+correction W B^T z are written out here, and `kkt_check` does not use the
+step.
 
 `micro_instances` and `random_scenario` supply the verification corpus.
 """
@@ -33,6 +34,7 @@ from .equilibrium import (
     EquilibriumSolution,
     NonPositiveFlow,
     _newton_step,
+    _scatter,
     combined_objective_arrays,
 )
 from .scenario import (
@@ -66,17 +68,17 @@ class KktReport:
 # ---------------------------------------------------------------------------
 # KKT stationarity by finite differences
 
-_FD_REL_STEP = 1e-6
+FD_REL_STEP = 1e-6
 
 
 def _central_diff(x: np.ndarray, u: np.ndarray, c: np.ndarray, beta: float) -> np.ndarray:
     """Central differences, one per coordinate, of the Lagrangian terms
-    x*(ln x - 1 - u)/beta - c*x, at relative step _FD_REL_STEP."""
+    x*(ln x - 1 - u)/beta - c*x, at relative step FD_REL_STEP."""
 
     def term(v: np.ndarray) -> np.ndarray:
         return v * (np.log(v) - 1 - u) / beta - c * v
 
-    h = _FD_REL_STEP * np.abs(x)
+    h = FD_REL_STEP * np.abs(x)
     return (term(x + h) - term(x - h)) / (2.0 * h)
 
 
@@ -300,36 +302,34 @@ def _moves(cs: CompiledScenario, solution: EquilibriumSolution, samples: int,
     in dual layout. With the demand rows eliminated, B W B^T for
     W = diag(beta*x) is the solver's Jacobian at the solution, so one
     `_newton_step` with every sample as a right-hand side projects them all.
+    Each pass writes the correction W B^T z into `w` block by block.
     """
-    m = cs.m
+    m, n = cs.m, cs.n_nodes
     q, dr = solution.traveler.matrix, solution.driver
     x = np.concatenate([q.T.ravel(), dr.E.ravel(), dr.E_H])
     P = q / cs.d[:, None]
-    beta = np.repeat([cs.beta2, cs.beta3], [3 * m, x.size - 3 * m])
-    D = np.eye(cs.n_nodes)[cs.drop_idx]  # column drop-offs
 
     def B(v: np.ndarray) -> np.ndarray:
         _, E, E_H = _flow_parts(cs, v)
         served = v[..., m : 3 * m]  # traveler demand per driver column
-        rows = (E.sum(axis=-2) - served, E.sum(axis=-1) + E_H - served @ D)
-        return np.concatenate(rows, axis=-1)
-
-    def B_adjoint(z: np.ndarray) -> np.ndarray:
-        col, s = np.split(z, [2 * m], axis=-1)
-        E = s[..., :, None] + col[..., None, :]
-        # no row of B holds a drive flow
-        parts = (np.zeros_like(col[..., :m]), -col - s @ D.T, E.reshape(z.shape[:-1] + (-1,)), s)
-        return np.concatenate(parts, axis=-1)
+        arrivals = _scatter(cs, "drop_idx", served, (n,))
+        return np.concatenate((E.sum(axis=-2) - served, E.sum(axis=-1) + E_H - arrivals), axis=-1)
 
     def centred(u: np.ndarray) -> np.ndarray:
         u[..., : 3 * m] -= np.tile((_flow_parts(cs, u)[0] * P).sum(axis=-1), 3)
         return u
 
     u = centred(np.random.default_rng(seed).standard_normal((samples, x.size)))
+    w = np.empty_like(u)
     for _ in range(2):  # the second pass removes what rounding left of B(x*u)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dx = _newton_step(cs, P, dr.E, dr.stock, B(x * u).T).T
-        u += centred(beta * B_adjoint(dx))
+            z = _newton_step(cs, P, dr.E, dr.stock, B(x * u).T).T
+        col, s = z[:, : 2 * m], z[:, 2 * m :]
+        w[:, :m] = 0.0  # no row of B holds a drive flow; centring wrote one
+        w[:, m : 3 * m] = -cs.beta2 * (col + s[:, cs.drop_idx])
+        w[:, 3 * m : -n] = (cs.beta3 * (s[:, :, None] + col[:, None, :])).reshape(samples, -1)
+        w[:, -n :] = cs.beta3 * s
+        u += centred(w)
     u *= magnitude / np.abs(u).max(axis=1, keepdims=True)
     return x, x * u
 
@@ -349,7 +349,7 @@ def perturbation_probe(
     of the objective's Hessian (`_moves`): every demand, clearing and stock
     equation stays exact, and no flow moves by more than `magnitude` (in
     [0, 1)) of its own size. Strict convexity makes every gap positive. The
-    objective is evaluated at x and at all moved points in one batched call.
+    objective is evaluated at x, then at all moved points in one batched call.
     """
     if not 0.0 <= magnitude < 1.0:
         raise ValueError(f"magnitude must lie in [0, 1), got {magnitude}")
@@ -357,9 +357,8 @@ def perturbation_probe(
         raise ValueError(f"samples must be at least 1, got {samples}")
     cs = compile_scenario(sc)
     x, dx = _moves(cs, solution, samples, seed, magnitude)
-    # x and every moved point in one call: row 0 is x
-    f = combined_objective_arrays(cs, *_flow_parts(cs, np.vstack([x, x + dx])))
-    return float((f[1:] - f[0]).min())
+    f = combined_objective_arrays(cs, *_flow_parts(cs, x + dx))
+    return float((f - combined_objective_arrays(cs, *_flow_parts(cs, x))).min())
 
 
 # ---------------------------------------------------------------------------

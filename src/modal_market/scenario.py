@@ -191,7 +191,13 @@ class Scenario:
 
 
 def validate(sc: Scenario) -> list[str]:
-    """Collect every invariant violation; empty list means solvable input.
+    """Collect every invariant violation of the scenario data.
+
+    An empty list does not mean solvable input: a finite coefficient can
+    still overflow what the solver forms from it. 5node with
+    `driver_params.beta3 = 1e-307` passes here, and `solve` raises
+    ValidationFailed for it through `equilibrium.violations`, which adds
+    those overflow checks to this list.
 
     The OD and relocation checks run on the OD table, the relocation matrix
     and sets of ids; only the ODs and relocation entries that fail one are

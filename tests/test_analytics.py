@@ -7,8 +7,8 @@ import pytest
 
 from modal_market import equilibrium
 from modal_market.analytics import (
+    SweepCell,
     _cell_from_solution,
-    _failed_cell,
     hub_study,
     metrics,
     sweep,
@@ -40,7 +40,7 @@ def solo_cell(sc, param, value, **solve_opts):
         cell_sc = with_param(sc, param, value)
         return _cell_from_solution(value, solve(cell_sc, **solve_opts))
     except (EquilibriumError, ValueError) as exc:
-        return _failed_cell(value, exc)
+        return SweepCell(value, False, error=str(exc))
 
 
 def assert_same_solution(stacked, alone):

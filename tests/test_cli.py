@@ -725,7 +725,45 @@ def test_own_origin_relocation_time_is_read(tmp_path, capsys):
     assert "PASS traveler_logit_replay" in out and "PASS driver_logit_replay" in out
 
 
+#: The artifacts' headers, written out: a reordered SweepCell, HubStudyRow
+#: or HubStudyTotals field changes an artifact and fails here.
+SWEEP_HEADER = ("value,converged,iterations,residual_inf,total_drive,total_ride,"
+                "total_multi,winner,min_rho_direct,min_rho_hub,min_eta_direct,"
+                "min_eta_hub,error")
+HUB_STUDY_HEADER = ("scenario,n_hubs,od,drive,ride,multi,eta_hub,rho_hub,total_drive,"
+                    "total_ride,total_multi,total_relocation_time")
+
+
 class TestSweepCommand:
+    def test_header(self, tmp_path):
+        main(["sweep", "--scenario", "builtin:5node", "--param",
+              "traveler_params.beta2", "--values", "1", "--out", str(tmp_path)])
+        text = (tmp_path / "sweep_beta2.csv").read_text()
+        assert text.startswith(SWEEP_HEADER + "\n")
+
+    @pytest.mark.parametrize("values, max_iter", [("0.5,nan,2", 200), ("0.5,nan", 1)])
+    def test_rows_are_the_cells(self, values, max_iter, tmp_path):
+        # a nan cell fails validation; at --max-iter 1 every valid cell ends
+        # NotConverged: both keep SweepCell's defaults and carry the message
+        from modal_market.analytics import sweep
+
+        code = main(["sweep", "--scenario", "builtin:5node", "--param",
+                     "traveler_params.beta2", "--values", values,
+                     "--max-iter", str(max_iter), "--out", str(tmp_path)])
+        assert code == 1
+        cells = sweep(builtin_5node(), "traveler_params.beta2",
+                      [float(v) for v in values.split(",")], max_iter=max_iter)
+        expected = [
+            [str(c.value), str(int(c.converged)), str(c.iterations), str(c.residual_inf),
+             str(c.total_drive), str(c.total_ride), str(c.total_multi), c.winner,
+             str(c.min_rho_direct), str(c.min_rho_hub), str(c.min_eta_direct),
+             str(c.min_eta_hub), c.error or ""]
+            for c in cells
+        ]
+        assert read_csv(tmp_path / "sweep_beta2.csv")[1:] == expected
+        assert cells[1].error.startswith("scenario failed validation")
+        assert cells[0].converged == (max_iter == 200)
+
     def test_three_rows(self, tmp_path):
         code = main(["sweep", "--scenario", "builtin:5node", "--param",
                      "traveler_params.beta2", "--values", "0.1,1,10",
@@ -761,6 +799,23 @@ class TestHubStudyCommand:
         assert len(rows) == 1 + 21
         multi_total = {row[0]: float(row[10]) for row in rows[1:]}
         assert multi_total["1"] < multi_total["2"] < multi_total["3"]
+
+    def test_rows_join_the_study_to_its_totals(self, tmp_path):
+        from modal_market.analytics import hub_study
+
+        main(["hub-study", "--out", str(tmp_path)])
+        assert (tmp_path / "hub_study.csv").read_text().startswith(HUB_STUDY_HEADER + "\n")
+        study = hub_study()
+        totals = {t.scenario: t for t in study.totals}
+        expected = [
+            [str(r.scenario), str(totals[r.scenario].n_hubs), f"{r.od[0]}-{r.od[1]}",
+             str(r.drive), str(r.ride), str(r.multi), str(r.eta_hub), str(r.rho_hub),
+             str(totals[r.scenario].total_drive), str(totals[r.scenario].total_ride),
+             str(totals[r.scenario].total_multi),
+             str(totals[r.scenario].total_relocation_time)]
+            for r in study.rows
+        ]
+        assert read_csv(tmp_path / "hub_study.csv")[1:] == expected
 
 
 class TestImportTntp:

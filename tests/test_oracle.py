@@ -7,6 +7,7 @@ import pytest
 from modal_market.choice import compile_scenario
 from modal_market.equilibrium import (
     NonPositiveFlow,
+    _newton_step,
     extract_prices,
     residual,
     solve,
@@ -31,6 +32,43 @@ def with_traveler_flow(sc, sol, rs, mode, delta):
     return dataclasses.replace(
         sol, traveler=dataclasses.replace(sol.traveler, matrix=matrix)
     )
+
+
+def reference_moves(cs, solution, samples, seed, magnitude):
+    """`oracle._moves` as it stood with an explicit B adjoint and a 0/1
+    drop-off matrix D, kept verbatim as the reference the in-place
+    projection must match bit for bit."""
+    m = cs.m
+    q, dr = solution.traveler.matrix, solution.driver
+    x = np.concatenate([q.T.ravel(), dr.E.ravel(), dr.E_H])
+    P = q / cs.d[:, None]
+    beta = np.repeat([cs.beta2, cs.beta3], [3 * m, x.size - 3 * m])
+    D = np.eye(cs.n_nodes)[cs.drop_idx]  # column drop-offs
+
+    def B(v: np.ndarray) -> np.ndarray:
+        _, E, E_H = _flow_parts(cs, v)
+        served = v[..., m : 3 * m]  # traveler demand per driver column
+        rows = (E.sum(axis=-2) - served, E.sum(axis=-1) + E_H - served @ D)
+        return np.concatenate(rows, axis=-1)
+
+    def B_adjoint(z: np.ndarray) -> np.ndarray:
+        col, s = np.split(z, [2 * m], axis=-1)
+        E = s[..., :, None] + col[..., None, :]
+        # no row of B holds a drive flow
+        parts = (np.zeros_like(col[..., :m]), -col - s @ D.T, E.reshape(z.shape[:-1] + (-1,)), s)
+        return np.concatenate(parts, axis=-1)
+
+    def centred(u: np.ndarray) -> np.ndarray:
+        u[..., : 3 * m] -= np.tile((_flow_parts(cs, u)[0] * P).sum(axis=-1), 3)
+        return u
+
+    u = centred(np.random.default_rng(seed).standard_normal((samples, x.size)))
+    for _ in range(2):  # the second pass removes what rounding left of B(x*u)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dx = _newton_step(cs, P, dr.E, dr.stock, B(x * u).T).T
+        u += centred(beta * B_adjoint(dx))
+    u *= magnitude / np.abs(u).max(axis=1, keepdims=True)
+    return x, x * u
 
 
 class TestKktCheck:
@@ -183,6 +221,17 @@ class TestPerturbationProbe:
                 )
                 violation = kkt_check(sc, moved).constraint_violation
                 assert abs(violation - base) <= 1e-12 * x.max(), name
+
+    def test_moves_match_the_reference_bit_for_bit(self, solved_corpus):
+        names = ["5node", "sioux1", "sioux2", "sioux3", *(f"random-{i}" for i in range(20))]
+        for name in names:
+            sc, sol = solved_corpus[name]
+            cs = compile_scenario(sc)
+            for seed in (0, 3):
+                x, dx = _moves(cs, sol, samples=100, seed=seed, magnitude=1e-3)
+                x_ref, dx_ref = reference_moves(cs, sol, 100, seed, 1e-3)
+                assert np.array_equal(x, x_ref), name
+                assert dx.tobytes() == dx_ref.tobytes(), (name, seed)
 
     def test_magnitude_outside_unit_interval_rejected(self, five_node, five_node_solution):
         for magnitude in (1.0, -1e-3):
