@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .scenario import MODES, Scenario, _relocation_matrix
+from .scenario import MODES, Scenario
 
 #: Largest raw exponent materialized by the dual flow form (natural log units).
 EXP_BOUND = 700.0
@@ -191,7 +191,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
     # times are needed only towards the distinct origins
     origin_index = {r: k for k, r in enumerate(sc.origins)}
     cols = np.array(list(map(origin_index.__getitem__, table.r)) * 2, dtype=int)
-    reloc = _relocation_matrix(sc)[:, cols]
+    reloc = sc._relocation_matrix[:, cols]
     beta0 = np.array([dp.beta0_at(r) for r in sc.origins])
     A = beta0[cols] - dp.beta1 * reloc
     a_H = np.array(
@@ -477,8 +477,8 @@ def driver_flows_logit(sc: Scenario, stock: np.ndarray, prices: PriceSystem) -> 
     n_nodes = len(sc.network.nodes)
     if stock.shape != (n_nodes,):
         raise ValueError(f"driver stocks must have shape ({n_nodes},), got {stock.shape}")
-    if (stock < 0).any():
-        raise ValueError(f"driver stocks must be >= 0, got {stock.min()}")
+    if not (stock >= 0).all():
+        raise ValueError(f"driver stocks must be >= 0, got {stock[~(stock >= 0)][0]}")
     P, _ = _logit(driver_utilities(sc, prices))
     return stock[:, None] * P
 

@@ -393,7 +393,7 @@ def _overflows(sc: Scenario) -> tuple[str, ...]:
          term(tp, "beta1_multi", largest("hub_access_time", "transit_time")),
          term(tp, "beta1_wait", largest("transit_wait")),
          term(tp, "beta2", largest("transit_fare"))],
-        [beta0_r, term(dp, "beta1", max(sc.relocation_times.values()))],
+        [beta0_r, term(dp, "beta1", float(sc._relocation_matrix.max()))],
         [term(dp, "beta0_H"), signout],
         [("/traveler_params/beta2", tp.beta2, max(demand / tp.beta2, tp.beta2 * demand)),
          ("/driver_params/beta3", dp.beta3,

@@ -113,6 +113,12 @@ class _ODTable(NamedTuple):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One market instance. Its data is read once: the tables derived from
+    it (the OD table, the relocation matrix), the compiled arrays and the
+    validation verdict ride along on the instance, so a mapping changed in
+    place after first use goes unseen. Change a scenario by building a new
+    one (`dataclasses.replace`, `with_param`)."""
+
     name: str
     network: Network
     ods: tuple[ODSpec, ...]
@@ -131,6 +137,16 @@ class Scenario:
         values = [[getattr(od, name) for od in ods] for name in _OD_NUMBERS]
         return _ODTable([od.r for od in ods], [od.s for od in ods], [od.hub for od in ods],
                         np.array(values, dtype=float))
+
+    @cached_property
+    def _relocation_matrix(self) -> np.ndarray:
+        """(n_nodes, n_origins) relocation minutes from each node, in node
+        order, to each origin, NaN where the table has no entry: the one
+        read of `relocation_times`, shared by `validate` and the compiled
+        scenario."""
+        nodes, origins = self.network.nodes, self.origins
+        minutes = map(self.relocation_times.get, product(nodes, origins), repeat(math.nan))
+        return np.array(list(minutes), dtype=float).reshape(len(nodes), len(origins))
 
     @cached_property
     def origins(self) -> tuple[int, ...]:
@@ -155,16 +171,9 @@ class Scenario:
 
     @cached_property
     def driver_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Driver OD set: direct pairs then hub legs, in od order."""
-        direct = [(od.r, od.s) for od in self.ods]
-        hub_legs = [(od.r, od.hub) for od in self.ods]
-        seen: set[tuple[int, int]] = set()
-        out = []
-        for pair in direct + hub_legs:
-            if pair not in seen:
-                seen.add(pair)
-                out.append(pair)
-        return tuple(out)
+        """Driver OD set: direct pairs then hub legs, in od order, each once."""
+        table = self._od_table
+        return tuple(dict.fromkeys(chain(zip(table.r, table.s), zip(table.r, table.hub))))
 
     @cached_property
     def ods_of_hub(self) -> dict[int, tuple[int, ...]]:
@@ -255,7 +264,7 @@ def validate(sc: Scenario) -> list[str]:
                 "driver market for that pair would be ambiguous"
             )
 
-    T = _relocation_matrix(sc)
+    T = sc._relocation_matrix
     fine = (T >= 0) & (T < INF)
     for k, j in [] if fine.all() else np.argwhere(~fine).tolist():
         n, r = sc.network.nodes[k], sc.origins[j]
@@ -323,15 +332,6 @@ def _repeats(keys: list) -> set[int]:
         return set()
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     return {i for i, key in enumerate(keys) if first[key] != i}
-
-
-def _relocation_matrix(sc: Scenario) -> np.ndarray:
-    """(n_nodes, n_origins) relocation minutes from each node, in node
-    order, to each origin, NaN where the table has no entry. Read from the
-    `relocation_times` mapping on every call, since the mapping may change."""
-    nodes, origins = sc.network.nodes, sc.origins
-    minutes = map(sc.relocation_times.get, product(nodes, origins), repeat(math.nan))
-    return np.array(list(minutes), dtype=float).reshape(len(nodes), len(origins))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +568,22 @@ def _node_map(doc: Any, pointer: str, nonneg: bool = False) -> dict[int, float]:
             node = int(key)
         except (TypeError, ValueError):
             raise SchemaViolation(p, "key must be an integer node id") from None
+        if node in out:
+            raise SchemaViolation(p, f"node {node} given twice")
         out[node] = _want_number(value, p, nonneg=nonneg)
     return out
+
+
+def _block(root: dict, key: str) -> dict:
+    """The object at top-level `key` of a scenario document."""
+    return _want(_want_key(root, key, ""), f"/{key}", dict, "an object")
+
+
+def _numbers(block: dict, pointer: str, names: Iterable[str]) -> dict[str, float]:
+    """The named parameters of the block at `pointer`, read in order, each a
+    required number."""
+    return {name: _want_number(_want_key(block, name, pointer), f"{pointer}/{name}")
+            for name in names}
 
 
 #: The fields of an entry of each schema table, in the order they are checked.
@@ -590,13 +604,10 @@ _OD_NUMBERS = tuple(fname for fname, kind in _OD_FIELDS if kind != "int")
 _OD_LEAST = np.array([math.ulp(0.0)] + [0.0] * (len(_OD_NUMBERS) - 1))[:, None]
 _OD_SPEC_FIELDS = tuple(f.name for f in fields(ODSpec))
 
-_TRAVELER_FIELDS = (
-    "beta0_drive", "beta0_ride", "beta0_multi",
-    "beta1_drive", "beta1_ride", "beta1_multi",
-    "beta1_wait", "beta2",
-)
-#: The scalar driver parameters; `beta0_r` also maps nodes to values.
-_DRIVER_FIELDS = ("beta0_H", "beta1", "beta3", "beta0_r_default")
+#: The scalar parameters of each block, in dataclass field order, read and
+#: written by name; the driver block's `beta0_r` node map is not a scalar.
+_TRAVELER_FIELDS = tuple(f.name for f in fields(TravelerParams))
+_DRIVER_FIELDS = tuple(f.name for f in fields(DriverParams) if f.name != "beta0_r")
 
 
 def _walk_entry(doc: Any, pointer: str, fields: tuple[tuple[str, str], ...]) -> tuple:
@@ -683,10 +694,8 @@ def load(doc: bytes | str | dict) -> Scenario:
 
     name = _want(_want_key(root, "name", ""), "/name", str, "a string")
 
-    net_doc = _want(_want_key(root, "network", ""), "/network", dict, "an object")
-    net_name = net_doc.get("name", name)
-    if not isinstance(net_name, str):
-        raise SchemaViolation("/network/name", "expected a string")
+    net_doc = _block(root, "network")
+    net_name = _want(net_doc.get("name", name), "/network/name", str, "a string")
     nodes_doc = _want(_want_key(net_doc, "nodes", "/network"), "/network/nodes",
                       list, "an array")
     nodes = tuple(_want_int(n, f"/network/nodes/{i}") for i, n in enumerate(nodes_doc))
@@ -701,14 +710,17 @@ def load(doc: bytes | str | dict) -> Scenario:
     ods_tuple = _od_specs(zip(r, s, demand, hub, *rest))
     od_table = _ODTable(r, s, hub, np.array([demand, *rest], dtype=float))
 
-    reloc_doc = _want(_want_key(root, "relocation_times", ""),
-                      "/relocation_times", dict, "an object")
+    reloc_doc = _block(root, "relocation_times")
     auto = _want_key(reloc_doc, "auto_shortest_path", "/relocation_times")
     if not isinstance(auto, bool):
         raise SchemaViolation("/relocation_times/auto_shortest_path", "expected a boolean")
     at, to, minutes = _table(reloc_doc.get("overrides", []),
                              "/relocation_times/overrides", _OVERRIDE_FIELDS)
     overrides = dict(zip(zip(at, to), minutes))
+    if len(overrides) < len(minutes):
+        i = min(_repeats(list(zip(at, to))))
+        raise SchemaViolation(f"/relocation_times/overrides/{i}",
+                              f"relocation time ({at[i]}, {to[i]}) given twice")
     origins = tuple(sorted(set(r)))
     if auto:
         relocation = _relocation_from_network(network, origins, overrides)
@@ -717,24 +729,20 @@ def load(doc: bytes | str | dict) -> Scenario:
 
     signin = _node_map(_want_key(root, "signin", ""), "/signin", nonneg=True)
 
-    tp_doc = _want(_want_key(root, "traveler_params", ""),
-                   "/traveler_params", dict, "an object")
-    tp_kwargs = {
-        fname: _want_number(_want_key(tp_doc, fname, "/traveler_params"),
-                            f"/traveler_params/{fname}")
-        for fname in _TRAVELER_FIELDS
-    }
-    traveler = TravelerParams(**tp_kwargs)
+    traveler = TravelerParams(**_numbers(_block(root, "traveler_params"), "/traveler_params",
+                                         _TRAVELER_FIELDS))
 
-    dp_doc = _want(_want_key(root, "driver_params", ""),
-                   "/driver_params", dict, "an object")
-    beta0_r_doc = dp_doc.get("beta0_r", 0.0)
-    if isinstance(beta0_r_doc, dict):
-        beta0_r = _node_map(beta0_r_doc, "/driver_params/beta0_r")
-        beta0_r_default = 0.0
+    dp_doc = _block(root, "driver_params")
+    beta0_r = dp_doc.get("beta0_r", {})
+    if isinstance(beta0_r, dict):
+        beta0_r = _node_map(beta0_r, "/driver_params/beta0_r")
+        default = _want_number(dp_doc.get("beta0_r_default", 0.0),
+                               "/driver_params/beta0_r_default")
+    elif "beta0_r_default" in dp_doc:
+        raise SchemaViolation("/driver_params/beta0_r_default",
+                              "given beside a number beta0_r, which is the default")
     else:
-        beta0_r = {}
-        beta0_r_default = _want_number(beta0_r_doc, "/driver_params/beta0_r")
+        beta0_r, default = {}, _want_number(beta0_r, "/driver_params/beta0_r")
     if "beta2" in dp_doc:
         _want_number(dp_doc["beta2"], "/driver_params/beta2")
         warnings.warn(
@@ -742,16 +750,9 @@ def load(doc: bytes | str | dict) -> Scenario:
             "driver equation; it is ignored",
             stacklevel=2,
         )
-    driver = DriverParams(
-        beta0_H=_want_number(_want_key(dp_doc, "beta0_H", "/driver_params"),
-                             "/driver_params/beta0_H"),
-        beta1=_want_number(_want_key(dp_doc, "beta1", "/driver_params"),
-                           "/driver_params/beta1"),
-        beta3=_want_number(_want_key(dp_doc, "beta3", "/driver_params"),
-                           "/driver_params/beta3"),
-        beta0_r=beta0_r,
-        beta0_r_default=beta0_r_default,
-    )
+    # the default, checked above in either form, is read as one more scalar
+    dp_doc = {**dp_doc, "beta0_r_default": default}
+    driver = DriverParams(beta0_r=beta0_r, **_numbers(dp_doc, "/driver_params", _DRIVER_FIELDS))
 
     bonus = _node_map(root.get("signout_bonus", {}), "/signout_bonus")
 
@@ -770,20 +771,25 @@ def load(doc: bytes | str | dict) -> Scenario:
 
 
 def params_document(tp: TravelerParams, dp: DriverParams) -> dict[str, Any]:
-    """The `traveler_params` and `driver_params` blocks of a scenario document."""
+    """The `traveler_params` and `driver_params` blocks of a scenario
+    document. `beta0_r` is the default when no node has its own value;
+    beside a node map, the default is written unless it is 0.0."""
+    driver = {name: getattr(dp, name) for name in _DRIVER_FIELDS}
+    if not dp.beta0_r:
+        driver["beta0_r"] = driver.pop("beta0_r_default")
+    else:
+        driver["beta0_r"] = _node_document(dp.beta0_r)
+        if dp.beta0_r_default == 0.0:
+            del driver["beta0_r_default"]
     return {
-        "traveler_params": {fname: getattr(tp, fname) for fname in _TRAVELER_FIELDS},
-        "driver_params": {
-            "beta0_r": (
-                {str(n): v for n, v in sorted(dp.beta0_r.items())}
-                if dp.beta0_r
-                else dp.beta0_r_default
-            ),
-            "beta0_H": dp.beta0_H,
-            "beta1": dp.beta1,
-            "beta3": dp.beta3,
-        },
+        "traveler_params": {name: getattr(tp, name) for name in _TRAVELER_FIELDS},
+        "driver_params": driver,
     }
+
+
+def _node_document(values: Mapping[int, float]) -> dict[str, float]:
+    """A node map's document: the values keyed by node id strings, in node order."""
+    return {str(n): v for n, v in sorted(values.items())}
 
 
 def network_document(net: Network) -> dict[str, Any]:
@@ -814,11 +820,11 @@ def to_document(sc: Scenario) -> dict:
                 for (n, r), minutes in sorted(sc.relocation_times.items())
             ],
         },
-        "signin": {str(n): v for n, v in sorted(sc.signin.items())},
+        "signin": _node_document(sc.signin),
         **params_document(sc.traveler_params, sc.driver_params),
     }
     if sc.signout_bonus:
-        doc["signout_bonus"] = {str(n): v for n, v in sorted(sc.signout_bonus.items())}
+        doc["signout_bonus"] = _node_document(sc.signout_bonus)
     return doc
 
 

@@ -244,6 +244,16 @@ class TestDriverFlowsLogit:
         with pytest.raises(ValueError, match=">= 0"):
             driver_flows_logit(five_node, stock, prices_with(five_node))
 
+    @pytest.mark.parametrize("stock,bad", [
+        ([20.0, 20.0, np.nan, 20.0, 20.0], "nan"),
+        ([20.0, 20.0, np.nan, -2.0, 20.0], "nan"),
+        ([20.0, -0.5, np.nan, -2.0, 20.0], "-0.5"),
+    ])
+    def test_stock_not_at_least_zero_is_named(self, five_node, stock, bad):
+        # NaN fails `>= 0` as a negative stock does; the first such stock is named
+        with pytest.raises(ValueError, match=rf"^driver stocks must be >= 0, got {bad}$"):
+            driver_flows_logit(five_node, np.array(stock), prices_with(five_node))
+
     @pytest.mark.parametrize("stock", [20.0, [20.0], [20.0] * 4, [[20.0] * 5]])
     def test_stock_per_node_required(self, five_node, stock):
         # one stock per node: a scalar or a wrong-length array is not broadcast

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+from collections.abc import Mapping
 from itertools import product
 from typing import Any
 
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modal_market.choice import compile_scenario
+from modal_market.equilibrium import solve
 from modal_market.netgraph import shortest_time
 from modal_market.oracle import random_scenario
 from modal_market.scenario import (
@@ -29,6 +32,7 @@ from modal_market.scenario import (
     builtin_sioux,
     canonical_json,
     load,
+    params_document,
     save,
     sioux_network,
     to_document,
@@ -530,6 +534,214 @@ def test_schema_error_names_the_first_fault(faults, pointer):
     with pytest.raises(SchemaViolation) as err:
         load(json.dumps(doc))
     assert err.value.pointer == pointer
+
+
+TRAVELER_NAMES = ("beta0_drive", "beta0_ride", "beta0_multi", "beta1_drive", "beta1_ride",
+                  "beta1_multi", "beta1_wait", "beta2")
+DRIVER_NAMES = ("beta0_H", "beta1", "beta3")
+
+
+def test_parameter_keys_are_the_dataclass_scalars():
+    # the document's keys are the field names, so renaming a field renames a key
+    assert _TRAVELER_FIELDS == TRAVELER_NAMES
+    assert _DRIVER_FIELDS == (*DRIVER_NAMES, "beta0_r_default")
+
+
+def _parameter_faults():
+    """(path edited, value put there, message) for every scalar parameter;
+    `_schema_doc` gives `beta0_r` as a node map, beside which the default
+    may be missing."""
+    required = [("traveler_params", name) for name in TRAVELER_NAMES]
+    required += [("driver_params", name) for name in DRIVER_NAMES]
+    for path in [*required, ("driver_params", "beta0_r_default")]:
+        if path in required:
+            yield path, MISSING, "required key missing"
+        for value in WRONG_TYPES:
+            yield path, value, "expected a number"
+        for value in (10**400, -(10**400)):
+            yield path, value, "number out of float range"
+    yield ("driver_params", "beta0_r"), 10**400, "number out of float range"
+
+
+PARAMETER_FAULTS = list(_parameter_faults())
+
+
+@pytest.mark.parametrize(
+    "path,value,message", PARAMETER_FAULTS,
+    ids=[f"{_pointer(path)}={'missing' if value is MISSING else json.dumps(value)[:12]}"
+         for path, value, _ in PARAMETER_FAULTS],
+)
+def test_parameter_error_names_pointer_and_message(path, value, message):
+    doc = _schema_doc()
+    _edit(doc, path, value)
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert str(err.value) == f"{_pointer(path)}: {message}"
+
+
+@pytest.mark.parametrize(
+    "faults,pointer",
+    [
+        # driver_params reads beta0_r, beta0_r_default, beta2, then the
+        # scalars in field order
+        ({("driver_params", "beta3"): None, ("driver_params", "beta0_H"): "x"},
+         "/driver_params/beta0_H"),
+        ({("driver_params", "beta3"): MISSING, ("driver_params", "beta1"): True},
+         "/driver_params/beta1"),
+        ({("driver_params", "beta0_H"): MISSING, ("driver_params", "beta2"): "x"},
+         "/driver_params/beta2"),
+        ({("driver_params", "beta2"): None, ("driver_params", "beta0_r_default"): "x"},
+         "/driver_params/beta0_r_default"),
+        ({("driver_params", "beta0_r_default"): True, ("driver_params", "beta0_r", "2"): "x"},
+         "/driver_params/beta0_r/2"),
+        ({("driver_params", "beta0_H"): None, ("driver_params", "beta0_r"): 1.0,
+          ("driver_params", "beta0_r_default"): 2.0}, "/driver_params/beta0_r_default"),
+        # traveler_params before driver_params, its scalars in field order
+        ({("driver_params", "beta0_r"): "x", ("traveler_params", "beta0_drive"): MISSING},
+         "/traveler_params/beta0_drive"),
+        ({("traveler_params", "beta2"): None, ("traveler_params", "beta1_wait"): "7"},
+         "/traveler_params/beta1_wait"),
+    ],
+)
+def test_parameter_error_names_the_first_fault(faults, pointer):
+    doc = _schema_doc()
+    for path, value in faults.items():
+        _edit(doc, path, value)
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert err.value.pointer == pointer
+
+
+def test_driver_beta2_warns_before_the_scalars_are_read():
+    doc = _schema_doc()
+    doc["driver_params"]["beta2"] = 0.2
+    del doc["driver_params"]["beta1"]
+    with pytest.warns(UserWarning, match="beta2"), pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert err.value.pointer == "/driver_params/beta1"
+
+
+class TestBeta0rDefault:
+    def test_loads_beside_a_map(self):
+        doc = _schema_doc()
+        doc["driver_params"]["beta0_r_default"] = 2.0
+        dp = load(json.dumps(doc)).driver_params
+        assert dp.beta0_r == {1: 0.5, 2: 0.25} and dp.beta0_r_default == 2.0
+        assert (dp.beta0_at(1), dp.beta0_at(3)) == (0.5, 2.0)
+
+    def test_loads_without_beta0_r(self):
+        doc = _schema_doc()
+        del doc["driver_params"]["beta0_r"]
+        doc["driver_params"]["beta0_r_default"] = 2.0
+        dp = load(json.dumps(doc)).driver_params
+        assert dp.beta0_r == {} and dp.beta0_r_default == 2.0
+
+    def test_refused_beside_a_number(self, five_node):
+        doc = to_document(five_node)
+        doc["driver_params"]["beta0_r_default"] = 0.0
+        with pytest.raises(SchemaViolation) as err:
+            load(json.dumps(doc))
+        assert str(err.value) == ("/driver_params/beta0_r_default: given beside a number "
+                                  "beta0_r, which is the default")
+
+    @pytest.mark.parametrize("default", (0.0, -0.0, 2.0), ids=str)
+    @pytest.mark.parametrize("beta0_r", ({}, {1: 0.5}), ids=("number", "map"))
+    def test_written_beside_a_map_unless_zero(self, beta0_r, default):
+        dp = DriverParams(beta0_r=beta0_r, beta0_r_default=default)
+        block = params_document(TravelerParams(), dp)["driver_params"]
+        expected = {"beta0_H": 2.0, "beta1": 0.3, "beta3": 1.0}
+        if not beta0_r:
+            expected["beta0_r"] = default
+        else:
+            expected["beta0_r"] = {"1": 0.5}
+            if default != 0.0:
+                expected["beta0_r_default"] = default
+        assert block == expected
+        signs = {key: math.copysign(1, v) for key, v in block.items() if isinstance(v, float)}
+        assert signs == {key: math.copysign(1, v) for key, v in expected.items()
+                         if isinstance(v, float)}
+
+    def test_solve_is_unchanged_by_a_round_trip(self, five_node):
+        sc = dataclasses.replace(
+            five_node, driver_params=DriverParams(beta0_r={1: 0.5}, beta0_r_default=2.0))
+        back = load(save(sc))
+        assert back == sc
+        assert np.array_equal(solve(back).prices.y, solve(sc).prices.y)
+
+
+def test_override_given_twice_is_refused(five_node):
+    doc = to_document(five_node)
+    overrides = doc["relocation_times"]["overrides"]
+    first = overrides[0]
+    overrides.insert(3, {**first, "minutes": 999.0})
+    overrides.append({**first, "minutes": 5.0})
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert str(err.value) == (
+        f"/relocation_times/overrides/3: relocation time ({first['n']}, {first['r']}) given twice")
+
+
+@pytest.mark.parametrize("node_map", [m for m, _ in NODE_MAPS], ids=_pointer)
+def test_node_given_twice_is_refused(node_map):
+    doc = _schema_doc()
+    _at(doc, node_map)["01"] = 7.0
+    _at(doc, node_map)["2"] = 7.0
+    with pytest.raises(SchemaViolation) as err:
+        load(json.dumps(doc))
+    assert str(err.value) == f"{_pointer(node_map)}/01: node 1 given twice"
+
+
+traveler_values = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, 1e-300, 1e300])
+node_values = st.dictionaries(st.integers(1, 5), traveler_values, max_size=5)
+parameter_blocks = st.tuples(
+    st.builds(TravelerParams, **{name: traveler_values for name in TRAVELER_NAMES}),
+    st.builds(DriverParams, beta0_r=node_values, beta0_r_default=traveler_values,
+              **{name: traveler_values for name in DRIVER_NAMES}),
+    node_values,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=parameter_blocks)
+def test_parameter_blocks_round_trip(five_node, blocks):
+    tp, dp, bonus = blocks
+    sc = dataclasses.replace(five_node, traveler_params=tp, driver_params=dp,
+                             signout_bonus=bonus)
+    text = save(sc)
+    back = load(text)
+    assert back == sc
+    assert save(back) == text
+
+
+def test_relocation_times_are_read_once(five_node):
+    # validate and the compiled scenario share one read of each entry: a
+    # later change to the mapping goes unseen by both
+    class Counted(Mapping):
+        def __init__(self, data):
+            self.data, self.reads = dict(data), 0
+
+        def __getitem__(self, key):
+            self.reads += 1
+            return self.data[key]
+
+        def __iter__(self):
+            self.reads += len(self.data)
+            return iter(self.data)
+
+        def __len__(self):
+            return len(self.data)
+
+    counted = Counted(five_node.relocation_times)
+    sc = dataclasses.replace(five_node, relocation_times=counted)
+    assert validate(sc) == []
+    cs = compile_scenario(sc)
+    y = solve(sc).prices.y
+    assert counted.reads == len(sc.network.nodes) * len(sc.origins)
+    counted.data[(5, 1)] = math.nan
+    assert validate(sc) == []
+    assert compile_scenario(sc) is cs
+    assert np.array_equal(solve(sc).prices.y, y)
+    assert counted.reads == len(sc.network.nodes) * len(sc.origins)
 
 
 # ---------------------------------------------------------------------------
