@@ -360,6 +360,26 @@ def _logit(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E / total, (top + np.log(total))[..., 0]
 
 
+def _logit3(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_logit` of (..., 3) utilities, formed by columns and in place: U is
+    overwritten by the softmax, which is returned with the log-sum-exp.
+
+    A reduction over rows of three runs numpy's inner loop once per row;
+    here each step is one call over whole columns. The row maximum is
+    max(max(u0, u1), u2) by np.maximum, which keeps a NaN as `U.max` does;
+    U - top is exponentiated in place, and the total is summed as
+    (E0 + E1) + E2, the order numpy's row sum of three entries adds in, so
+    both results equal `_logit`'s bit for bit."""
+    top = np.maximum(np.maximum(U[..., 0], U[..., 1]), U[..., 2])
+    U -= top[..., None]
+    E = np.exp(U, out=U)
+    total = E[..., 0] + E[..., 1]
+    total += E[..., 2]
+    E /= total[..., None]
+    top += np.log(total, out=total)
+    return E, top
+
+
 def traveler_utility_matrix(
     cs: CompiledScenario, eta_direct: np.ndarray, eta_hub: np.ndarray
 ) -> np.ndarray:
@@ -375,8 +395,11 @@ def traveler_flow_matrix(
     cs: CompiledScenario, eta_direct: np.ndarray, eta_hub: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, P, lse): (..., m, 3) flows and probabilities at the given prices,
-    and the (..., m) log-sum-exp of each OD's three utilities."""
-    P, lse = _logit(traveler_utility_matrix(cs, eta_direct, eta_hub))
+    and the (..., m) log-sum-exp of each OD's three utilities. P is formed
+    by columns in the fresh utility matrix (`_logit3`), with the row sum's
+    order of addition, so P and lse are the row-wise `_logit`'s bit for
+    bit."""
+    P, lse = _logit3(traveler_utility_matrix(cs, eta_direct, eta_hub))
     return cs.d[:, None] * P, P, lse
 
 
@@ -390,9 +413,17 @@ def driver_flow_matrix(
     dual points. A point with an exponent beyond EXP_BOUND, or a NaN one,
     has all its flows +inf, without a RuntimeWarning. The bound is tested
     over the whole stack first, and point by point only if that fails.
+
+    The full-size exponents are formed once, as rho + lambda in float64
+    whatever the prices' dtype, then scaled by beta3, shifted by A and
+    exponentiated in that one array: the same operations on the same
+    operands as A + beta3 (rho + lambda), so for float64 prices E is bit
+    for bit what the three fresh arrays of that sum would give.
     """
     b3 = np.asarray(cs.beta3)  # a (k, 1) column for a stack of cells
-    expo = cs.A + b3[..., None] * (rho[..., None, :] + lam[..., :, None])
+    expo = np.add(rho[..., None, :], lam[..., :, None], dtype=float)
+    expo *= b3[..., None]
+    expo += cs.A
     expo_H = cs.a_H + b3 * lam
     # np.maximum keeps a NaN, which fails the test as an overflow does
     if not np.maximum(expo.max(initial=-np.inf), expo_H.max(initial=-np.inf)) <= EXP_BOUND:
@@ -400,7 +431,7 @@ def driver_flow_matrix(
         within = worst.max(axis=-1, initial=-np.inf) <= EXP_BOUND  # False for NaN too
         expo[~within] = np.inf
         expo_H[~within] = np.inf
-    E = np.exp(expo)
+    E = np.exp(expo, out=expo)
     E_H = np.exp(expo_H)
     return E, E_H, E.sum(axis=-1) + E_H
 
@@ -465,7 +496,7 @@ def driver_utilities(sc: Scenario, prices: PriceSystem) -> np.ndarray:
 def traveler_flows_logit(sc: Scenario, prices: PriceSystem) -> np.ndarray:
     """(m, 3) logit split of each OD's demand over drive, ride and
     multimodal, from `traveler_utilities` at the given prices."""
-    P, _ = _logit(traveler_utilities(sc, prices))
+    P, _ = _logit3(traveler_utilities(sc, prices))
     return _od_fields(sc, "demand")[0][:, None] * P
 
 

@@ -220,6 +220,13 @@ def _newton_step(
     iterates of the stack are unaffected. Such a step divides by zero or
     overflows: the caller holds numpy's floating-point errors (`_newton`
     ignores them for its whole run).
+
+    The 2x2 blocks are eliminated in place, in the one array [C, r_rho]
+    that becomes W = J_rho_rho^{-1} [J_rho_lam, r_rho]: W_h -= (c/b11) W_d,
+    W_h /= piv, W_d -= c W_h, W_d /= b11. Each update applies the operation
+    of the fresh-array form W_h = (X_h - (c/b11) X_d) / piv,
+    W_d = (X_d - c W_h) / b11 to the same operands in the same order, so the
+    step is that form's bit for bit, with one half-size temporary.
     """
     m, n = cs.m, cs.n_nodes
     b3 = np.asarray(cs.beta3)  # a (k, 1) column for a stack of cells
@@ -245,11 +252,13 @@ def _newton_step(
     D_d, D_h = D[..., :m], D[..., m:]
     b11 = D_d + a
     piv = D_h + e * (D_d / b11) + bp1 * bp2 * p0 / b11
-    X = np.concatenate([C, r[..., : 2 * m, :]], axis=-1)
-    X_d, X_h = X[..., :m, :], X[..., m:, :]
-    W_h = (X_h - (c / b11)[..., None] * X_d) / piv[..., None]
-    W_d = (X_d - c[..., None] * W_h) / b11[..., None]
-    W = np.concatenate([W_d, W_h], axis=-2)  # J_rho_rho^{-1} [J_rho_lam, r_rho]
+    W = np.concatenate([C, r[..., : 2 * m, :]], axis=-1)
+    W_d, W_h = W[..., :m, :], W[..., m:, :]
+    scaled = (c / b11)[..., None] * W_d
+    W_h -= scaled
+    W_h /= piv[..., None]
+    W_d -= np.multiply(c[..., None], W_h, out=scaled)
+    W_d /= b11[..., None]
     CW = C.swapaxes(-1, -2) @ W
     S = L - CW[..., :n]
     rhs = CW[..., n:] - r[..., 2 * m :, :]

@@ -210,7 +210,11 @@ def validate(sc: Scenario) -> list[str]:
 
     The OD and relocation checks run on the OD table, the relocation matrix
     and sets of ids; only the ODs and relocation entries that fail one are
-    walked, in order, to word their violations."""
+    walked, in order, to word their violations. The solver reads no
+    relocation entry outside the node x origin matrix, but `save` writes
+    it, so it must name network nodes and hold a finite time >= 0 too. The
+    table is walked for such entries only when it holds more entries than
+    the matrix has cells, or when the matrix fails a check."""
     out: list[str] = []
     nodes = set(sc.network.nodes)
     table = sc._od_table
@@ -276,6 +280,16 @@ def validate(sc: Scenario) -> list[str]:
                 f"/relocation_times/{n}/{r}: {t} must be finite and >= 0 "
                 "(unreachable relocation leg)"
             )
+    if len(sc.relocation_times) > T.size or not fine.all():
+        origins = set(sc.origins)
+        for (n, r), t in sc.relocation_times.items():
+            if n in nodes and r in origins:
+                continue  # a matrix entry, checked above
+            absent = [node for node in (n, r) if node not in nodes]
+            if absent:
+                out.append(f"/relocation_times/{n}/{r}: node {absent[0]} absent from network")
+            elif not 0 <= t < INF:
+                out.append(f"/relocation_times/{n}/{r}: {t} must be finite and >= 0")
 
     dropoffs = set(sc.dropoffs)
     for n, rate in sc.signin.items():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modal_market.choice import compile_scenario
+from modal_market.cli import main
 from modal_market.equilibrium import solve
 from modal_market.netgraph import shortest_time
 from modal_market.oracle import random_scenario
@@ -227,6 +228,30 @@ class TestValidate:
         del reloc[(5, 1)]
         sc = dataclasses.replace(five_node, relocation_times=reloc)
         assert any("relocation_times/5/1" in v for v in validate(sc))
+
+    def test_relocation_entries_outside_the_matrix(self, five_node, tmp_path):
+        # towards a non-origin (3) and from a node absent from the network
+        # (9): the solver reads neither, but both are saved, so both are
+        # checked, and `solve` refuses the document
+        doc = to_document(five_node)
+        doc["relocation_times"]["overrides"] += [
+            {"n": 5, "r": 3, "minutes": math.nan}, {"n": 9, "r": 1, "minutes": math.inf}]
+        path = tmp_path / "strays.json"
+        path.write_text(json.dumps(doc))
+        assert validate(load(path.read_text())) == [
+            "/relocation_times/5/3: nan must be finite and >= 0",
+            "/relocation_times/9/1: node 9 absent from network",
+        ]
+        assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_outside_entries_change_no_corpus_verdict(self, sioux_scenarios, micros):
+        # every table holds its node x origin matrix and nothing else, so
+        # the walk for outside entries never runs, and all stay valid
+        corpus = [builtin("5node"), *sioux_scenarios.values(), *micros]
+        corpus += [random_scenario(seed) for seed in range(200)]
+        for sc in corpus:
+            assert len(sc.relocation_times) == len(sc.network.nodes) * len(sc.origins)
+            assert validate(sc) == [], sc.name
 
     def test_origin_equals_destination(self, five_node):
         ods = list(five_node.ods)
@@ -940,6 +965,15 @@ def reference_validate(sc: Scenario) -> list[str]:
                     f"/relocation_times/{n}/{r}: {t} must be finite and >= 0 "
                     "(unreachable relocation leg)"
                 )
+    origins = set(sc.origins)
+    for (n, r), t in sc.relocation_times.items():
+        if n in nodes and r in origins:
+            continue
+        absent = [node for node in (n, r) if node not in nodes]
+        if absent:
+            out.append(f"/relocation_times/{n}/{r}: node {absent[0]} absent from network")
+        elif not 0 <= t < INF:
+            out.append(f"/relocation_times/{n}/{r}: {t} must be finite and >= 0")
 
     dropoffs = set(sc.dropoffs)
     for n, rate in sc.signin.items():
