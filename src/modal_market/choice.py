@@ -26,8 +26,9 @@ Results are stored once, as arrays in compiled order: `PriceSystem` holds
 the dual vector y, `TravelerFlows` the (m, 3) flow matrix, `DriverFlows`
 the (n, 2m) service flows, the sign-out flows and the stocks. Their
 mapping attributes (`eta_direct[(r, s)]`, `q[(r, s)][mode]`, `Q[n]`, ...)
-are views built on first access by `CompiledScenario`'s view methods, the
-one place that decides the keyed result format.
+are views built on first access by `CompiledScenario`'s view methods, keyed
+by OD pair and node id for library callers. The command line writes its
+own `r-s`-keyed documents straight from the arrays.
 
 All exponentials are max-shift stabilized where shares are formed. The dual
 form caps raw exponents at EXP_BOUND: at a dual point with an exponent

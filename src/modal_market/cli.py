@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -237,103 +236,58 @@ def _replay_errors(sc, sol: EquilibriumSolution) -> tuple[float, float]:
     )
 
 
-def _audit(sc, args: argparse.Namespace, seed: int,
-           checks: list[tuple[str, bool, str]], figures: dict[str, Any]) -> int:
-    """Solve, then run the replay and oracle checks; append a row per check
-    to `checks` and the measured figures to `figures`. The solve and the
-    uniqueness probe are one stacked Newton run (`solve_and_probe`); the
-    probe's outcome is read only when its row is reached. A non-convergence
-    (an overflowing start included), or a flow that is not strictly positive
-    where a check needs one, is recorded as a FAIL row of the check it
-    interrupted. Returns the exit code."""
-    try:
-        sol, dev = solve_and_probe(sc, k=args.uniqueness_starts, seed=seed)
-    except NotConverged as exc:
-        checks.append(("market_clearing", False, str(exc)))
-        return EXIT_NOT_CONVERGED
-    checks.append(
-        (
-            "market_clearing",
-            sol.residual.inf_norm <= TOL,
-            f"residual {sol.residual.inf_norm:.3e} (tol {TOL:g})",
-        )
-    )
-    traveler_err, driver_err = _replay_errors(sc, sol)
-    checks.append(
-        (
-            "traveler_logit_replay",
-            traveler_err <= args.replay_tol,
-            f"rel err {traveler_err:.3e} (tol {args.replay_tol:g})",
-        )
-    )
-    checks.append(
-        (
-            "driver_logit_replay",
-            driver_err <= args.replay_tol,
-            f"rel err {driver_err:.3e} (tol {args.replay_tol:g})",
-        )
-    )
-    try:
-        kkt = kkt_check(sc, sol)
-    except NonPositiveFlow as exc:
-        checks.append(("kkt_stationarity", False, str(exc)))
-        return EXIT_CHECK_FAILED
-    checks.append(
-        (
-            "kkt_stationarity",
-            kkt.stationarity <= args.kkt_tol,
-            f"max |grad| {kkt.stationarity:.3e} (tol {args.kkt_tol:g})",
-        )
-    )
-    try:
-        gap = perturbation_probe(sc, sol, seed=seed)
-    except NonPositiveFlow as exc:
-        checks.append(("convexity_probe", False, str(exc)))
-        return EXIT_CHECK_FAILED
-    checks.append(
-        ("convexity_probe", gap > 0, f"min objective gap {gap:.3e}")
-    )
-    figures.update({
-        "kkt_stationarity": kkt.stationarity,
-        "kkt_constraint_violation": kkt.constraint_violation,
-        "perturbation_min_gap": gap,
-        "traveler_replay_rel_err": traveler_err,
-        "driver_replay_rel_err": driver_err,
-        "objective_combined": objective_value(
-            "combined", sc, traveler=sol.traveler, driver=sol.driver
-        ),
-    })
+#: validate's checks after scenario_valid, in report order: `_check_rows`
+#: yields one row per name, in this order
+CHECKS = ("market_clearing", "traveler_logit_replay", "driver_logit_replay",
+          "kkt_stationarity", "convexity_probe", "uniqueness")
+
+
+def _check_rows(sc, args: argparse.Namespace) -> Iterator[tuple[bool, str, dict[str, Any]]]:
+    """Solve, then yield `(passed, detail, figures)` for each check in
+    CHECKS, in order. The solve and the uniqueness probe are one stacked
+    Newton run (`solve_and_probe`); the probe's outcome is read only at its
+    row. A check that cannot finish raises: NotConverged (an overflowing
+    start included), or NonPositiveFlow where it needs strictly positive
+    flows."""
+    sol, dev = solve_and_probe(sc, k=args.uniqueness_starts, seed=args.seed)
+    residual = sol.residual.inf_norm
+    yield residual <= TOL, f"residual {residual:.3e} (tol {TOL:g})", {}
+    for side, err in zip(("traveler", "driver"), _replay_errors(sc, sol)):
+        yield (err <= args.replay_tol, f"rel err {err:.3e} (tol {args.replay_tol:g})",
+               {f"{side}_replay_rel_err": err})
+    kkt = kkt_check(sc, sol)
+    yield (kkt.stationarity <= args.kkt_tol,
+           f"max |grad| {kkt.stationarity:.3e} (tol {args.kkt_tol:g})",
+           {"kkt_stationarity": kkt.stationarity,
+            "kkt_constraint_violation": kkt.constraint_violation})
+    gap = perturbation_probe(sc, sol, seed=args.seed)
+    combined = objective_value("combined", sc, traveler=sol.traveler, driver=sol.driver)
+    yield (gap > 0, f"min objective gap {gap:.3e}",
+           {"perturbation_min_gap": gap, "objective_combined": combined})
     if isinstance(dev, NotConverged):
-        checks.append(("uniqueness", False, str(dev)))
-        return EXIT_NOT_CONVERGED
-    checks.append(
-        (
-            "uniqueness",
-            dev <= 1e-6,
-            f"max dual deviation {dev:.3e} over {args.uniqueness_starts} starts",
-        )
-    )
-    figures["uniqueness_max_deviation"] = dev
+        raise dev
+    yield (dev <= 1e-6, f"max dual deviation {dev:.3e} over {args.uniqueness_starts} starts",
+           {"uniqueness_max_deviation": dev})
+
+
+def _audit(sc, args: argparse.Namespace,
+           checks: list[tuple[str, bool, str]], figures: dict[str, Any]) -> int:
+    """Append a row to `checks` for each check in CHECKS, and its figures to
+    `figures`. A check that cannot finish is a FAIL row, the last: exit 3
+    for a NotConverged, 1 for a NonPositiveFlow. Returns the exit code."""
+    rows = _check_rows(sc, args)
+    try:
+        for name in CHECKS:
+            passed, detail, found = next(rows)
+            checks.append((name, passed, detail))
+            figures.update(found)
+    except (NotConverged, NonPositiveFlow) as exc:
+        checks.append((name, False, str(exc)))
+        return EXIT_NOT_CONVERGED if isinstance(exc, NotConverged) else EXIT_CHECK_FAILED
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CHECK_FAILED
 
 
-def _seed(args: argparse.Namespace) -> int:
-    """The probes' seed: --seed, else MODAL_MARKET_SEED, else 0. InputError
-    unless it is a non-negative integer, which numpy's generator needs."""
-    name, seed = "--seed", args.seed
-    if seed is None:
-        name, text = "MODAL_MARKET_SEED", os.environ.get("MODAL_MARKET_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise InputError(f"{name} must be a non-negative integer, got {text!r}") from None
-    if seed < 0:
-        raise InputError(f"{name} must be a non-negative integer, got {seed}")
-    return seed
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    seed = _seed(args)
     sc = _load_scenario(args.scenario)
 
     found = violations(sc)
@@ -346,11 +300,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"  violation: {v}", file=sys.stderr)
         exit_code = EXIT_INPUT
     else:
-        exit_code = _audit(sc, args, seed, checks, figures)
+        exit_code = _audit(sc, args, checks, figures)
 
     if args.out is not None and not found:
         out_dir = Path(args.out)
-        _write_manifest(out_dir, args, seed=seed, out=str(out_dir))
+        _write_manifest(out_dir, args, out=str(out_dir))
         _write_json(out_dir / "oracle_report.json", {
             "checks": {
                 name: {"passed": ok, "detail": detail}
@@ -358,18 +312,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
             },
             "schedules": {
                 "kkt_fd_relative_step": FD_REL_STEP,
-                "seed": seed,
+                "seed": args.seed,
             },
             **figures,
         })
 
-    _print_checks(checks)
-    return exit_code
-
-
-def _print_checks(checks: list[tuple[str, bool, str]]) -> None:
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    return exit_code
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -488,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--replay-tol", type=float, default=1e-9)
     p_val.add_argument("--kkt-tol", type=float, default=1e-6)
     p_val.add_argument("--uniqueness-starts", type=int, default=5)
-    p_val.add_argument("--seed", type=int, default=None,
-                       help="default: MODAL_MARKET_SEED or 0")
+    p_val.add_argument("--seed", type=int, default=0,
+                       help="seed of the convexity and uniqueness probes' draws")
     p_val.add_argument("--out", default=None, help="optional report directory")
     p_val.set_defaults(func=cmd_validate)
 
@@ -519,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_options(args: argparse.Namespace) -> None:
     """InputError for an option value no run can use: a tolerance that is
     NaN or negative, which no residual or error meets, a negative
-    --max-iter, or fewer than two --uniqueness-starts."""
+    --max-iter, fewer than two --uniqueness-starts, or a negative --seed,
+    which numpy's generator rejects."""
     for name in ("tol", "replay_tol", "kkt_tol"):
         value = getattr(args, name, 0.0)
         if not value >= 0:
@@ -529,6 +480,8 @@ def _check_options(args: argparse.Namespace) -> None:
         raise InputError(f"--max-iter must be >= 0, got {args.max_iter}")
     if getattr(args, "uniqueness_starts", 2) < 2:
         raise InputError("--uniqueness-starts must be >= 2")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -442,7 +442,8 @@ def _check_stopping(tol: float, max_iter: int) -> None:
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton(
-    cs: CompiledScenario | Sequence[CompiledScenario], Y: np.ndarray, tol: float, max_iter: int
+    cs: CompiledScenario, Y: np.ndarray, tol: float, max_iter: int,
+    cells: Sequence[CompiledScenario] = (),
 ) -> list[EquilibriumSolution | NotConverged]:
     """Damped Newton from every row of Y (k, dim) at once; see `solve`.
 
@@ -489,10 +490,10 @@ def _newton(
     overflowing or singular point is a value here (+inf, NaN), which the
     line search and the failure tests reject, never a warning.
 
-    cs is one scenario shared by every row, or a sequence of k sweep cells,
-    row i solved with cell i's coefficients: they are stacked here
-    (`stack_cells`), and the stack's coefficients are subset with the rows
-    it keeps and with the rows each trial re-evaluates.
+    cs is one scenario shared by every row, or the stack of the k sweep
+    `cells` (`stack_cells(cells)`), row i solved with cell i's coefficients
+    and its outcome built on cell i. The stack's coefficients are subset
+    with the rows it keeps and with the rows each trial re-evaluates.
 
     How a row ends. A start whose phi is not finite (its driver flows
     overflow) ends its row at once, with the start as the best iterate and
@@ -513,8 +514,7 @@ def _newton(
     """
     started = time.perf_counter()
     k = len(Y)
-    cells = [cs] * k if isinstance(cs, CompiledScenario) else list(cs)
-    cs = cs if isinstance(cs, CompiledScenario) else stack_cells(cells)
+    cells = cells or [cs] * k
     histories: list[list[float]] = [[] for _ in range(k)]
     # per row, its lowest inf-norm and the first iterate that reached it;
     # a row's first iterate is its start
@@ -815,8 +815,8 @@ def solve_sweep(
     tol: float = TOL, max_iter: int = MAX_ITER,
 ) -> list[EquilibriumSolution | Exception]:
     """`solve(with_param(sc, param, value), tol, max_iter)` for each value,
-    as stacked Newton runs from each cell's default start (`_newton` on the
-    cells, `_start` on their stack).
+    as stacked Newton runs from each cell's default start (`_newton` and
+    `_start` on one stack of the cells).
 
     Each entry is the outcome of its cell's row, what that solve returns,
     bit for bit in y, flows, residual and history, with the cell as its
@@ -839,7 +839,8 @@ def solve_sweep(
             outcomes.append(exc)
     for first in range(0, len(valid), STACK_CELLS):
         index, cells = zip(*valid[first : first + STACK_CELLS])
-        for i, outcome in zip(index, _newton(cells, _start(stack_cells(cells)), tol, max_iter)):
+        stack = stack_cells(cells)
+        for i, outcome in zip(index, _newton(stack, _start(stack), tol, max_iter, cells)):
             outcomes[i] = outcome
     return outcomes
 

@@ -472,8 +472,10 @@ SIOUX_DEFAULTS: dict[str, float] = {
 
 @lru_cache(maxsize=1)
 def sioux_network() -> Network:
-    """The vendored Sioux Falls benchmark network (24 nodes, 76 links)."""
-    text = resources.files("modal_market.data").joinpath("siouxfalls_net.tntp").read_text()
+    """The vendored Sioux Falls benchmark network (24 nodes, 76 links), read
+    from this package's own data directory, whatever name it is imported
+    under."""
+    text = (resources.files(__package__) / "data" / "siouxfalls_net.tntp").read_text()
     return parse_tntp(text, name="siouxfalls")
 
 

@@ -183,18 +183,24 @@ class TestSweep:
     def test_stack_limit_does_not_change_a_cell(self, monkeypatch):
         sc = builtin("sioux2")
         grid = GRIDS["driver_params.beta3"]
-        stacks = []
-        newton = equilibrium._newton
+        stacks, built = [], []
+        newton, stack_cells = equilibrium._newton, equilibrium.stack_cells
 
         def counted(cs, Y, *args):
             stacks.append(len(Y))
             return newton(cs, Y, *args)
 
+        def counted_stack(cells):
+            built.append(len(cells))
+            return stack_cells(cells)
+
         monkeypatch.setattr(equilibrium, "_newton", counted)
+        monkeypatch.setattr(equilibrium, "stack_cells", counted_stack)
         whole = list(map(repr, sweep(sc, "driver_params.beta3", grid)))
         monkeypatch.setattr(equilibrium, "STACK_CELLS", 2)
         assert list(map(repr, sweep(sc, "driver_params.beta3", grid))) == whole
-        assert stacks == [5, 2, 2, 1]
+        # each Newton run's cells are stacked once, for its start and its run
+        assert stacks == built == [5, 2, 2, 1]
 
     def test_failed_cells_keep_their_solo_messages(self, five_node):
         # with a sign-out bonus at node 5, beta3 = -1 fails validation and

@@ -879,23 +879,24 @@ class TestLadder:
             rng = np.random.default_rng(3)
             starts = np.vstack([np.zeros(cs.dim), rng.uniform(-10.0, 10.0, (5, cs.dim)),
                                 rng.uniform(-30.0, 30.0, (5, cs.dim))])
-            runs.append((cs, starts))
+            runs.append((cs, starts, ()))
         for seed, row in ((5, 2), (65, 3), (3, 2)):  # a stall, a slope overflow, a cap
             cs = compile_scenario(random_scenario(seed))
             far = np.random.default_rng(seed).uniform(-100.0, 100.0, (10, cs.dim))
-            runs.append((cs, far[row - 1 : row + 1]))
-        cells = [compile_scenario(with_param(sioux_scenarios[2], "driver_params.beta3", v))
+            runs.append((cs, far[row - 1 : row + 1], ()))
+        sweep = [compile_scenario(with_param(sioux_scenarios[2], "driver_params.beta3", v))
                  for v in (0.25, 0.5, 1.0, 2.0, 4.0)]
-        runs.append((cells, np.zeros((len(cells), cells[0].dim))))
-        runs.append((cells, np.random.default_rng(3).uniform(-10.0, 10.0, (5, cells[0].dim))))
+        stack = stack_cells(sweep)
+        runs.append((stack, np.zeros((len(sweep), stack.dim)), sweep))
+        runs.append((stack, np.random.default_rng(3).uniform(-10.0, 10.0, (5, stack.dim)), sweep))
         kinds = set()
-        for cs, starts in runs:
-            outcomes = _newton(cs, starts, TOL, MAX_ITER)
-            own = cs if isinstance(cs, list) else [cs] * len(starts)  # each row's cell
+        for cs, starts, cells in runs:
+            outcomes = _newton(cs, starts, TOL, MAX_ITER, cells)
+            own = cells or [cs] * len(starts)  # each row's cell
             for entries in (0, 10**9):
                 with monkeypatch.context() as patch:
                     patch.setattr(equilibrium, "LADDER_ENTRIES", entries)
-                    outcomes_1 = _newton(cs, starts, TOL, MAX_ITER)
+                    outcomes_1 = _newton(cs, starts, TOL, MAX_ITER, cells)
                 for outcome, outcome_1, cell in zip(outcomes, outcomes_1, own, strict=True):
                     assert_same_outcome(outcome, outcome_1)
                     if isinstance(outcome_1, Exception):
@@ -993,7 +994,7 @@ class TestLadder:
         cells = [compile_scenario(with_param(sioux_scenarios[2], "driver_params.beta3", v))
                  for v in (0.25, 0.5, 1.0, 2.0, 4.0)]
         starts = np.random.default_rng(3).uniform(-10.0, 10.0, (5, cells[0].dim))
-        outcomes = _newton(cells, starts, TOL, MAX_ITER)
+        outcomes = _newton(stack_cells(cells), starts, TOL, MAX_ITER, cells)
         assert sum(outcome.iterations < len(halving_only(cell, start)[0]) - 1
                    for outcome, cell, start in zip(outcomes, cells, starts)) >= 3
 

@@ -1,11 +1,15 @@
 """Builtin instances, validation, and the JSON schema round-trips."""
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import pickle
+import shutil
+import sys
 from collections.abc import Mapping
 from itertools import product
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modal_market
 from modal_market.choice import compile_scenario
 from modal_market.cli import main
 from modal_market.equilibrium import solve
@@ -157,6 +162,31 @@ class TestBuiltinSioux:
     def test_builtin_resolver(self, five_node):
         assert builtin("builtin:5node") == five_node
         assert builtin("builtin:sioux2").name == "sioux2"
+
+    def test_network_is_read_from_its_own_package(self, tmp_path):
+        # a copy of the package imported under another name reads its own
+        # TNTP file: link 1 -> 2 takes 7 minutes there, 6 here
+        root = Path(modal_market.__file__).parent
+        clone = tmp_path / "modal_market_copy"
+        shutil.copytree(root, clone, ignore=shutil.ignore_patterns("__pycache__"))
+        tntp = clone / "data" / "siouxfalls_net.tntp"
+        text = tntp.read_text()
+        row = "\t1\t2\t25900.20064\t6\t6\t"
+        assert text.count(row) == 1
+        tntp.write_text(text.replace(row, "\t1\t2\t25900.20064\t6\t7\t"))
+        spec = importlib.util.spec_from_file_location(
+            clone.name, clone / "__init__.py", submodule_search_locations=[str(clone)]
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[clone.name] = module
+        try:
+            spec.loader.exec_module(module)
+            copied = sys.modules[f"{clone.name}.scenario"].sioux_network()
+        finally:
+            for name in [m for m in sys.modules if m.partition(".")[0] == clone.name]:
+                del sys.modules[name]
+        assert copied.links[0] == (1, 2, 7.0)
+        assert sioux_network().links[0] == (1, 2, 6.0)
 
 
 class TestValidate:

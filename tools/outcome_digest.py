@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from modal_market import equilibrium
-from modal_market.choice import compile_scenario
+from modal_market.choice import compile_scenario, stack_cells
 from modal_market.equilibrium import (
     NotConverged, ValidationFailed, _compiled, _newton, _probe_starts,
 )
@@ -39,8 +39,8 @@ def digest() -> str:
     """The sha256 hex digest over every outcome of the corpus."""
     h = hashlib.sha256()
 
-    def run(cs, Y):
-        for o in _newton(cs, Y, 1e-10, 200):
+    def run(cs, Y, cells=()):
+        for o in _newton(cs, Y, 1e-10, 200, cells):
             y = o.best_y if isinstance(o, NotConverged) else o.y
             h.update((str(o) if isinstance(o, NotConverged) else "").encode() + y.tobytes()
                      + np.array(o.residual_history, dtype=float).tobytes())
@@ -66,10 +66,11 @@ def digest() -> str:
     for sc in builtins[1:]:
         for p in ("driver_params.beta3", "traveler_params.beta2"):
             cells = [compile_scenario(with_param(sc, p, v)) for v in (0.25, 0.5, 1.0, 2.0, 4.0)]
-            run(cells, np.zeros((5, cells[0].dim)))
+            stack = stack_cells(cells)
+            run(stack, np.zeros((5, cells[0].dim)), cells)
             for s in (3, 4):
                 for w in (10.0, 30.0):
-                    run(cells, np.random.default_rng(s).uniform(-w, w, (5, cells[0].dim)))
+                    run(stack, np.random.default_rng(s).uniform(-w, w, (5, cells[0].dim)), cells)
     return h.hexdigest()
 
 
