@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 failed verification checks, 2 bad input (missing
 files, schema or validation errors, unusable option values, unwritable
 output paths), 3 solver non-convergence (`NotConverged`), a start whose
 driver flows overflow included. Input errors are reported by `main` alone,
-as one `error: ...` line. Artifacts are deterministic: the same inputs
+as one `error: ...` line, the parser's own included: `main` raises
+`SystemExit` only for `--help` and `--version`. Each option's rule is its
+`type=`. Artifacts are deterministic: the same inputs
 and seed produce byte-identical files, so no timestamps or wall times are
 ever written to disk.
 """
@@ -16,7 +18,7 @@ import functools
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NoReturn
 
 import numpy as np
 
@@ -54,7 +56,42 @@ EXIT_NOT_CONVERGED = 3
 
 
 class InputError(Exception):
-    """An option value the command cannot use."""
+    """A command line, or an option value, the command cannot use."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise InputError, for `main` to report; its
+    subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
+def _at_least(convert, least):
+    """An option type: `convert`'s value, refused below `least`, and when
+    NaN. A value `convert` refuses reads as argparse's own."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _numbers(text: str) -> list[float]:
+    """An option type: a non-empty comma-separated list of numbers, empty
+    items skipped. A list with an item that `float` refuses reads as
+    argparse's own refusal of a float: `invalid float value: '1,x'`."""
+    values = [float(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {text!r}")
+    return values
+
+
+_numbers.__name__ = float.__name__
 
 
 def _load_scenario(ref: str):
@@ -85,20 +122,17 @@ def _values(row: Any) -> list[Any]:
     return [getattr(row, f.name) for f in fields(row)]
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, **resolved: Any) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     """Create `out_dir` and write its run manifest. The config records every
-    parsed option, with the values the command resolved itself in their
-    place."""
+    parsed option."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(exc) from None
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    _write_json(
-        out_dir / "run_manifest.json",
-        {"tool": "modal-market", "version": __version__, "command": args.command,
-         "config": {**config, **resolved}},
-    )
+    _write_json(out_dir / "run_manifest.json", {
+        "tool": "modal-market", "version": __version__, "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
+    })
 
 
 def _solution_document(sc, sol: EquilibriumSolution) -> dict[str, Any]:
@@ -186,7 +220,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         sol = solve(sc, tol=args.tol, max_iter=args.max_iter)
     except NotConverged as exc:
-        if not exc.residual_history:  # no iterate: the start overflows
+        if exc.kind == "overflow":  # no iterate to keep
             raise
         # keep the best iterate for diagnosis, explicitly flagged, with the
         # time of the run that gave it up
@@ -198,7 +232,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # written after the solve, so a scenario that fails validation leaves
     # no manifest behind
     out_dir = Path(args.out)
-    _write_manifest(out_dir, args, out=str(out_dir))
+    _write_manifest(out_dir, args)
     doc = _solution_document(sc, sol)
     _write_json(out_dir / "solution.json", doc)
     rep = metrics(sc, sol)
@@ -304,7 +338,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.out is not None and not found:
         out_dir = Path(args.out)
-        _write_manifest(out_dir, args, out=str(out_dir))
+        _write_manifest(out_dir, args)
         _write_json(out_dir / "oracle_report.json", {
             "checks": {
                 name: {"passed": ok, "detail": detail}
@@ -325,19 +359,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
     try:
-        values = [float(v) for v in args.values.split(",") if v]
-    except ValueError as exc:
-        raise InputError(exc) from None
-    if not values:
-        raise InputError("--values is empty")
-
-    try:
-        cells = sweep(sc, args.param, values, tol=args.tol, max_iter=args.max_iter)
+        cells = sweep(sc, args.param, args.values, tol=args.tol, max_iter=args.max_iter)
     except ValueError as exc:  # a --param that names no scalar
         raise InputError(f"--param: {exc}") from None
 
     out_dir = Path(args.out)
-    _write_manifest(out_dir, args, values=values, out=str(out_dir))
+    _write_manifest(out_dir, args)
     name = args.param.split(".")[-1]
     # a CSV writes the flag as 0/1 and no error as ""
     rows = [_values(replace(c, converged=int(c.converged), error=c.error or "")) for c in cells]
@@ -352,7 +379,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_hub_study(args: argparse.Namespace) -> int:
     study = hub_study(tol=args.tol, max_iter=args.max_iter)
     out_dir = Path(args.out)
-    _write_manifest(out_dir, args, out=str(out_dir))
+    _write_manifest(out_dir, args)
     totals = {t.scenario: _values(t) for t in study.totals}
     table = [([f.name for f in fields(HubStudyRow)], [f.name for f in fields(HubStudyTotals)])]
     table += [(_values(replace(row, od=_od_key(row.od))), totals[row.scenario])
@@ -407,7 +434,7 @@ def cmd_import_tntp(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged, so every `main` call reuses it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modal-market",
         description="Equilibrium prices and flows for a multimodal mobility market.",
     )
@@ -420,14 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="path to a scenario JSON or builtin:{5node,sioux1,sioux2,sioux3}",
         )
 
+    def add_out(p, default=".", help="artifact directory"):
+        p.add_argument("--out", type=lambda text: str(Path(text)), default=default, help=help)
+
     def add_solver(p):
-        p.add_argument("--tol", type=float, default=TOL)
-        p.add_argument("--max-iter", type=int, default=MAX_ITER)
+        p.add_argument("--tol", type=_at_least(float, 0), default=TOL)
+        p.add_argument("--max-iter", type=_at_least(int, 0), default=MAX_ITER)
 
     p_solve = sub.add_parser("solve", help="solve one scenario and write artifacts")
     add_scenario(p_solve)
     add_solver(p_solve)
-    p_solve.add_argument("--out", default=".", help="artifact directory")
+    add_out(p_solve)
     p_solve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -435,12 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="solve, then run replay, KKT, convexity and uniqueness checks"
     )
     add_scenario(p_val)
-    p_val.add_argument("--replay-tol", type=float, default=1e-9)
-    p_val.add_argument("--kkt-tol", type=float, default=1e-6)
-    p_val.add_argument("--uniqueness-starts", type=int, default=5)
-    p_val.add_argument("--seed", type=int, default=0,
+    p_val.add_argument("--replay-tol", type=_at_least(float, 0), default=1e-9)
+    p_val.add_argument("--kkt-tol", type=_at_least(float, 0), default=1e-6)
+    p_val.add_argument("--uniqueness-starts", type=_at_least(int, 2), default=5)
+    p_val.add_argument("--seed", type=_at_least(int, 0), default=0,
                        help="seed of the convexity and uniqueness probes' draws")
-    p_val.add_argument("--out", default=None, help="optional report directory")
+    add_out(p_val, None, "optional report directory")
     p_val.set_defaults(func=cmd_validate)
 
     p_sweep = sub.add_parser("sweep", help="re-solve over a grid of one parameter")
@@ -448,15 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver(p_sweep)
     p_sweep.add_argument("--param", required=True,
                          help="dotted path, e.g. traveler_params.beta2")
-    p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
-    p_sweep.add_argument("--out", default=".", help="artifact directory")
+    p_sweep.add_argument("--values", type=_numbers, required=True,
+                         help="comma-separated numbers")
+    add_out(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="accepted and ignored: a sweep is one stacked solve")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_hub = sub.add_parser("hub-study", help="compare the Sioux Falls hub scenarios")
     add_solver(p_hub)
-    p_hub.add_argument("--out", default=".", help="artifact directory")
+    add_out(p_hub)
     p_hub.set_defaults(func=cmd_hub_study)
 
     p_imp = sub.add_parser("import-tntp", help="turn a TNTP net into a scenario skeleton")
@@ -466,35 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_options(args: argparse.Namespace) -> None:
-    """InputError for an option value no run can use: a tolerance that is
-    NaN or negative, which no residual or error meets, a negative
-    --max-iter, fewer than two --uniqueness-starts, or a negative --seed,
-    which numpy's generator rejects."""
-    for name in ("tol", "replay_tol", "kkt_tol"):
-        value = getattr(args, name, 0.0)
-        if not value >= 0:
-            option = "--" + name.replace("_", "-")
-            raise InputError(f"{option} must be a non-negative number, got {value}")
-    if getattr(args, "max_iter", 0) < 0:
-        raise InputError(f"--max-iter must be >= 0, got {args.max_iter}")
-    if getattr(args, "uniqueness_starts", 2) < 2:
-        raise InputError("--uniqueness-starts must be >= 2")
-    if getattr(args, "seed", 0) < 0:
-        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _check_options(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ScenarioError, NetgraphError, ValidationFailed, InputError) as exc:
+    except (ScenarioError, NetgraphError, ValidationFailed, InputError, NotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return EXIT_NOT_CONVERGED if isinstance(exc, NotConverged) else EXIT_INPUT
 
 
 if __name__ == "__main__":

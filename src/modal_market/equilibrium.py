@@ -95,15 +95,19 @@ class ValidationFailed(EquilibriumError):
 class NotConverged(EquilibriumError):
     """Solver stopped short of its tolerance; carries the best iterate for diagnosis.
 
-    `wall_time` is the seconds of the solver run that ended here, as a
-    solution's: the whole stack's, for a row of a stacked run (`_newton`
-    passes it), and 0.0 unless given."""
+    `kind` says why: "overflow" (the start's driver flows overflow), "cap"
+    (the iteration cap), "step" (a singular Schur complement or a
+    non-finite Newton step), "slope" (a non-finite line-search slope) or
+    "stall" (a stalled line search). `wall_time` is the seconds of the
+    solver run that ended here, as a solution's: the whole stack's, for a
+    row of a stacked run (`_newton` passes it), and 0.0 unless given."""
 
     def __init__(
-        self, message: str, best_y: np.ndarray, residual_history: list[float],
+        self, kind: str, message: str, best_y: np.ndarray, residual_history: list[float],
         wall_time: float = 0.0,
     ):
         super().__init__(message)
+        self.kind = kind
         self.best_y = best_y
         self.residual_history = residual_history
         self.wall_time = wall_time
@@ -503,8 +507,8 @@ def _newton(
     (see `solve`), has reached max_iter iterations, has a Newton step or a
     slope r.d that is not finite, or goes on; a row whose line search
     stalls ends too. A row that ends leaves the stack and records only its
-    failure's message, or its solution's arrays: the solver's own flows
-    and residual at its final vector.
+    failure's kind (`NotConverged.kind`) and message, or its solution's
+    arrays: the solver's own flows and residual at its final vector.
 
     Returns one outcome per row, exactly what `solve` from that row returns
     or raises: the EquilibriumSolution on the row's own scenario or cell,
@@ -519,14 +523,15 @@ def _newton(
     # per row, its lowest inf-norm and the first iterate that reached it;
     # a row's first iterate is its start
     best, best_y = [math.inf] * k, Y.copy()
-    # per row that has ended, its NotConverged's message or its solution's
-    # arrays (y, q, E, E_H, Q, r); both are built once the run has ended
+    # per row that has ended, its NotConverged's (kind, message) or its
+    # solution's arrays (y, q, E, E_H, Q, r); both are built once the run
+    # has ended
     ends: list = [None] * k
     point = cs.n_nodes * (2 * cs.m + 1)  # driver-flow entries per trial point
     beta3 = float(np.max(cs.beta3))  # the largest over the cells
     phi, allowance, flows = _potential(cs, Y)
     for i in np.flatnonzero(~np.isfinite(phi)).tolist():
-        ends[i] = "initial dual vector overflows the driver flows"
+        ends[i] = ("overflow", "initial dual vector overflows the driver flows")
     rows, cs_rows = np.arange(k), cs
     climbed = False  # whether some row climbed on the last pass
     # a row whose start overflows, or whose line search stalled on the last
@@ -552,13 +557,13 @@ def _newton(
             if x <= tol and s <= 1e-9 * np.maximum(1.0, np.abs(y).max()):
                 ends[i] = (y.copy(), q[p], E[p], E_H[p], Q[p], r[p])
             elif len(histories[i]) > max_iter:
-                ends[i] = (f"no convergence to {tol:g} within {max_iter} iterations"
-                           f" (best inf-norm {best[i]:.3g})")
+                ends[i] = ("cap", f"no convergence to {tol:g} within {max_iter} iterations"
+                                  f" (best inf-norm {best[i]:.3g})")
             elif not math.isfinite(s):
-                ends[i] = (f"Newton step failed at inf-norm {x:.3g}: singular Schur"
-                           " complement or non-finite step")
+                ends[i] = ("step", f"Newton step failed at inf-norm {x:.3g}: singular Schur"
+                                   " complement or non-finite step")
             elif not math.isfinite(g):
-                ends[i] = f"line-search slope not finite at inf-norm {x:.3g}"
+                ends[i] = ("slope", f"line-search slope not finite at inf-norm {x:.3g}")
         keep = [p for p, i in enumerate(rows.tolist()) if ends[i] is None]
         if len(keep) < rows.size:
             if not keep:
@@ -629,7 +634,8 @@ def _newton(
                         k += 1
                     if _HALVINGS[j + k] <= t_min[p]:
                         i = rows[p]
-                        ends[i] = f"line search stalled at inf-norm {histories[i][-1]:.3g}"
+                        ends[i] = ("stall",
+                                   f"line search stalled at inf-norm {histories[i][-1]:.3g}")
                     elif k < len(run):
                         chosen[p] = run[k]
                     else:
@@ -661,7 +667,7 @@ def _newton(
 
     wall_time = time.perf_counter() - started
     return [
-        NotConverged(end, best_y[i].copy(), history, wall_time) if isinstance(end, str)
+        NotConverged(*end, best_y[i].copy(), history, wall_time) if isinstance(end[0], str)
         else EquilibriumSolution(PriceSystem(cell, end[0]), TravelerFlows(cell, end[1]),
                                  DriverFlows(cell, *end[2:5]), ResidualReport(cell, end[5]),
                                  wall_time, tuple(history))

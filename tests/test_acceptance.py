@@ -197,6 +197,46 @@ def test_criterion_8_hub_study_monotonicity():
     )
 
 
+#: the multiples of a builtin's own beta2 over which finding 1 is pinned
+BETA2_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
+#: per builtin, the first multiple of its own beta3, of 1, 2 and 4, at
+#: which some OD's hub price eta_hub is negative (a multimodal subsidy)
+SUBSIDY_FROM = {"5node": 4.0, "sioux1": 2.0, "sioux2": 2.0, "sioux3": 2.0}
+
+
+def test_finding_1_price_sensitive_travelers_leave_driving(corpus):
+    # the paper's first finding: as travelers grow more price-sensitive,
+    # driving strictly falls and ride-sourcing and multimodal trips
+    # strictly rise, on every builtin
+    for sc in corpus:
+        base = sc.traveler_params.beta2
+        cells = sweep(sc, "traveler_params.beta2", [base * f for f in BETA2_FACTORS])
+        assert all(c.converged for c in cells), sc.name
+        drive, ride, multi = (np.array([getattr(c, f"total_{mode}") for c in cells])
+                              for mode in ("drive", "ride", "multi"))
+        assert np.all(np.diff(drive) < 0), (sc.name, drive)
+        assert np.all(np.diff(ride) > 0), (sc.name, ride)
+        assert np.all(np.diff(multi) > 0), (sc.name, multi)
+    print("\nFINDING 1 HOLDS: beta2 x 0.25 -> 4 moves driving down and ride and "
+          "multimodal trips up on every builtin")
+
+
+def test_finding_2_price_sensitive_drivers_need_subsidies(corpus):
+    # the drivers' half of the paper's second finding: at each builtin's own
+    # beta3 no hub price is negative, and as drivers grow more
+    # price-sensitive some multimodal OD needs a subsidy (eta_hub < 0)
+    for sc in corpus:
+        base = sc.driver_params.beta3
+        factors = (1.0, 2.0, 4.0)
+        cells = sweep(sc, "driver_params.beta3", [base * f for f in factors])
+        assert all(c.converged for c in cells), sc.name
+        subsidized = [c.min_eta_hub < 0 for c in cells]
+        assert subsidized == [f >= SUBSIDY_FROM[sc.name] for f in factors], (
+            sc.name, [c.min_eta_hub for c in cells])
+    print("\nFINDING 2 (drivers' half) HOLDS: min eta_hub >= 0 at beta3 x 1 and < 0 "
+          "from x 2 on sioux1-3 and from x 4 on 5node")
+
+
 def test_criterion_9_performance():
     five = solve(builtin_5node())
     assert five.wall_time <= FIVE_NODE_BUDGET_S

@@ -1,6 +1,8 @@
 """Exit codes, artifact layout, and byte-determinism of the CLI."""
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modal_market.choice import compile_scenario
 from modal_market import __version__
@@ -44,7 +48,7 @@ def write_coefficient(path, block, field, value):
     (["import-tntp", "--net", "bad.tntp", "--out", "out/s.json"],
      "error: missing <NUMBER OF NODES>\n"),
     (["validate", "--scenario", "builtin:5node", "--uniqueness-starts", "1"],
-     "error: --uniqueness-starts must be >= 2\n"),
+     "error: argument --uniqueness-starts: must be >= 2, got 1\n"),
     (["solve", "--scenario", "adir"], "error: scenario file not found: adir\n"),
     (["solve", "--scenario", "latin1.json"],
      "error: invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 13: "
@@ -57,9 +61,9 @@ def write_coefficient(path, block, field, value):
      "error: invalid JSON: Expecting ',' delimiter: line 1 column 13 (char 12)\n"),
     (["solve", "--scenario", "array.json"], "error: expected an object\n"),
     (["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta2",
-      "--values", "", "--out", "out"], "error: --values is empty\n"),
+      "--values", "", "--out", "out"], "error: argument --values: no number in ''\n"),
     (["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta2",
-      "--values", "1,x", "--out", "out"], "error: could not convert string to float: 'x'\n"),
+      "--values", "1,x", "--out", "out"], "error: argument --values: invalid float value: '1,x'\n"),
     (["solve", "--scenario", "builtin:5node", "--out", "afile"],
      "error: [Errno 17] File exists: 'afile'\n"),
     (["import-tntp", "--net", "net.tntp", "--out", "adir"],
@@ -74,21 +78,21 @@ def write_coefficient(path, block, field, value):
      "error: scenario failed validation:\n  /driver_params/beta1: inf must be finite\n"),
     # stopping rules and checks that no value can meet, and unusable seeds
     (["solve", "--scenario", "builtin:5node", "--tol", "nan", "--out", "out"],
-     "error: --tol must be a non-negative number, got nan\n"),
+     "error: argument --tol: must be >= 0, got nan\n"),
     (["solve", "--scenario", "builtin:5node", "--tol", "-1", "--out", "out"],
-     "error: --tol must be a non-negative number, got -1.0\n"),
+     "error: argument --tol: must be >= 0, got -1.0\n"),
     (["solve", "--scenario", "builtin:5node", "--max-iter", "-3", "--out", "out"],
-     "error: --max-iter must be >= 0, got -3\n"),
+     "error: argument --max-iter: must be >= 0, got -3\n"),
     (["sweep", "--scenario", "builtin:5node", *SWEEP, "--max-iter", "-1"],
-     "error: --max-iter must be >= 0, got -1\n"),
+     "error: argument --max-iter: must be >= 0, got -1\n"),
     (["hub-study", "--tol", "nan", "--out", "out"],
-     "error: --tol must be a non-negative number, got nan\n"),
+     "error: argument --tol: must be >= 0, got nan\n"),
     (["validate", "--scenario", "builtin:5node", "--replay-tol", "nan", "--out", "out"],
-     "error: --replay-tol must be a non-negative number, got nan\n"),
+     "error: argument --replay-tol: must be >= 0, got nan\n"),
     (["validate", "--scenario", "builtin:5node", "--kkt-tol", "-1", "--out", "out"],
-     "error: --kkt-tol must be a non-negative number, got -1.0\n"),
+     "error: argument --kkt-tol: must be >= 0, got -1.0\n"),
     (["validate", "--scenario", "builtin:5node", "--seed", "-1", "--out", "out"],
-     "error: --seed must be a non-negative integer, got -1\n"),
+     "error: argument --seed: must be >= 0, got -1\n"),
     # a sweep parameter no value can set
     (["sweep", "--scenario", "builtin:5node", "--param", "traveler_params.beta9",
       "--values", "1,2", "--out", "out"],
@@ -123,6 +127,55 @@ def test_input_errors_exit_2_with_one_message(argv, stderr, tmp_path, monkeypatc
     assert main(argv) == 2
     assert capsys.readouterr().err == stderr
     assert not list(tmp_path.rglob("run_manifest.json"))
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["validate", "--scenario", "builtin:5node", "--seed", "abc", "--out", "out"],
+     "error: argument --seed: invalid int value: 'abc'"),
+    (["solve", "--scenario", "builtin:5node", "--tol", "x", "--out", "out"],
+     "error: argument --tol: invalid float value: 'x'"),
+    (["solve", "--out", "out"], "error: the following arguments are required: --scenario"),
+    ([], "error: the following arguments are required: command"),
+    (["solve", "--scenario", "builtin:5node", "--format", "xml", "--out", "out"],
+     "error: argument --format: invalid choice: 'xml'"),
+    (["solve", "--scenario", "builtin:5node", "--bogus", "--out", "out"],
+     "error: unrecognized arguments: --bogus"),
+    (["nope"], "error: argument command: invalid choice: 'nope'"),
+])
+def test_parse_errors_exit_2_with_one_line(argv, prefix, tmp_path, monkeypatch, capsys):
+    # argparse's own refusals are input errors too: `main` returns 2 and
+    # prints one `error: ...` line, no usage block; how a choice list is
+    # quoted differs between Python versions, so the line's start is checked
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("validate", "--seed"), ("solve", "--tol"), ("solve", "--max-iter")]),
+       st.text())
+def test_any_option_text_is_one_error_line(option, text):
+    # whatever a numeric option reads, `main` returns 2 with one line: the
+    # option's refusal, or else the missing scenario's
+    command, flag = option
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, flag, text, "--scenario", "nope.json"])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestSolveCommand:
@@ -427,7 +480,7 @@ class TestValidateCommand:
 
         def stalled(sc, **_):
             # the solve succeeds; the probe's failure comes back as a value
-            stall = NotConverged("line search stalled at inf-norm 1", np.zeros(9), [1.0])
+            stall = NotConverged("stall", "line search stalled at inf-norm 1", np.zeros(9), [1.0])
             return cli.solve(sc), stall
 
         monkeypatch.setattr(cli, "solve_and_probe", stalled)
@@ -555,7 +608,7 @@ class TestValidateCommand:
         from modal_market.equilibrium import NotConverged
 
         def stalled(sc, **_):
-            raise NotConverged("line search stalled at inf-norm 1", np.zeros(9), [1.0])
+            raise NotConverged("stall", "line search stalled at inf-norm 1", np.zeros(9), [1.0])
 
         monkeypatch.setattr(cli, "solve_and_probe", stalled)
         code = main(["validate", "--scenario", "builtin:5node", "--out", str(tmp_path)])

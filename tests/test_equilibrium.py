@@ -391,6 +391,7 @@ class TestSolve:
             warnings.simplefilter("error")
             with pytest.raises(NotConverged, match="line-search slope not finite") as err:
                 solve(sc, y0=y0)
+        assert err.value.kind == "slope"
         history = err.value.residual_history
         assert len(history) >= 2
         assert np.all(np.isfinite(err.value.best_y))
@@ -404,12 +405,14 @@ class TestSolve:
             with pytest.raises(NotConverged) as err:
                 solve(five_node, y0=y0)
         assert str(err.value) == "initial dual vector overflows the driver flows"
+        assert err.value.kind == "overflow"
         assert np.array_equal(err.value.best_y, y0)
         assert err.value.residual_history == []
 
     def test_not_converged_carries_diagnostics(self, five_node):
         with pytest.raises(NotConverged) as err:
             solve(five_node, max_iter=1)
+        assert err.value.kind == "cap"
         assert err.value.best_y.shape == (9,)
         assert len(err.value.residual_history) >= 1
 
@@ -605,12 +608,12 @@ def arrays(sol):
 
 def assert_same_outcome(stacked, alone):
     """Two outcomes of a solve are the same bit for bit: a solution's y,
-    history, flows and residual, or a failure's type, message, best iterate
-    and history."""
+    history, flows and residual, or a failure's type, kind, message, best
+    iterate and history."""
     assert type(stacked) is type(alone)
     assert stacked.residual_history == alone.residual_history
     if isinstance(alone, Exception):
-        assert str(stacked) == str(alone)
+        assert (stacked.kind, str(stacked)) == (alone.kind, str(alone))
         assert np.array_equal(stacked.best_y, alone.best_y)
     else:
         assert np.array_equal(stacked.y, alone.y)
@@ -810,6 +813,7 @@ class TestStackedNewton:
         good = np.random.default_rng(20240601).uniform(-10.0, 10.0, size=(2, 12))
         outcomes = assert_rows_match_one_by_one(sc, np.stack([good[0], stalling_start(), good[1]]))
         assert isinstance(outcomes[1], NotConverged)
+        assert outcomes[1].kind == "stall"
         assert "line search stalled" in str(outcomes[1])
         assert not isinstance(outcomes[0], Exception) and not isinstance(outcomes[2], Exception)
 
@@ -857,6 +861,7 @@ class TestStackedNewton:
         outcomes = assert_rows_match_one_by_one(sc, starts)
         assert (3, cs.n_nodes, cs.n_nodes) in solves
         assert [isinstance(outcome, NotConverged) for outcome in outcomes] == [False, True, False]
+        assert outcomes[1].kind == "step"
 
 
 class TestLadder:
