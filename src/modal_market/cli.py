@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True,
                          help="dotted path, e.g. traveler_params.beta2")
     p_sweep.add_argument("--values", type=_numbers, required=True,
-                         help="comma-separated numbers")
+                         help="comma-separated numbers; write --values=-10,0 if the first is < 0")
     add_out(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="accepted and ignored: a sweep is one stacked solve")

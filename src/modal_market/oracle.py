@@ -13,11 +13,17 @@ Three checks of a solution against the model itself:
   the null space of the model's constraints and confirms the combined
   objective strictly increases along each.
 
-The first two avoid the solver's code paths. The probe's projection solves
-its normal equations with the solver's Newton step (`_newton_step`), which
-factors that very system at the solution; its constraint map B and the
-correction W B^T z are written out here, and `kkt_check` does not use the
-step.
+The first two read the model from the scenario data, not from the compiled
+arrays the solver runs on: their utilities and exponents are the replay's
+tables, `choice.traveler_utilities` and `choice.driver_utilities` at zero
+prices (`_model_tables`), so a coefficient the compile gets wrong fails
+them too. From the compiled scenario they take only index maps, the duals'
+layout and, in `kkt_check`'s constraint gaps, demand and sign-in. The
+probe reads the compiled arrays: its objective is
+`combined_objective_arrays`, and its projection solves its normal equations
+with the solver's Newton step (`_newton_step`), which factors that very
+system at the solution; its constraint map B and the correction W B^T z are
+written out here.
 
 `micro_instances` and `random_scenario` supply the verification corpus.
 """
@@ -29,7 +35,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .choice import CompiledScenario, compile_scenario
+from .choice import (
+    CompiledScenario,
+    PriceSystem,
+    compile_scenario,
+    driver_utilities,
+    traveler_utilities,
+)
 from .equilibrium import (
     EquilibriumSolution,
     NonPositiveFlow,
@@ -82,6 +94,14 @@ def _central_diff(x: np.ndarray, u: np.ndarray, c: np.ndarray, beta: float) -> n
     return (term(x + h) - term(x - h)) / (2.0 * h)
 
 
+def _model_tables(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The price-free (m, 3) traveler utilities and (n, 2m + 1) driver and
+    sign-out exponents, written out from the scenario data by the replay's
+    tables rather than taken from the compiled arrays."""
+    zero = PriceSystem.zero(sc)
+    return traveler_utilities(sc, zero), driver_utilities(sc, zero)
+
+
 def kkt_check(sc: Scenario, solution: EquilibriumSolution) -> KktReport:
     """Max |dL/dx| over all primal coordinates, plus max constraint gap.
 
@@ -103,20 +123,16 @@ def kkt_check(sc: Scenario, solution: EquilibriumSolution) -> KktReport:
 
     rho, lam = cs.rho_lam(solution.y)
     eta_d, eta_h = cs.eta(solution.y)
-    b2, b3 = cs.beta2, cs.beta3
+    b2, b3 = sc.traveler_params.beta2, sc.driver_params.beta3
+    U, V = _model_tables(sc)
 
     # mu from the drive coordinate: (1/b2)(ln q1 - U1) - mu = 0
-    mu = (np.log(q[:, 0]) - cs.u_drive) / b2
+    mu = (np.log(q[:, 0]) - U[:, 0]) / b2
 
     grads = (
-        _central_diff(
-            q,
-            np.stack([cs.u_drive, cs.u_ride, cs.u_multi], axis=1),
-            np.stack([mu, mu - eta_d, mu - eta_h], axis=1),
-            b2,
-        ),
-        _central_diff(E, cs.A, rho[None, :] + lam[:, None], b3),
-        _central_diff(E_H, cs.a_H, lam, b3),
+        _central_diff(q, U, np.stack([mu, mu - eta_d, mu - eta_h], axis=1), b2),
+        _central_diff(E, V[:, :-1], rho[None, :] + lam[:, None], b3),
+        _central_diff(E_H, V[:, -1], lam, b3),
     )
     worst = max(float(np.abs(g).max()) for g in grads)
 
@@ -147,39 +163,6 @@ _GRID_MAX_ROUNDS = 22
 _GRID_HALF_WIDTH_TARGET = 5e-10
 
 
-def _micro_terms(sc: Scenario):
-    """Utilities and exponents written out from the scenario data, kept
-    separate from the compiled arrays used by the solver."""
-    if len(sc.ods) != 1:
-        raise DimensionTooLarge(
-            f"grid oracle handles exactly one OD pair, got {len(sc.ods)}"
-        )
-    od = sc.ods[0]
-    tp, dp = sc.traveler_params, sc.driver_params
-    u1 = (
-        tp.beta0_drive
-        - tp.beta1_drive * (od.drive_time + od.parking_time)
-        - tp.beta2 * (od.drive_cost + od.parking_cost)
-    )
-    u2 = tp.beta0_ride - tp.beta1_ride * od.drive_time
-    u3 = (
-        tp.beta0_multi
-        - tp.beta1_multi * (od.hub_access_time + od.transit_time)
-        - tp.beta1_wait * od.transit_wait
-        - tp.beta2 * od.transit_fare
-    )
-    nodes = list(sc.network.nodes)
-    # columns: 0 = direct leg (r -> s), 1 = hub leg (r -> hub)
-    base = np.empty((len(nodes), 2))
-    for i, n in enumerate(nodes):
-        base[i, :] = dp.beta0_at(od.r) - dp.beta1 * sc.relocation_time(n, od.r)
-    a_H = np.array(
-        [dp.beta0_H + dp.beta3 * sc.signout_bonus_at(n) for n in nodes]
-    )
-    dQ = np.array([sc.signin_at(n) for n in nodes])
-    return od, nodes, (u1, u2, u3), base, a_H, dQ
-
-
 def grid_solve_micro(sc: Scenario) -> np.ndarray:
     """Duals of a one-OD instance by nested grid refinement.
 
@@ -191,19 +174,36 @@ def grid_solve_micro(sc: Scenario) -> np.ndarray:
     implied flows agree with the solver well inside 1e-8. Returns the full
     dual vector in solver layout.
     """
-    od, nodes, (u1, u2, u3), base, a_H, dQ = _micro_terms(sc)
-    tp, dp = sc.traveler_params, sc.driver_params
-    b2, b3 = tp.beta2, dp.beta3
-    n_nodes = len(nodes)
-    idx = {n: i for i, n in enumerate(nodes)}
-    s_i, h_i = idx[od.s], idx[od.hub]
+    if len(sc.ods) != 1:
+        raise DimensionTooLarge(f"grid oracle handles exactly one OD pair, got {len(sc.ods)}")
+    od, nodes = sc.ods[0], sc.network.nodes
+    traveler, driver = _model_tables(sc)
+    u1, u2, u3 = traveler[0]
+    # driver columns: 0 = direct leg (r -> s), 1 = hub leg (r -> hub)
+    base, a_H = driver[:, :2], driver[:, 2]
+    dQ = np.array([sc.signin_at(n) for n in nodes])
+    b2, b3 = sc.traveler_params.beta2, sc.driver_params.beta3
+    s_i, h_i = nodes.index(od.s), nodes.index(od.hub)
     arrival_ix = sorted(set([s_i, h_i]))
-    free_ix = [i for i in range(n_nodes) if i not in arrival_ix]
+    free_ix = [i for i in range(len(nodes)) if i not in arrival_ix]
     dims = 2 + len(arrival_ix)
     if dims > 4:
-        raise DimensionTooLarge(
-            f"{dims} free duals after pruning; the grid oracle caps at 4"
-        )
+        raise DimensionTooLarge(f"{dims} free duals after pruning; the grid oracle caps at 4")
+
+    def lam_at(rho_d, rho_h, lam_arrival) -> np.ndarray:
+        """Lambda at every node, one row per price point (a vector at scalar
+        prices): the given values at the arrival nodes; at a no-arrival node
+        the stock Q_n = dQ_n pins lambda_n given the prices."""
+        lam = np.empty(np.shape(rho_d) + (len(nodes),))
+        lam[..., arrival_ix] = lam_arrival
+        for i in free_ix:
+            supply = (
+                np.exp(base[i, 0] + b3 * rho_d)
+                + np.exp(base[i, 1] + b3 * rho_h)
+                + math.exp(a_H[i])
+            )
+            lam[..., i] = (np.log(dQ[i]) - np.log(supply)) / b3
+        return lam
 
     centers = np.zeros(dims)
     half = _GRID_SPAN
@@ -212,28 +212,14 @@ def grid_solve_micro(sc: Scenario) -> np.ndarray:
         grids = np.meshgrid(*axes, indexing="ij")
         flat = [g.ravel() for g in grids]
         rho_d, rho_h = flat[0], flat[1]
-        G = rho_d.size
-        lam = np.empty((G, n_nodes))
-        for k, i in enumerate(arrival_ix):
-            lam[:, i] = flat[2 + k]
-        # no-arrival nodes: stock Q_n = dQ_n pins lambda_n given the prices
-        for i in free_ix:
-            supply = (
-                np.exp(base[i, 0] + b3 * rho_d)
-                + np.exp(base[i, 1] + b3 * rho_h)
-                + math.exp(a_H[i])
-            )
-            lam[:, i] = (np.log(dQ[i]) - np.log(supply)) / b3
+        lam = lam_at(rho_d, rho_h, np.stack(flat[2:], axis=1))
         eta_d = rho_d + lam[:, s_i]
         eta_h = rho_h + lam[:, h_i]
-        U = np.stack(
-            [np.full(G, u1), u2 - b2 * eta_d, u3 - b2 * eta_h], axis=1
-        )
+        U = np.stack([np.full(rho_d.size, u1), u2 - b2 * eta_d, u3 - b2 * eta_h], axis=1)
         U -= U.max(axis=1, keepdims=True)
         expU = np.exp(U)
         P = expU / expU.sum(axis=1, keepdims=True)
-        q2 = od.demand * P[:, 1]
-        q3 = od.demand * P[:, 2]
+        q2, q3 = od.demand * P[:, 1:].T
 
         E_d = np.exp(base[None, :, 0] + b3 * (rho_d[:, None] + lam))
         E_h = np.exp(base[None, :, 1] + b3 * (rho_h[:, None] + lam))
@@ -263,19 +249,8 @@ def grid_solve_micro(sc: Scenario) -> np.ndarray:
         centers = np.array([axes[k][best_idx[k]] for k in range(dims)])
         half /= _GRID_SHRINK
 
-    # assemble the full dual vector in solver layout
-    rho_d, rho_h = centers[0], centers[1]
-    lam_full = np.empty(n_nodes)
-    for k, i in enumerate(arrival_ix):
-        lam_full[i] = centers[2 + k]
-    for i in free_ix:
-        supply = (
-            math.exp(base[i, 0] + b3 * rho_d)
-            + math.exp(base[i, 1] + b3 * rho_h)
-            + math.exp(a_H[i])
-        )
-        lam_full[i] = (math.log(dQ[i]) - math.log(supply)) / b3
-    return np.concatenate([[rho_d], [rho_h], lam_full])
+    # the full dual vector in solver layout
+    return np.concatenate([centers[:2], lam_at(centers[0], centers[1], centers[2:])])
 
 
 # ---------------------------------------------------------------------------

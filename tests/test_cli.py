@@ -563,8 +563,8 @@ class TestValidateCommand:
 
     def test_driver_replay_audits_compiled_utilities(self, monkeypatch, capsys):
         # a sign error in the relocation term of the compiled driver
-        # exponents reaches the solve; the replay, built from the scenario
-        # data, must catch it
+        # exponents reaches the solve; the replay and the KKT check, both
+        # built from the scenario data, must catch it
         import dataclasses
 
         from modal_market import choice
@@ -580,6 +580,28 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL driver_logit_replay" in out
+        assert "FAIL kkt_stationarity" in out
+
+    def test_traveler_replay_audits_compiled_coefficients(self, monkeypatch, capsys):
+        # a wrong constant in the compiled multimodal utilities reaches the
+        # solve; the replay and the KKT check, both built from the scenario
+        # data, must catch it
+        import dataclasses
+
+        from modal_market import choice
+
+        compiled = choice._compile
+
+        def multimodal_shifted(sc):
+            cs = compiled(sc)
+            return dataclasses.replace(cs, u_multi=cs.u_multi + 0.5)
+
+        monkeypatch.setattr(choice, "_compile", multimodal_shifted)
+        code = main(["validate", "--scenario", "builtin:5node", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL traveler_logit_replay" in out
+        assert "FAIL kkt_stationarity" in out
 
     def test_replay_reads_each_relocation_time_once(
         self, sioux_scenarios, sioux_solutions, monkeypatch
@@ -830,6 +852,15 @@ class TestSweepCommand:
               "traveler_params.beta2", "--values", "0.5,2", "--out", str(b),
               "--jobs", "2"])
         assert (a / "sweep_beta2.csv").read_bytes() == (b / "sweep_beta2.csv").read_bytes()
+
+    def test_negative_first_value_attached_with_equals(self, tmp_path):
+        # argparse reads a separate "-10,0" as an option; "=" attaches it
+        code = main(["sweep", "--scenario", "builtin:5node", "--param",
+                     "driver_params.beta0_r_default", "--values=-10,0",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_csv(tmp_path / "sweep_beta0_r_default.csv")
+        assert [row[:2] for row in rows[1:]] == [["-10.0", "1"], ["0.0", "1"]]
 
     def test_empty_values_exit_2(self, tmp_path):
         code = main(["sweep", "--scenario", "builtin:5node", "--param",

@@ -21,7 +21,7 @@ from modal_market.oracle import (
     perturbation_probe,
     random_scenario,
 )
-from modal_market.scenario import MODES, validate
+from modal_market.scenario import MODES, builtin_sioux, validate
 
 
 def with_traveler_flow(sc, sol, rs, mode, delta):
@@ -97,6 +97,21 @@ class TestKktCheck:
         )
         rep = kkt_check(five_node, perturbed)
         assert rep.stationarity > 0.1
+
+    def test_miscompiled_utility_detected(self, monkeypatch):
+        # the check reads the model from the scenario data, so a solve on a
+        # compiled multimodal utility shifted by 0.5 is not stationary
+        from modal_market import choice
+
+        compiled = choice._compile
+
+        def multimodal_shifted(sc):
+            cs = compiled(sc)
+            return dataclasses.replace(cs, u_multi=cs.u_multi + 0.5)
+
+        monkeypatch.setattr(choice, "_compile", multimodal_shifted)
+        sc = builtin_sioux(3)
+        assert kkt_check(sc, solve(sc)).stationarity > 1e-6
 
     def test_nonpositive_flow_rejected(self, five_node, five_node_solution):
         broken = with_traveler_flow(five_node, five_node_solution, (1, 2), "multi", None)
